@@ -103,8 +103,7 @@ def mple_rows(net, model, mode="compressed"):
 
     if mode == "array":
         cube = np.full((net.n, net.n, model.p), np.nan)
-        for k in range(net.dyad_count()):
-            i, j = net.dyad_at(k)
+        for i, j in net.dyads():
             delta = model.change(net, i, j)
             cube[i, j, :] = delta
             if not net.directed:
@@ -117,8 +116,7 @@ def mple_rows(net, model, mode="compressed"):
     order = []
     dyads = []
     listed = []
-    for k in range(net.dyad_count()):
-        i, j = net.dyad_at(k)
+    for i, j in net.dyads():
         delta = model.change(net, i, j)
         y = 1 if net.has_edge(i, j) else 0
         pred = tuple(delta[c] for c in free)
@@ -307,8 +305,7 @@ def mple(net, model, offset_coefs=(), se="naive", constraints=None, attrs=None,
 
     def score(nw):
         u = np.zeros(len(free))
-        for k in range(nw.dyad_count()):
-            i, j = nw.dyad_at(k)
+        for i, j in nw.dyads():
             delta = model.change(nw, i, j)
             eta = 0.0
             forced = 0

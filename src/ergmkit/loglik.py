@@ -286,6 +286,25 @@ def adaptive_bridge(net, model, theta_hat, theta_tilde, target_se, J=16,
                         converged=False, points=points)
 
 
+def _blocked_dyad_count(net, level, forbid):
+    """Free dyads whose endpoints' levels the blocks matrix `forbid`
+    forbids, from per-level vertex counts (per mode when bipartite)."""
+    L = len(forbid)
+    if net.bipartite:
+        first, second = [0] * L, [0] * L
+        for v, a in enumerate(level):
+            (first if v < net.bipartite else second)[a] += 1
+        return sum(first[a] * second[c] for a in range(L) for c in range(L)
+                   if forbid[a][c])
+    count = [0] * L
+    for a in level:
+        count[a] += 1
+    ordered = sum(count[a] * (count[c] - (a == c)) for a in range(L)
+                  for c in range(L) if forbid[a][c])
+    # undirected blocks matrices are symmetric: each dyad counted twice
+    return ordered if net.directed else ordered // 2
+
+
 def evaluate_loglik(net, model, theta_hat, offset_coefs=(), plan=None,
                     constraints=None, attrs=None, g_obs=None):
     """Full log-likelihood report at theta_hat.
@@ -316,10 +335,7 @@ def evaluate_loglik(net, model, theta_hat, offset_coefs=(), plan=None,
         checker = ConstraintChecker(net, ConstraintSpec(
             blocks_attr=constraints.blocks_attr,
             blocks_levels2=constraints.blocks_levels2), attrs)
-        lev, forbid = checker.block_level, checker.forbid
-        blocked = sum(1 for k in range(net.dyad_count())
-                      for i, j in [net.dyad_at(k)] if forbid[lev[i]][lev[j]])
-        d -= blocked
+        d -= _blocked_dyad_count(net, checker.block_level, checker.forbid)
     res.null_deviance = null_deviance(d)
     p_free = len(model.free_index)
     res.aic = -2.0 * res.loglik + 2.0 * p_free

@@ -1,12 +1,16 @@
-"""Sparse binary network with O(1) toggling and uniform edge sampling.
+"""Sparse binary network with O(1) toggling, dyad decode and edge sampling.
 
 The edge set is kept both as per-vertex adjacency sets and as a dense
 list of dyads with a dyad->slot map, so that toggling an edge and
 drawing a uniformly random edge are both constant-time (deletion uses
-swap-remove).  Vertex ids are 0-based internally and 1-based in files.
+swap-remove).  Free dyads are numbered row-major (upper triangle when
+undirected) and an index decodes to its dyad in closed form, so drawing
+a uniformly random dyad is constant-time too.  Vertex ids are 0-based
+internally and 1-based in files.
 """
 
 import csv
+import math
 
 from .errors import NetworkFormatError
 
@@ -142,14 +146,31 @@ class Network:
         if self.directed:
             i, j = divmod(k, n - 1)
             return (i, j if j < i else j + 1)
-        # undirected: row-major upper triangle
-        i = 0
-        row = n - 1
-        while k >= row:
-            k -= row
-            i += 1
-            row -= 1
-        return (i, i + 1 + k)
+        # undirected: row-major upper triangle.  Counted from the end, the
+        # rows of length 1..r hold r(r+1)/2 dyads, so the row holding the
+        # m-th dyad from the end has length r+1 for r = floor((sqrt(8m+1)-1)/2).
+        # Row i starts at index i(2n-i-1)/2, in column i+1.
+        m = n * (n - 1) // 2 - 1 - k
+        i = n - 2 - (math.isqrt(8 * m + 1) - 1) // 2
+        return (i, k - i * (2 * n - i - 3) // 2 + 1)
+
+    def dyads(self):
+        """Yield every free dyad, in index order (as dyad_at decodes them)."""
+        n = self.n
+        if self.bipartite:
+            cols = range(self.bipartite, n)
+            for i in range(self.bipartite):
+                for j in cols:
+                    yield (i, j)
+        elif self.directed:
+            for i in range(n):
+                for j in range(n):
+                    if j != i:
+                        yield (i, j)
+        else:
+            for i in range(n - 1):
+                for j in range(i + 1, n):
+                    yield (i, j)
 
     def random_dyad(self, rng):
         return self.dyad_at(rng.randrange(self.dyad_count()))

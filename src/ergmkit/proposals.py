@@ -172,14 +172,6 @@ def _blocks_matrix(levels2, L, directed):
     return forbid
 
 
-def reduce_bd_matrix(attribs, maxout):
-    """Reduce the (membership, per-class cap) matrix form to per-vertex caps."""
-    caps = []
-    for row_m, row_c in zip(attribs, maxout):
-        caps.append(sum(int(c) for m, c in zip(row_m, row_c) if True))
-    return caps
-
-
 class BDStratTNT:
     """Stratified, degree-bounded, block-aware TNT proposal.
 
@@ -191,7 +183,9 @@ class BDStratTNT:
     the count of edges whose endpoints are both unsaturated; per class
     it maintains the unsaturated-vertex set; per stratum the total edge
     and eligible-dyad counts.  All counts are updated incrementally by
-    ``commit`` in time proportional to the affected cells.
+    ``commit`` in time proportional to the affected cells; ``propose``
+    reads the post-toggle counts of the q-ratio in the same time,
+    without writing them.
 
     Undirected unipartite networks only.
     """
@@ -256,8 +250,10 @@ class BDStratTNT:
         self.cell_c1 = []
         self.cell_c2 = []
         self.cell_stratum = []
-        self.cell_index = {}
-        self.cells_of_class = [[] for _ in range(C)]
+        # per class pair: their cell, None when blocked; per class: the
+        # (stratum, partner class) of every cell the class belongs to
+        self.cell_of_pair = [[None] * C for _ in range(C)]
+        self.partners = [[] for _ in range(C)]
         for c1 in range(C):
             s1, b1 = self.class_key[c1]
             for c2 in range(c1, C):
@@ -265,13 +261,14 @@ class BDStratTNT:
                 if forbid[b1][b2]:
                     continue
                 k = len(self.cell_c1)
+                s = strat_lut[(min(s1, s2), max(s1, s2))]
                 self.cell_c1.append(c1)
                 self.cell_c2.append(c2)
-                self.cell_stratum.append(strat_lut[(min(s1, s2), max(s1, s2))])
-                self.cell_index[(c1, c2)] = k
-                self.cells_of_class[c1].append(k)
+                self.cell_stratum.append(s)
+                self.cell_of_pair[c1][c2] = self.cell_of_pair[c2][c1] = k
+                self.partners[c1].append((s, c2))
                 if c2 != c1:
-                    self.cells_of_class[c2].append(k)
+                    self.partners[c2].append((s, c1))
         K = len(self.cell_c1)
         S = len(self.strata)
         self.strat_cells = [[] for _ in range(S)]
@@ -365,10 +362,7 @@ class BDStratTNT:
         return [w / total for w in weights]
 
     def _cell_of_dyad(self, i, j):
-        c1, c2 = self.class_of[i], self.class_of[j]
-        if c2 < c1:
-            c1, c2 = c2, c1
-        return self.cell_index.get((c1, c2))
+        return self.cell_of_pair[self.class_of[i]][self.class_of[j]]
 
     def _cell_eligible(self, k):
         """Eligible dyads in cell k: current edges + unsaturated non-edges."""
@@ -405,20 +399,96 @@ class BDStratTNT:
             q_fwd = (0.5 / D_s) if E_s else (1.0 / D_s)
         W = self.active_weight
 
-        # provisional commit to read the reverse-state counts, then roll back
+        # read the reverse-state counts off the toggled network, then
+        # toggle back; the proposal's own counters are not written
         added = net.toggle(i, j)
-        self.commit(net, i, j, added)
-        E_r = self.strat_E[s]
-        D_r = self.strat_D[s]
-        W_r = self.active_weight
+        E_r, D_r, W_r, moved = self._reverse_counts(net, s, i, j, added)
         net.toggle(i, j)
-        self.commit(net, i, j, not added)
+        # Leave the lists in the order that committing the toggle and
+        # rolling it back would: a removed edge, or the endpoints an
+        # added edge saturates, move to the end of their lists.  The
+        # order decides the dyads later draws pick, and this one keeps
+        # seeded runs byte-identical to versions that read the reverse
+        # counts by such a rollback.
+        if added:
+            for v in moved:
+                c = self.class_of[v]
+                _swap_remove(self.unsat[c], self.unsat_pos[c], v)
+            for v in moved:
+                c = self.class_of[v]
+                _append(self.unsat[c], self.unsat_pos[c], v)
+        else:
+            k = self._cell_of_dyad(i, j)
+            _swap_remove(self.cell_edges[k], self.cell_edge_pos[k], dyad)
+            _append(self.cell_edges[k], self.cell_edge_pos[k], dyad)
 
         if is_edge:
             q_rev = (0.5 / D_r) if E_r else (1.0 / D_r)
         else:
             q_rev = 0.5 / E_r + 0.5 / D_r
         return Proposal(i, j, math.log((q_rev * W) / (q_fwd * W_r)))
+
+    def _reverse_counts(self, net, s, i, j, added):
+        """(E_r, D_r, W_r, moved) after the toggle of (i, j) in stratum
+        s, already applied to net, read without writing the proposal's
+        state.
+
+        E_r and D_r are stratum s's edge and eligible counts and W_r the
+        active weight that ``commit`` would leave.  ``moved`` lists the
+        endpoints that reach their cap (added) or drop below it
+        (removed), in the order commit moves them out of or into the
+        unsaturated sets; the pass applies commit's deltas to D with
+        those moves made virtually, one endpoint after the other.
+
+        W changes only where a stratum's D crosses zero, and D never
+        falls below the stratum's edge count.  An add only takes pairs
+        out of the unsaturated sets, a removal only puts pairs in, and
+        s keeps the toggled dyad eligible either way.  So only strata
+        other than s that hold no edges can cross, and the pass tracks
+        D for s and for those.
+        """
+        caps, deg, E, D = self.caps, net.deg, self.strat_E, self.strat_D
+        pre, step = (0, -1) if added else (1, 1)   # removal: degrees before it
+        E_r = E[s] - step
+        if deg[i] + pre == caps[i]:
+            moved = (i, j) if deg[j] + pre == caps[j] else (i,)
+        elif deg[j] + pre == caps[j]:
+            moved = (j,)
+        else:
+            # both endpoints keep their saturation: D is unchanged
+            return E_r, D[s], self.active_weight, ()
+        dD = {s: 0 if added else -1}
+        get = dD.get
+        class_of, unsat, unsat_pos = self.class_of, self.unsat, self.unsat_pos
+        cell_of_pair, cell_stratum = self.cell_of_pair, self.cell_stratum
+        flipped = first = None      # the endpoint moved before v, its class
+        for v in moved:
+            c = class_of[v]
+            # unsaturated pairs through v in every cell touching class c,
+            # counted without v and after the move of `flipped`
+            for t, o in self.partners[c]:
+                if t == s or not E[t]:
+                    u = len(unsat[o])
+                    if o == first:
+                        u += step
+                    if o == c and added:
+                        u -= 1
+                    dD[t] = get(t, 0) + step * u
+            # v's edges to unsaturated partners leave (join) the
+            # unsaturated-edge counts; other strata they touch hold edges
+            for w in net.adj[v]:
+                cw = class_of[w]
+                if cell_stratum[cell_of_pair[c][cw]] == s and \
+                        (w in unsat_pos[cw]) != (w == flipped):
+                    dD[s] -= step
+            flipped, first = v, c
+        W_r = self.active_weight
+        weights = self.weights
+        for t, delta in dD.items():
+            old = D[t]
+            if (old == 0) != (old + delta == 0) and weights[t] > 0.0:
+                W_r += weights[t] if old == 0 else -weights[t]
+        return E_r, D[s] + dD[s], W_r, moved
 
     def _draw_stratum_edge(self, s, rng):
         r = rng.randrange(self.strat_E[s])
@@ -480,10 +550,8 @@ class BDStratTNT:
             # unsaturated edge until the saturation pass below corrects
             # for endpoints that just reached their cap (the edge and
             # unsaturated-edge bumps to D cancel exactly)
-            pos = self.cell_edge_pos[k]
             d = (i, j) if i < j else (j, i)
-            pos[d] = len(self.cell_edges[k])
-            self.cell_edges[k].append(d)
+            _append(self.cell_edges[k], self.cell_edge_pos[k], d)
             self.strat_E[s] += 1
             self.cell_unsat_edges[k] += 1
             if deg[i] == caps[i]:
@@ -491,14 +559,8 @@ class BDStratTNT:
             if deg[j] == caps[j]:
                 self._saturate(net, j)
         else:
-            pos = self.cell_edge_pos[k]
             d = (i, j) if i < j else (j, i)
-            edges = self.cell_edges[k]
-            slot = pos.pop(d)
-            last = edges.pop()
-            if last != d:
-                edges[slot] = last
-                pos[last] = slot
+            _swap_remove(self.cell_edges[k], self.cell_edge_pos[k], d)
             self.strat_E[s] -= 1
             # endpoints that were at cap re-enter the unsat sets
             i_was_sat = deg[i] + 1 == caps[i]
@@ -514,24 +576,14 @@ class BDStratTNT:
 
     def _saturate(self, net, v):
         c = self.class_of[v]
-        lst, pos = self.unsat[c], self.unsat_pos[c]
-        slot = pos.pop(v)
-        last = lst.pop()
-        if last != v:
-            lst[slot] = last
-            pos[last] = slot
-        u_c = len(lst)
-        # unsaturated-pair counts shrink in every cell touching class c
-        unsat = self.unsat
-        cell_c1, cell_c2, cell_stratum = self.cell_c1, self.cell_c2, self.cell_stratum
-        for k in self.cells_of_class[c]:
-            c1, c2 = cell_c1[k], cell_c2[k]
-            if c1 == c2:
-                delta = -u_c
-            else:
-                delta = -len(unsat[c2 if c1 == c else c1])
-            if delta:
-                self._add_D(cell_stratum[k], delta)
+        _swap_remove(self.unsat[c], self.unsat_pos[c], v)
+        # unsaturated-pair counts shrink in every cell touching class c,
+        # by v's unsaturated partners there
+        unsat, cell_stratum = self.unsat, self.cell_stratum
+        for t, o in self.partners[c]:
+            u = len(unsat[o])
+            if u:
+                self._add_D(t, -u)
         # v's incident edges with an unsaturated partner stop being
         # unsaturated edges (their dyads stay eligible exactly once,
         # as edges)
@@ -545,21 +597,13 @@ class BDStratTNT:
 
     def _unsaturate(self, net, v):
         c = self.class_of[v]
-        lst, pos = self.unsat[c], self.unsat_pos[c]
-        # pair counts grow before v is appended
-        u_c = len(lst)
-        unsat = self.unsat
-        cell_c1, cell_c2, cell_stratum = self.cell_c1, self.cell_c2, self.cell_stratum
-        for k in self.cells_of_class[c]:
-            c1, c2 = cell_c1[k], cell_c2[k]
-            if c1 == c2:
-                delta = u_c
-            else:
-                delta = len(unsat[c2 if c1 == c else c1])
-            if delta:
-                self._add_D(cell_stratum[k], delta)
-        pos[v] = len(lst)
-        lst.append(v)
+        # pair counts grow, by v's unsaturated partners, before v is appended
+        unsat, cell_stratum = self.unsat, self.cell_stratum
+        for t, o in self.partners[c]:
+            u = len(unsat[o])
+            if u:
+                self._add_D(t, u)
+        _append(unsat[c], self.unsat_pos[c], v)
         class_of, unsat_pos = self.class_of, self.unsat_pos
         cell_unsat = self.cell_unsat_edges
         for w in net.adj[v]:
@@ -593,6 +637,21 @@ class BDStratTNT:
             "strat_D": list(self.strat_D),
             "active_weight": round(self.active_weight, 12),
         }
+
+
+def _swap_remove(lst, pos, x):
+    """Delete x from a list kept with an item->slot map, in O(1): the
+    last item takes x's slot."""
+    slot = pos.pop(x)
+    last = lst.pop()
+    if last != x:
+        lst[slot] = last
+        pos[last] = slot
+
+
+def _append(lst, pos, x):
+    pos[x] = len(lst)
+    lst.append(x)
 
 
 def make_proposal(net, constraints, attrs=None, pmat=None):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, FrozenStateError
+from .errors import DataError
 from .formula import ConstraintSpec
 from .proposals import make_proposal
 
@@ -138,10 +138,7 @@ def san_run(net, model, config, constraints=None, attrs=None, rng=None):
                 trace.final_energy = 0.0
                 trace.runs_completed = r
                 return net, trace
-            try:
-                i, j, _logq = proposal.propose(net, rng)
-            except FrozenStateError:
-                raise
+            i, j, _logq = proposal.propose(net, rng)
             trace.proposals += 1
             if trace.proposals % config.trace_interval == 0:
                 trace.rows.append((trace.proposals, list(stats),

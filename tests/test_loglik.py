@@ -8,10 +8,13 @@ import pytest
 
 from helpers import exact_log_normalizer
 from ergmkit.errors import DataError
-from ergmkit.loglik import (BridgePlan, adaptive_bridge, bridge_loglik,
-                            dyad_independent_loglik, evaluate_loglik,
-                            kronecker_shift, null_deviance, voronoi_weights)
-from ergmkit.network import Network
+from ergmkit.formula import parse_constraint_formula
+from ergmkit.loglik import (BridgePlan, _blocked_dyad_count, adaptive_bridge,
+                            bridge_loglik, dyad_independent_loglik,
+                            evaluate_loglik, kronecker_shift, null_deviance,
+                            voronoi_weights)
+from ergmkit.network import Network, VertexAttributes
+from ergmkit.proposals import ConstraintChecker
 from ergmkit.terms import bind
 
 
@@ -203,3 +206,49 @@ class TestEvaluate:
         assert abs(res.null_deviance - null_deviance(10)) < 1e-12
         assert abs(res.aic - (-2 * res.loglik + 4)) < 1e-12
         assert abs(res.bic - (-2 * res.loglik + 2 * math.log(10))) < 1e-12
+
+    def test_blocked_dyads_excluded(self):
+        # blocks on sex: only the 9 cross-sex dyads of 6 vertices are free
+        net = Network(6)
+        for i, j in [(0, 1), (2, 3), (0, 5), (1, 4)]:
+            net.toggle(i, j)
+        attrs = VertexAttributes(6)
+        attrs.add("sex", ["M" if v % 2 == 0 else "F" for v in range(6)])
+        spec = parse_constraint_formula('blocks(attr="sex", levels2=diag)')
+        model = bind("edges", net)
+        plan = BridgePlan(J=4, K=200, interval=5, seed=24)
+        res = evaluate_loglik(net, model, np.array([-0.3]), plan=plan,
+                              constraints=spec, attrs=attrs)
+        assert res.null_deviance == null_deviance(9)
+        assert res.aic == -2.0 * res.loglik + 2.0
+        assert res.bic == -2.0 * res.loglik + math.log(9)
+
+
+def enumerated_blocked(net, level, forbid):
+    return sum(1 for i, j in net.dyads() if forbid[level[i]][level[j]])
+
+
+class TestBlockedDyadCount:
+    LEVELS = [0, 2, 1, 0, 0, 2, 1, 2, 0, 1, 1]     # three levels, 11 vertices
+
+    @pytest.mark.parametrize("net", [Network(11), Network(11, directed=True),
+                                     Network(11, bipartite=4),
+                                     Network(11, bipartite=7)],
+                             ids=["undirected", "directed", "bip4", "bip7"])
+    @pytest.mark.parametrize("levels2", [
+        "diag",
+        [[0, 1, 0], [1, 1, 0], [0, 0, 0]],     # symmetric, off-diagonal
+        [[0, 1, 1], [0, 0, 1], [0, 0, 1]]])    # asymmetric: directed only
+    def test_closed_form_equals_enumeration(self, net, levels2):
+        attrs = VertexAttributes(net.n)
+        attrs.add("grp", [f"g{a}" for a in self.LEVELS])
+        spec = parse_constraint_formula('blocks(attr="grp", levels2=diag)')
+        spec.blocks_levels2 = levels2
+        try:
+            checker = ConstraintChecker(net, spec, attrs)
+        except DataError:
+            assert not net.directed and levels2[0][1] != levels2[1][0]
+            return
+        want = enumerated_blocked(net, checker.block_level, checker.forbid)
+        assert want > 0
+        assert _blocked_dyad_count(net, checker.block_level, checker.forbid) == want

@@ -46,6 +46,48 @@ class TestConstruction:
                 assert (i, j) == net.canonical(i, j)
 
 
+def row_walk_dyad(n, k):
+    """Reference undirected decode: walk the upper-triangle rows."""
+    i = 0
+    row = n - 1
+    while k >= row:
+        k -= row
+        i += 1
+        row -= 1
+    return (i, i + 1 + k)
+
+
+class TestDyadDecode:
+    def test_every_index_small_n(self):
+        for n in range(2, 65):
+            net = Network(n)
+            assert [net.dyad_at(k) for k in range(net.dyad_count())] == \
+                [row_walk_dyad(n, k) for k in range(net.dyad_count())]
+
+    @pytest.mark.parametrize("n", [2000, 100_000])
+    def test_row_bounds_and_random_indices(self, n):
+        # the square root must be exact at the first and last index of
+        # every row, where an off-by-one would move the dyad across rows
+        net = Network(n)
+        first = 0
+        for i in range(n - 1):
+            last = first + n - 2 - i
+            assert net.dyad_at(first) == (i, i + 1)
+            assert net.dyad_at(last) == (i, n - 1)
+            first = last + 1
+        assert first == net.dyad_count()
+        rng = random.Random(n)
+        for _ in range(40):
+            k = rng.randrange(net.dyad_count())
+            assert net.dyad_at(k) == row_walk_dyad(n, k)
+
+    def test_dyads_in_index_order(self):
+        for net in (Network(9), Network(6, directed=True), Network(8, bipartite=3),
+                    Network(2), Network(2, directed=True), Network(2, bipartite=1)):
+            assert list(net.dyads()) == \
+                [net.dyad_at(k) for k in range(net.dyad_count())]
+
+
 class TestToggle:
     def test_on_off(self):
         net = Network(5)

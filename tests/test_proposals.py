@@ -1,10 +1,12 @@
 """Proposal distributions: mixtures, constraint safety, state maintenance."""
 
+import hashlib
 import math
 import random
 from collections import Counter, deque
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ergmkit.errors import ConstraintError, DataError, FrozenStateError
 from ergmkit.formula import ConstraintSpec, parse_constraint_formula
@@ -309,6 +311,123 @@ class TestBDStratDynamics:
         state2 = BDStratTNT(net2, spec2, None)
         with pytest.raises(FrozenStateError):
             state2.propose(net2, random.Random(0))
+
+
+def provisional_reverse_counts(state, net, s, i, j):
+    """Reference reverse-state counts: commit the toggle, read stratum
+    s's counts and the active weight, then roll the toggle back."""
+    added = net.toggle(i, j)
+    state.commit(net, i, j, added)
+    counts = (state.strat_E[s], list(state.strat_D), state.active_weight)
+    net.toggle(i, j)
+    state.commit(net, i, j, not added)
+    return counts
+
+
+def proposable_dyads(net, state):
+    """Dyads BDStratTNT may propose, straight from the definition."""
+    caps = state.caps
+    out = []
+    for i, j in net.dyads():
+        cell = state._cell_of_dyad(i, j)
+        if cell is None or state.weights[state.cell_stratum[cell]] <= 0.0:
+            continue
+        if net.has_edge(i, j) or (net.deg[i] < caps[i] and net.deg[j] < caps[j]):
+            out.append((i, j))
+    return out
+
+
+def check_reverse_counts(state, net, i, j):
+    """Closed-form reverse counts of (i, j) against the provisional
+    commit; returns whether some stratum's D crosses zero."""
+    s = state.cell_stratum[state._cell_of_dyad(i, j)]
+    D_before, W = list(state.strat_D), state.active_weight
+    added = net.toggle(i, j)
+    E_r, D_r, W_r, _ = state._reverse_counts(net, s, i, j, added)
+    net.toggle(i, j)
+    assert state.strat_D == D_before and state.active_weight == W
+    want_E, want_D, want_W = provisional_reverse_counts(state, net, s, i, j)
+    assert (E_r, D_r) == (want_E, want_D[s])
+    # the rollback may round W through W - w + w; the closed form does
+    # no arithmetic on W unless a stratum's D crosses zero
+    assert math.isclose(W_r, want_W, rel_tol=1e-12, abs_tol=1e-15)
+    crosses = any((a == 0) != (b == 0) for a, b in zip(D_before, want_D))
+    if not crosses:
+        assert W_r == W
+    return crosses
+
+
+class TestBDStratReverseCounts:
+    """The reverse-state counts inside log_q_ratio, read without
+    writing state, equal those of a commit-and-rollback."""
+
+    @staticmethod
+    def build(n, cap, blocks, zero):
+        attrs = alternating_sex(n)
+        text = f'bd(maxout={cap}) + strat(attr="grp")'
+        if blocks:
+            text += ' + blocks(attr="sex", levels2=diag)'
+        spec = parse_constraint_formula(text)
+        pmat = [[1.0, 0.6], [0.6, 0.3]]
+        a, b = zero
+        pmat[a][b] = pmat[b][a] = 0.0
+        net = Network(n)
+        return net, attrs, spec, BDStratTNT(net, spec, attrs, pmat=pmat), pmat
+
+    def test_stratum_emptied(self):
+        # X = {0, 3} (one M, one F): the X-X edge saturates both X
+        # vertices at cap 1, leaving the X-Y stratum nothing to propose
+        net, attrs, spec, state, _ = self.build(6, 1, True, (1, 1))
+        assert check_reverse_counts(state, net, 0, 3)
+        net.toggle(0, 3)
+        state.commit(net, 0, 3, True)
+        xy = state.strata.index((0, 1))
+        assert state.strat_D[xy] == 0
+        assert check_reverse_counts(state, net, 0, 3)
+
+    @pytest.mark.parametrize("text, want", [
+        ('bd(maxout=2) + blocks(attr="sex", levels2=diag) + strat(attr="grp")',
+         "7104f6f0e8232dd7"),
+        ("bd(maxout=1)", "119ed08ae0976e5d")])
+    def test_seeded_proposals_pinned(self, text, want):
+        # reading the reverse counts must leave the edge and unsaturated
+        # lists in the order a commit-and-rollback leaves them, or seeded
+        # runs draw other dyads; the digests pin the proposal sequence
+        net = Network(30)
+        state = BDStratTNT(net, parse_constraint_formula(text), alternating_sex(30))
+        rng = random.Random(5)
+        seq = []
+        for _ in range(3000):
+            i, j, logq = state.propose(net, rng)
+            seq.append((i, j, round(logq, 9)))
+            if rng.random() < 0.5:
+                state.commit(net, i, j, net.toggle(i, j))
+        assert hashlib.sha256(repr(seq).encode()).hexdigest()[:16] == want
+
+    @given(n=st.integers(6, 12), cap=st.integers(1, 3), blocks=st.booleans(),
+           zero=st.sampled_from([(0, 0), (0, 1), (1, 1)]),
+           picks=st.lists(st.integers(0, 10 ** 6), max_size=40),
+           seed=st.integers(0, 2 ** 16))
+    @example(n=6, cap=1, blocks=True, zero=(1, 1), picks=[1, 0, 0], seed=0)
+    @settings(max_examples=40, deadline=None)
+    def test_against_provisional_commit(self, n, cap, blocks, zero, picks, seed):
+        net, attrs, spec, state, pmat = self.build(n, cap, blocks, zero)
+        rng = random.Random(seed)
+        for pick in picks:
+            legal = proposable_dyads(net, state)
+            if not legal:
+                break
+            for i, j in legal:
+                check_reverse_counts(state, net, i, j)
+            before = state.snapshot()
+            for _ in range(3):
+                state.propose(net, rng)
+                assert state.snapshot() == before
+            i, j = legal[pick % len(legal)]
+            added = net.toggle(i, j)
+            state.commit(net, i, j, added)
+            fresh = BDStratTNT(net, spec, attrs, pmat=pmat)
+            assert state.snapshot() == fresh.snapshot()
 
 
 class TestErgodicity:
