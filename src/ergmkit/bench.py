@@ -20,7 +20,7 @@ from .diagnostics import univariate_ess
 from .errors import DataError
 from .network import Network, VertexAttributes
 from .proposals import make_proposal
-from .sampler import mh_step
+from .sampler import SamplerConfig, run_chain
 
 __all__ = ["PopulationSpec", "generate_population", "mixing_benchmark",
            "ess_benchmark", "san_benchmark"]
@@ -63,34 +63,28 @@ def generate_population(spec, seed=0):
     return net, attrs
 
 
-def _run_trace(net, attrs, model, coefs, constraints, total_proposals,
-               trace_interval, seed):
-    """One chain from `net`, recording statistics every trace_interval
-    proposals; returns rows of (proposal_count, stats...)."""
-    chain = net.copy()
-    proposal, checker = make_proposal(chain, constraints, attrs)
-    rng = random.Random(seed)
-    stats = model.summary(chain)
-    rows = []
-    for step in range(1, total_proposals + 1):
-        _, stats = mh_step(chain, model, coefs, proposal, stats, rng, checker)
-        if step % trace_interval == 0:
-            rows.append((step, list(stats)))
-    return rows, chain
-
-
 def mixing_benchmark(net, attrs, model, coefs, proposals, total_proposals,
                      trace_interval=1000, seed=0):
     """Statistic traces against proposal count for each proposal variant.
 
     `proposals` maps a display name to a ConstraintSpec; every chain
     starts from a copy of `net` (typically empty) and runs for the same
-    number of proposals, so the traces are directly comparable.
+    number of proposals, so the traces are directly comparable.  Each
+    trace holds rows of (proposal_count, stats) every trace_interval
+    proposals.
     """
     out = {}
+    draws = total_proposals // trace_interval
     for name, spec in proposals.items():
-        rows, _ = _run_trace(net, attrs, model, coefs, spec, total_proposals,
-                             trace_interval, seed)
+        rows = []
+        if draws > 0:
+            chain = net.copy()
+            proposal, checker = make_proposal(chain, spec, attrs)
+            cfg = SamplerConfig(samplesize=draws, interval=trace_interval,
+                                seed=seed)
+            sm = run_chain(chain, model, coefs, proposal, cfg, checker)
+            rows = [((s + 1) * trace_interval, list(row))
+                    for s, row in enumerate(sm.values)]
         out[name] = rows
     return out
 
@@ -104,21 +98,18 @@ def ess_benchmark(net, attrs, model, coefs, proposals, samplesize,
     single-threaded.
     """
     results = {}
+    burn = warmup if warmup is not None else interval
     for name, spec in proposals.items():
         chain = net.copy()
         proposal, checker = make_proposal(chain, spec, attrs)
         rng = random.Random(seed)
-        stats = model.summary(chain)
-        burn = warmup if warmup is not None else interval
-        for _ in range(burn):
-            _, stats = mh_step(chain, model, coefs, proposal, stats, rng, checker)
+        if burn > 0:
+            run_chain(chain, model, coefs, proposal,
+                      SamplerConfig(samplesize=1, interval=burn), checker, rng)
+        cfg = SamplerConfig(samplesize=samplesize, interval=interval)
         t0 = time.perf_counter()
-        values = np.empty((samplesize, model.p))
-        for s in range(samplesize):
-            for _ in range(interval):
-                _, stats = mh_step(chain, model, coefs, proposal, stats, rng,
-                                   checker)
-            values[s] = stats
+        values = run_chain(chain, model, coefs, proposal, cfg, checker,
+                           rng).values
         elapsed = time.perf_counter() - t0
         ess = np.array([univariate_ess(values[:, k]) for k in range(model.p)])
         results[name] = {

@@ -3,8 +3,9 @@
 Subcommands: simulate, san, mple, fit, loglik, ess, bench.  All tabular
 output is TSV with a `.` decimal point and NA for undefined values;
 identical invocations with identical seeds produce byte-identical
-output.  Exit codes: 0 ok, 2 usage, 3 data error, 4 numerical error,
-5 nonconvergence.
+output, except for the wall-clock `seconds` and `eps.*` columns of
+`bench ess`.  Exit codes: 0 ok, 2 usage, 3 data error, 4 numerical
+error, 5 nonconvergence.
 """
 
 import argparse
@@ -183,12 +184,7 @@ def _cmd_simulate(args):
                 _write_stats(out, sample, 1)
                 raise NonconvergenceError("target effective size not reached")
         else:
-            def factory(chain_net):
-                proposal, _ = make_proposal(chain_net, constraints, attrs)
-                return proposal
-            _, checker = make_proposal(net.copy(), constraints, attrs)
-            sample, finals = sample_chains(net, model, full, factory, cfg,
-                                           checker=checker,
+            sample, finals = sample_chains(net, model, full, cfg,
                                            workers=args.workers,
                                            constraints=constraints,
                                            attrs=attrs)

@@ -28,7 +28,8 @@ from .diagnostics import batch_means_cov
 from .errors import DataError, SeparationError, SingularityError
 from .hull import boundary_multiplier, scale_into_hull
 from .proposals import make_proposal
-from .sampler import SamplerConfig, adaptive_run, mh_step, run_chain
+from .sampler import (SampleMatrix, SamplerConfig, _log_tilt, _offset_shift,
+                      adaptive_run, mh_step, run_chain)
 from .formula import ConstraintSpec
 
 __all__ = ["MpleRows", "FitResult", "ScoreEval", "McmleControl", "mple_rows",
@@ -80,7 +81,7 @@ class FitResult:
     converged: bool = True
     termination: str = ""
     termination_stat: float = float("nan")
-    sample: object = None
+    sample: object = None      # SampleMatrix, last iteration, free columns
     score: object = None       # ScoreEval of the final iteration
     loglik: object = None
 
@@ -145,31 +146,6 @@ def mple_rows(net, model, mode="compressed"):
     wts = np.array([rows[k] for k in order], dtype=float)
     return MpleRows(mode=mode, response=resp, predictor=pred, weights=wts,
                     offsets=offv, names=names, offset_names=offset_names)
-
-
-def _offset_shift(offsets, offset_coefs):
-    """Per-row shift from fixed coefficients, with 0 * inf = 0.
-
-    When conflicting infinities meet on one dyad, -inf wins (the dyad
-    stays forbidden).
-    """
-    n = len(offsets)
-    finite = np.zeros(n)
-    pos_inf = np.zeros(n, dtype=bool)
-    neg_inf = np.zeros(n, dtype=bool)
-    for c, coef in enumerate(offset_coefs):
-        col = offsets[:, c]
-        if math.isinf(coef):
-            up = col > 0 if coef > 0 else col < 0
-            dn = col < 0 if coef > 0 else col > 0
-            pos_inf |= up
-            neg_inf |= dn
-        else:
-            finite += coef * col
-    shift = finite
-    shift[pos_inf] = _INF
-    shift[neg_inf] = -_INF
-    return shift
 
 
 def logistic_fit(predictor, response, weights=None, shift=None, tol=1e-10,
@@ -307,17 +283,11 @@ def mple(net, model, offset_coefs=(), se="naive", constraints=None, attrs=None,
         u = np.zeros(len(free))
         for i, j in nw.dyads():
             delta = model.change(nw, i, j)
-            eta = 0.0
-            forced = 0
-            for c, d in zip(coefs, delta):
-                if d == 0.0:
-                    continue
-                if math.isinf(c):
-                    forced = -1 if ((c > 0) != (d > 0) or forced < 0) else 1
-                else:
-                    eta += c * d
-            if forced:
-                p_ij = 1.0 if forced > 0 else 0.0
+            eta = _log_tilt(coefs, delta, 1)
+            if eta == _INF:
+                p_ij = 1.0
+            elif eta == -_INF:
+                p_ij = 0.0
             else:
                 p_ij = 1.0 / (1.0 + math.exp(-min(max(eta, -700.0), 700.0)))
             resid = (1.0 if nw.has_edge(i, j) else 0.0) - p_ij
@@ -348,7 +318,6 @@ class McmleControl:
     hull_depth: float = 0.95
     newton_tol: float = 1e-8
     seed: int = 0
-    steplength_margin: float = None    # alias of hull_depth when set
 
 
 @dataclass
@@ -548,7 +517,6 @@ def mcmle_fit(net, model, g_obs=None, offset_coefs=(), constraints=None,
     proposal, checker = make_proposal(sim_net, spec, attrs)
     interval = control.interval or _default_interval(net)
     burnin = control.burnin if control.burnin is not None else 16 * interval
-    depth = control.steplength_margin or control.hull_depth
     rng = random.Random(control.seed)
 
     history = []
@@ -578,7 +546,8 @@ def mcmle_fit(net, model, g_obs=None, offset_coefs=(), constraints=None,
         if stop:
             converged = True
             break
-        theta, info = mcmle_step(theta, sample_free, obs_free, depth=depth,
+        theta, info = mcmle_step(theta, sample_free, obs_free,
+                                 depth=control.hull_depth,
                                  tol=control.newton_tol)
 
     rec = history[-1]
@@ -602,21 +571,11 @@ def mcmle_fit(net, model, g_obs=None, offset_coefs=(), constraints=None,
                      termination=f"{control.termination}" +
                                  ("" if converged else " (iteration cap)"),
                      termination_stat=stat,
-                     sample=SampleFreeView(rec.sample,
-                                           [model.names[k] for k in free]),
+                     sample=SampleMatrix(rec.sample,
+                                         [model.names[k] for k in free],
+                                         interval=sm.interval,
+                                         burnin=sm.burnin),
                      score=score)
-
-
-class SampleFreeView:
-    """Minimal sample holder attached to fit results."""
-
-    def __init__(self, values, names):
-        self.values = np.asarray(values)
-        self.names = names
-
-    @property
-    def S(self):
-        return len(self.values)
 
 
 def cd_fit(net, model, offset_coefs=(), k=8, rounds=160, minibatch=24,

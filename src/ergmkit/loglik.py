@@ -22,10 +22,10 @@ import numpy as np
 
 from .diagnostics import batch_means_cov
 from .errors import DataError
-from .estimate import _offset_shift, logistic_fit, mple_rows, pseudo_loglik
+from .estimate import logistic_fit, mple_rows, pseudo_loglik
 from .formula import ConstraintSpec
 from .proposals import make_proposal
-from .sampler import SamplerConfig, run_chain
+from .sampler import SamplerConfig, _offset_shift, run_chain
 
 __all__ = ["BridgePlan", "LoglikResult", "null_deviance",
            "dyad_independent_loglik", "bridge_loglik", "adaptive_bridge",

@@ -7,10 +7,11 @@ estimate burn-in from the geometric-decay fit, test convergence with
 the two-window diagnostic, then either return (ESS at target) or
 extrapolate the additional steps from the ESS-per-draw ratio.
 
-Statistic values are tracked as offsets from the initial network's
-statistics and re-based on output, which avoids large-magnitude
-cancellation on big networks; infinite offset coefficients follow the
-convention that their product with a zero change is zero.
+Statistic values are tracked as offsets from the statistics of the
+network a run starts from and re-based on output, which avoids
+large-magnitude cancellation on big networks; infinite offset
+coefficients follow the convention that their product with a zero
+change is zero.
 """
 
 import math
@@ -104,6 +105,32 @@ def _log_tilt(coefs, delta, sign):
     return total
 
 
+def _offset_shift(offsets, offset_coefs):
+    """Row-wise _log_tilt(offset_coefs, row, 1) over a change-score matrix.
+
+    Per-row shift from fixed coefficients, with 0 * inf = 0; when
+    conflicting infinities meet on one row, -inf wins (the dyad stays
+    forbidden).
+    """
+    n = len(offsets)
+    finite = np.zeros(n)
+    pos_inf = np.zeros(n, dtype=bool)
+    neg_inf = np.zeros(n, dtype=bool)
+    for c, coef in enumerate(offset_coefs):
+        col = offsets[:, c]
+        if math.isinf(coef):
+            up = col > 0 if coef > 0 else col < 0
+            dn = col < 0 if coef > 0 else col > 0
+            pos_inf |= up
+            neg_inf |= dn
+        else:
+            finite += coef * col
+    shift = finite
+    shift[pos_inf] = _INF
+    shift[neg_inf] = -_INF
+    return shift
+
+
 def mh_step(net, model, coefs, proposal, current_stats, rng, checker=None):
     """One Metropolis-Hastings step; mutates net when accepting.
 
@@ -161,49 +188,35 @@ def run_chain(net, model, coefs, proposal, config, checker=None, rng=None,
     return sample
 
 
-def sample_chains(net, model, coefs, proposal_factory, config, checker=None,
-                  workers=1, constraints=None, attrs=None):
+def sample_chains(net, model, coefs, config, workers=1, constraints=None,
+                  attrs=None):
     """Run config.chains independent chains from clones of `net`.
 
-    Chain c uses seed seed+c.  Results are merged in chain order, so
-    the output is identical whatever the worker count; the final
-    networks are returned with the sample.  `proposal_factory` is
-    called per chain with the chain's network clone (proposal state is
-    chain-owned).  With workers > 1 the chains run in separate
-    processes, which requires `constraints`/`attrs` instead of the
-    factory (proposal state is rebuilt inside each worker).
+    Each chain builds its own proposal (and checker) from `constraints`
+    and `attrs`, since proposal state is chain-owned, and chain c uses
+    seed seed+c.  With workers > 1 the chains run in separate
+    processes; results are merged in chain order, so the output is
+    identical whatever the worker count.  Returns the SampleMatrix and
+    the final networks.
     """
+    payloads = [(net, model, list(coefs), constraints, attrs,
+                 config.samplesize, config.burnin, config.interval,
+                 config.seed + c) for c in range(config.chains)]
     if workers > 1 and config.chains > 1:
-        payloads = [(net, model, list(coefs), constraints, attrs,
-                     config.samplesize, config.burnin, config.interval,
-                     config.seed + c) for c in range(config.chains)]
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(workers, config.chains)) as ex:
             results = list(ex.map(_chain_worker, payloads))
-        blocks = [values for values, _ in results]
-        finals = [final for _, final in results]
-        ids = [np.full(len(b), c, dtype=int) for c, b in enumerate(blocks)]
-        return SampleMatrix(np.vstack(blocks), model.names,
-                            np.concatenate(ids), interval=config.interval,
-                            burnin=config.burnin), finals
-    blocks = []
-    ids = []
-    finals = []
-    for c in range(config.chains):
-        chain_net = net.copy()
-        proposal = proposal_factory(chain_net)
-        rng = random.Random(config.seed + c)
-        sm = run_chain(chain_net, model, coefs, proposal, config, checker, rng)
-        blocks.append(sm.values)
-        ids.append(np.full(sm.S, c, dtype=int))
-        finals.append(chain_net)
-    values = np.vstack(blocks)
-    return SampleMatrix(values, model.names, np.concatenate(ids),
+    else:
+        results = [_chain_worker(payload) for payload in payloads]
+    blocks = [values for values, _ in results]
+    finals = [final for _, final in results]
+    ids = [np.full(len(b), c, dtype=int) for c, b in enumerate(blocks)]
+    return SampleMatrix(np.vstack(blocks), model.names, np.concatenate(ids),
                         interval=config.interval, burnin=config.burnin), finals
 
 
 def _chain_worker(payload):
-    """Process-pool entry: rebuild the proposal and run one chain."""
+    """Run one chain of sample_chains, rebuilding its proposal."""
     from .formula import ConstraintSpec
     from .proposals import make_proposal
     net, model, coefs, constraints, attrs, samplesize, burnin, interval, seed \
@@ -262,28 +275,20 @@ def adaptive_run(net, model, coefs, proposal, config, checker=None, rng=None):
         rng = random.Random(config.seed)
     diag = AdaptiveDiagnostics(interval=config.interval)
     target = config.target_ess
-    base = model.summary(net)
-    rel = [0.0] * model.p
     rows = []
     interval = config.interval
     direction = _direction_for(model, coefs)
 
-    for _ in range(config.burnin):
-        _, rel = mh_step(net, model, coefs, proposal, rel, rng, checker)
-        diag.total_steps += 1
-
-    def extend(n_draws):
-        nonlocal rel
-        for _ in range(n_draws):
-            for _ in range(interval):
-                _, rel = mh_step(net, model, coefs, proposal, rel, rng, checker)
-            rows.append(list(rel))
-        diag.total_steps += n_draws * interval
-
     pending = config.samplesize
     for round_no in range(1, config.max_rounds + 1):
         diag.rounds = round_no
-        extend(pending)
+        # step 1, one chain run per round; the first also burns in
+        burnin = config.burnin if round_no == 1 else 0
+        cfg = SamplerConfig(samplesize=pending, interval=interval,
+                            burnin=burnin)
+        rows.extend(run_chain(net, model, coefs, proposal, cfg, checker,
+                              rng).values)
+        diag.total_steps += burnin + pending * interval
         # step 2: thin to keep the retained sample bounded
         while len(rows) > 2 * config.samplesize:
             rows = rows[1::2]
@@ -291,7 +296,7 @@ def adaptive_run(net, model, coefs, proposal, config, checker=None, rng=None):
             diag.thinning_events += 1
         diag.interval = interval
 
-        x = np.asarray(rows) + np.asarray(base)
+        x = np.asarray(rows)
         fit = estimate_burnin(x, direction)
         s0 = min(int(math.ceil(fit.s0)), len(rows))
         kept = x[s0:]
@@ -321,6 +326,6 @@ def adaptive_run(net, model, coefs, proposal, config, checker=None, rng=None):
         steps = min(max(steps_needed, lo), hi)
         pending = max(1, int(steps / interval))
     # cap exceeded; hand back what we have, flagged
-    x = np.asarray(rows) + np.asarray(base)
+    x = np.asarray(rows)
     s0 = diag.burnin_draws if diag.burnin_draws < len(rows) else 0
     return SampleMatrix(x[s0:], model.names, interval=interval, burnin=s0), diag

@@ -2,8 +2,8 @@
 
 The search minimizes the quadratic energy (g(y) - targets)' W
 (g(y) - targets) over the non-offset statistics, with an acceptance
-probability exp(-dE/T + <eta, dg>) where eta holds the offset
-coefficients (finite entries ignored by default) and the product of an
+probability exp(-dE/T + <eta, dg>) where eta holds the infinite offset
+coefficients (finite entries are ignored) and the product of an
 infinite coefficient with a zero change is zero.  The temperature
 decays linearly to zero at the last run, where energy-increasing moves
 are rejected outright and ties are decided by the offset bias alone.
@@ -21,6 +21,7 @@ import numpy as np
 from .errors import DataError
 from .formula import ConstraintSpec
 from .proposals import make_proposal
+from .sampler import _log_tilt
 
 __all__ = ["SanConfig", "SanTrace", "energy", "san_weight_update", "san_run"]
 
@@ -34,7 +35,6 @@ class SanConfig:
     steps_per_run: int = None        # default: max(4096, 8 * dyad count)
     tau0: float = None               # default: number of energy statistics
     offset_coefs: tuple = ()
-    ignore_finite_offsets: bool = True
     invcov_override: object = None   # fixed W, never updated
     trace_interval: int = 1000
     max_stored_diffs: int = 100_000
@@ -71,24 +71,6 @@ def san_weight_update(diffs):
     return pinv / tr
 
 
-def _offset_bias(offset_coefs, deltas, sign, ignore_finite):
-    """<eta, dg> over the offset statistics, with 0 * inf = 0."""
-    total = 0.0
-    has_pos_inf = False
-    for c, d in zip(offset_coefs, deltas):
-        if d == 0.0:
-            continue
-        x = d if sign > 0 else -d
-        if math.isinf(c):
-            if (c > 0.0) == (x > 0.0):
-                has_pos_inf = True
-            else:
-                return -_INF
-        elif not ignore_finite:
-            total += c * x
-    return _INF if has_pos_inf else total
-
-
 def san_run(net, model, config, constraints=None, attrs=None, rng=None):
     """Anneal `net` in place toward the configured targets.
 
@@ -118,7 +100,11 @@ def san_run(net, model, config, constraints=None, attrs=None, rng=None):
         W = np.eye(p) / max(p, 1)
     tau0 = config.tau0 if config.tau0 is not None else float(max(p, 1))
     steps_per_run = config.steps_per_run or max(4096, 8 * net.dyad_count())
-    off_coefs = list(config.offset_coefs)
+    # the offset bias <eta, dg> counts only infinite offset coefficients
+    eta = [0.0] * model.p
+    for k, c in zip(offs, config.offset_coefs):
+        if math.isinf(c):
+            eta[k] = c
 
     stats = model.summary(net)
     dev = np.array([stats[k] for k in free]) - targets
@@ -161,9 +147,7 @@ def san_run(net, model, config, constraints=None, attrs=None, rng=None):
 
             new_dev = dev + dfree
             dE = float(new_dev @ W @ new_dev) - float(dev @ W @ dev)
-            bias = _offset_bias(off_coefs, [delta[k] for k in offs],
-                                1 if adding else -1,
-                                config.ignore_finite_offsets)
+            bias = _log_tilt(eta, delta, 1 if adding else -1)
             if bias == -_INF:
                 continue
             if T == 0.0:

@@ -39,6 +39,9 @@ def sex_attrs_file(tmp_path):
     return str(path)
 
 
+HETERO = 'bd(maxout=1) + blocks(attr="sex", levels2=diag)'
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -251,6 +254,28 @@ class TestBench:
         assert code == 0
         lines = out.strip().split("\n")
         assert len(lines) == 3
+
+    def test_ess_columns_reproducible(self, capsys):
+        # seconds and eps.* are wall-clock; the ess.* columns are not
+        args = ("bench", "ess", "--n", "40",
+                "--formula", 'edges + nodematch("race")', "--coef=-2.5,0.5",
+                "--proposals", f"tnt=tnt + {HETERO};strat={HETERO} + "
+                               'strat(attr="race")',
+                "--nsim", "200", "--interval", "10", "--seed", "3")
+
+        def ess_columns(out):
+            rows = [l.split("\t") for l in out.strip().split("\n")]
+            keep = [k for k, h in enumerate(rows[0])
+                    if k == 0 or h.startswith("ess.")]
+            return [[r[k] for k in keep] for r in rows]
+
+        code1, out1, _ = run(capsys, *args)
+        code2, out2, _ = run(capsys, *args)
+        assert code1 == code2 == 0
+        first = ess_columns(out1)
+        assert first[0] == ["proposal", "ess.edges", "ess.nodematch.race"]
+        assert len(first) == 3
+        assert first == ess_columns(out2)
 
 
 class TestErrors:

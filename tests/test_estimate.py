@@ -10,10 +10,10 @@ from helpers import exact_moments
 from ergmkit.errors import DataError, SeparationError, SingularityError
 from ergmkit.estimate import (McmleControl, cd_fit, check_termination,
                               logistic_fit, mcmle_fit, mcmle_step, mple,
-                              mple_rows, pseudo_loglik, _IterationRecord,
-                              _offset_shift)
+                              mple_rows, pseudo_loglik, _IterationRecord)
 from ergmkit.formula import parse_constraint_formula
 from ergmkit.network import Network, VertexAttributes
+from ergmkit.sampler import _offset_shift
 from ergmkit.terms import bind
 
 

@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import batch_means_se, exact_moments
 from ergmkit.formula import parse_constraint_formula
@@ -12,7 +13,7 @@ from ergmkit.network import Network, VertexAttributes
 from ergmkit.proposals import (BDStratTNT, ConstraintChecker, TntProposal,
                                UniformProposal)
 from ergmkit.sampler import (SamplerConfig, adaptive_run, mh_step, run_chain,
-                             sample_chains)
+                             sample_chains, _log_tilt, _offset_shift)
 from ergmkit.terms import bind
 
 
@@ -72,6 +73,30 @@ class TestMhStep:
         assert stats == model.summary(net)
 
 
+COEF = st.one_of(st.sampled_from([math.inf, -math.inf]),
+                 st.floats(-10.0, 10.0, allow_nan=False))
+CHANGE = st.one_of(st.integers(-3, 3).map(float),
+                   st.floats(-5.0, 5.0, allow_nan=False))
+
+
+class TestOffsetArithmetic:
+    """The scalar and the vectorized 0 * inf rule agree exactly."""
+
+    @given(st.integers(0, 6).flatmap(lambda k: st.tuples(
+        st.lists(COEF, min_size=k, max_size=k),
+        st.lists(st.lists(CHANGE, min_size=k, max_size=k),
+                 min_size=1, max_size=5))))
+    @settings(max_examples=300, deadline=None)
+    def test_scalar_matches_vectorized(self, case):
+        coefs, rows = case
+        shift = _offset_shift(np.array(rows).reshape(len(rows), len(coefs)),
+                              coefs)
+        for r, d in enumerate(rows):
+            assert _log_tilt(coefs, d, 1) == shift[r]
+            flipped = [-x for x in d]
+            assert _log_tilt(coefs, d, -1) == _log_tilt(coefs, flipped, 1)
+
+
 class TestRunChain:
     def test_er_mean_edges(self):
         # coef log 2 => each dyad independently present w.p. 2/3
@@ -125,8 +150,7 @@ class TestRunChain:
         net = Network(6)
         model = bind("edges", net)
         cfg = SamplerConfig(samplesize=40, interval=2, seed=13, chains=3)
-        sm, finals = sample_chains(net, model, [0.2],
-                                   lambda nw: TntProposal(), cfg)
+        sm, finals = sample_chains(net, model, [0.2], cfg)
         assert sm.S == 120
         assert len(finals) == 3
         assert set(sm.chain_ids) == {0, 1, 2}
