@@ -17,7 +17,7 @@ from .hull import LinearProgram, simplex_solve, boundary_multiplier, \
 from .estimate import MpleRows, FitResult, McmleControl, mple_rows, \
     logistic_fit, mple, mcmle_step, check_termination, mcmle_fit, cd_fit
 from .loglik import BridgePlan, LoglikResult, null_deviance, \
-    dyad_independent_loglik, bridge_loglik, adaptive_bridge, evaluate_loglik
+    dyad_independent_loglik, bridge_loglik, evaluate_loglik
 from .san import SanConfig, SanTrace, energy, san_weight_update, san_run
 from .bench import PopulationSpec, generate_population, mixing_benchmark, \
     ess_benchmark, san_benchmark

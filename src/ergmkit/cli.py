@@ -57,6 +57,13 @@ class _Out:
             self.fh.close()
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _parse_vector(text):
     """Comma/whitespace separated reals, or @file indirection."""
     if text.startswith("@"):
@@ -474,7 +481,7 @@ def build_parser():
     p.add_argument("--tau", type=float, default=None,
                    help="initial temperature (default: statistic count)")
     p.add_argument("--trace", default=None, help="trace TSV output file")
-    p.add_argument("--trace-interval", type=int, default=1000,
+    p.add_argument("--trace-interval", type=_positive_int, default=1000,
                    help="proposals between trace rows (default 1000)")
     p.add_argument("--allow-inexact", action="store_true",
                    help="accept a final network missing the targets")
@@ -555,7 +562,7 @@ def build_parser():
                    help="semicolon list NAME=constraint-formula")
     p.add_argument("--total-proposals", type=int, default=100_000,
                    help="proposals per trace (default 100000)")
-    p.add_argument("--trace-interval", type=int, default=1000,
+    p.add_argument("--trace-interval", type=_positive_int, default=1000,
                    help="proposals between trace rows (default 1000)")
     p.add_argument("--nsim", type=int, default=10_000,
                    help="retained draws for ess (default 10000)")

@@ -269,14 +269,12 @@ def mple(net, model, offset_coefs=(), se="naive", constraints=None, attrs=None,
     if se != "sandwich":
         raise DataError(f"unknown se kind {se!r}")
 
-    N = net.dyad_count()
     if interval is None:
-        interval = max(1, N // 2)
+        interval = _default_interval(net)
     if burnin is None:
         burnin = 10 * interval
-    spec = constraints if constraints is not None else ConstraintSpec()
     sim_net = net.copy()
-    proposal, checker = make_proposal(sim_net, spec, attrs)
+    proposal, checker = make_proposal(sim_net, constraints, attrs)
     free = model.free_index
 
     def score(nw):
@@ -489,7 +487,6 @@ def mcmle_fit(net, model, g_obs=None, offset_coefs=(), constraints=None,
     tilted statistic covariance at the final iterate.
     """
     control = control or McmleControl()
-    spec = constraints if constraints is not None else ConstraintSpec()
     full_obs = np.asarray(model.summary(net) if g_obs is None else g_obs,
                           dtype=float)
     if full_obs.shape != (model.p,):
@@ -498,7 +495,10 @@ def mcmle_fit(net, model, g_obs=None, offset_coefs=(), constraints=None,
     obs_free = full_obs[free]
 
     if isinstance(init, str):
-        if init == "mple" and spec.bd_maxout is None and spec.bd_maxin is None:
+        degree_caps = constraints is not None and (
+            constraints.bd_maxout is not None
+            or constraints.bd_maxin is not None)
+        if init == "mple" and not degree_caps:
             start = mple(net, model, offset_coefs, constraints=constraints,
                          attrs=attrs)
             theta = start.free_coefs
@@ -514,7 +514,7 @@ def mcmle_fit(net, model, g_obs=None, offset_coefs=(), constraints=None,
             raise DataError(f"init vector must have length {len(free)}")
 
     sim_net = net.copy()
-    proposal, checker = make_proposal(sim_net, spec, attrs)
+    proposal, checker = make_proposal(sim_net, constraints, attrs)
     interval = control.interval or _default_interval(net)
     burnin = control.burnin if control.burnin is not None else 16 * interval
     rng = random.Random(control.seed)
@@ -589,7 +589,6 @@ def cd_fit(net, model, offset_coefs=(), k=8, rounds=160, minibatch=24,
     value where the pseudo-likelihood is unavailable, e.g. under
     dyad-dependent sample-space constraints.
     """
-    spec = constraints if constraints is not None else ConstraintSpec()
     g_obs = np.asarray(model.summary(net), dtype=float)
     free = model.free_index
     obs_free = g_obs[free]
@@ -602,7 +601,7 @@ def cd_fit(net, model, offset_coefs=(), k=8, rounds=160, minibatch=24,
         sims = np.empty((minibatch, len(free)))
         for b in range(minibatch):
             chain = net.copy()
-            chain_prop, chain_check = make_proposal(chain, spec, attrs)
+            chain_prop, chain_check = make_proposal(chain, constraints, attrs)
             stats_vec = list(g_obs)
             for _ in range(k):
                 _, stats_vec = mh_step(chain, model, coefs, chain_prop,

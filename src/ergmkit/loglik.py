@@ -8,10 +8,11 @@ estimate of the difference: simulate at parameters interpolated along
 the line between the two coefficient vectors and average the shifted
 statistics tilted by the direction of travel.
 
-The adaptive mode keeps adding passes of interpolation points, each
-pass shifted by a Kronecker (golden-ratio) offset, reweighting every
-point by the length of its Voronoi cell on the unit interval, until the
-Monte Carlo standard error undercuts the requested target.
+One loop runs the bridge in passes of interpolation points.  The first
+pass is the midpoint grid; when a target standard error is set, each
+further pass is shifted by a Kronecker (golden-ratio) offset and every
+point is reweighted by the length of its Voronoi cell on the unit
+interval, until the Monte Carlo standard error undercuts the target.
 """
 
 import math
@@ -22,14 +23,14 @@ import numpy as np
 
 from .diagnostics import batch_means_cov
 from .errors import DataError
-from .estimate import logistic_fit, mple_rows, pseudo_loglik
+from .estimate import _default_interval, logistic_fit, mple_rows, \
+    pseudo_loglik
 from .formula import ConstraintSpec
 from .proposals import make_proposal
 from .sampler import SamplerConfig, _offset_shift, run_chain
 
 __all__ = ["BridgePlan", "LoglikResult", "null_deviance",
-           "dyad_independent_loglik", "bridge_loglik", "adaptive_bridge",
-           "evaluate_loglik"]
+           "dyad_independent_loglik", "bridge_loglik", "evaluate_loglik"]
 
 _PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -39,8 +40,7 @@ class BridgePlan:
     J: int = 16
     K: int = 1000
     interval: int = None       # steps between draws; default half the dyads
-    burnin_first: int = None   # steps before the first point; default 16*K
-    target_se: float = None
+    target_se: float = None    # add passes until mc_se reaches it
     max_passes: int = 64
     seed: int = 0
 
@@ -131,71 +131,11 @@ def _point_mean_se(series):
     return mean, se
 
 
-def _simulate_point(net, model, coefs, proposal, checker, direction, g_obs,
-                    K, interval, burnin, rng):
-    """K draws of direction' (g(Y) - g_obs) at one path point."""
-    cfg = SamplerConfig(samplesize=K, interval=interval, burnin=burnin, seed=0)
-    sm = run_chain(net, model, list(coefs), proposal, cfg, checker=checker,
-                   rng=rng)
-    tilted = (sm.values - g_obs) @ direction
-    return _point_mean_se(tilted)
-
-
-def _bridge_context(net, model, theta_hat, theta_tilde, constraints, attrs):
-    theta_hat = np.asarray(theta_hat, dtype=float)
-    theta_tilde = np.asarray(theta_tilde, dtype=float)
-    if theta_hat.shape != (model.p,) or theta_tilde.shape != (model.p,):
-        raise DataError(f"endpoint coefficient vectors must have length {model.p}")
-    for k in model.offset_index:
-        if theta_hat[k] != theta_tilde[k]:
-            raise DataError("offset coefficients must agree at both endpoints")
-    direction = theta_hat - theta_tilde
-    for k in model.offset_index:
-        direction[k] = 0.0
-    spec = constraints if constraints is not None else ConstraintSpec()
-    sim_net = net.copy()
-    proposal, checker = make_proposal(sim_net, spec, attrs)
-    return theta_hat, theta_tilde, direction, sim_net, proposal, checker
-
-
 def _path_coefs(theta_tilde, direction, u, offset_index):
     coefs = theta_tilde + u * direction
     for k in offset_index:
         coefs[k] = theta_tilde[k]
     return list(coefs)
-
-
-def bridge_loglik(net, model, theta_hat, theta_tilde, plan=None,
-                  constraints=None, attrs=None, g_obs=None):
-    """Fixed-grid bridge estimate of loglik(theta_hat) - loglik(theta_tilde).
-
-    J midpoints on the unit interval, K draws each, linear coefficient
-    path; the chain warm-starts along the sorted path after a long
-    burn-in at the first point.  The standard error pools per-point
-    batch-means errors.
-    """
-    plan = plan or BridgePlan()
-    theta_hat, theta_tilde, direction, sim_net, proposal, checker = \
-        _bridge_context(net, model, theta_hat, theta_tilde, constraints, attrs)
-    if not np.any(direction):
-        return LoglikResult(delta_loglik=0.0, mc_se=0.0, passes=0)
-    g_obs = np.asarray(model.summary(net) if g_obs is None else g_obs, dtype=float)
-    interval = plan.interval or max(1, net.dyad_count() // 2)
-    burnin_first = plan.burnin_first if plan.burnin_first is not None else 16 * plan.K
-    rng = random.Random(plan.seed)
-
-    points = []
-    for j in range(1, plan.J + 1):
-        u = (j - 0.5) / plan.J
-        coefs = _path_coefs(theta_tilde, direction, u, model.offset_index)
-        burnin = burnin_first if j == 1 else interval
-        mean, se = _simulate_point(sim_net, model, coefs, proposal, checker,
-                                   direction, g_obs, plan.K, interval, burnin,
-                                   rng)
-        points.append(PointEstimate(u=u, mean=mean, se=se, weight=1.0 / plan.J))
-    delta = -sum(pt.weight * pt.mean for pt in points)
-    mc_se = math.sqrt(sum((pt.weight * pt.se) ** 2 for pt in points))
-    return LoglikResult(delta_loglik=delta, mc_se=mc_se, points=points)
 
 
 def kronecker_shift(l):
@@ -214,75 +154,88 @@ def voronoi_weights(us):
     return out
 
 
-def adaptive_bridge(net, model, theta_hat, theta_tilde, target_se, J=16,
-                    K=1000, plan=None, constraints=None, attrs=None,
-                    g_obs=None):
-    """Bridge sampling with golden-ratio-shifted passes until the Monte
-    Carlo standard error drops below target_se.
+def bridge_loglik(net, model, theta_hat, theta_tilde, plan=None,
+                  constraints=None, attrs=None, g_obs=None):
+    """Bridge estimate of loglik(theta_hat) - loglik(theta_tilde).
 
-    Every pass adds J points u = (j - 1/2 + v_l)/J; the accumulated
-    points are reweighted by their Voronoi cell lengths.  Within a pass
-    the points are visited in a nearest-neighbor order continuing from
-    the previous pass's last point, and each chain warm-starts from the
-    stored state of the nearest already-simulated point.
+    Pass l simulates K draws at each of the J points
+    u = (j - 1/2 + v_l)/J on the linear coefficient path; pass one
+    (v_1 = 0) is the midpoint grid, visited in ascending order.  Within
+    a pass the points are visited in nearest-neighbor order from the
+    last point simulated, and each chain warm-starts from the final
+    state of the nearest point simulated so far (the live chain when
+    that is the last point; the first point burns in for 16 K steps).
+    Points are weighted by the lengths of their Voronoi cells on the
+    unit interval and the standard error pools per-point batch-means
+    errors.  Without plan.target_se one pass runs; with it, passes are
+    added until the error reaches the target or plan.max_passes have
+    run (then the result is flagged unconverged).
     """
-    if target_se is not None and target_se <= 0:
+    plan = plan or BridgePlan()
+    if plan.J < 1 or plan.K < 1 or plan.max_passes < 1:
+        raise DataError("bridge J, K and max_passes must be at least 1")
+    if plan.target_se is not None and plan.target_se <= 0:
         raise DataError("target_se must be positive")
-    plan = plan or BridgePlan(J=J, K=K, target_se=target_se)
-    plan.J, plan.K, plan.target_se = J, K, target_se
-    theta_hat, theta_tilde, direction, sim_net, proposal, checker = \
-        _bridge_context(net, model, theta_hat, theta_tilde, constraints, attrs)
+    theta_hat = np.asarray(theta_hat, dtype=float)
+    theta_tilde = np.asarray(theta_tilde, dtype=float)
+    if theta_hat.shape != (model.p,) or theta_tilde.shape != (model.p,):
+        raise DataError(f"endpoint coefficient vectors must have length {model.p}")
+    for k in model.offset_index:
+        if theta_hat[k] != theta_tilde[k]:
+            raise DataError("offset coefficients must agree at both endpoints")
+    direction = theta_hat - theta_tilde
+    for k in model.offset_index:
+        direction[k] = 0.0
+    sim_net = net.copy()
+    proposal, checker = make_proposal(sim_net, constraints, attrs)
     if not np.any(direction):
         return LoglikResult(delta_loglik=0.0, mc_se=0.0, passes=0)
     g_obs = np.asarray(model.summary(net) if g_obs is None else g_obs, dtype=float)
-    interval = plan.interval or max(1, net.dyad_count() // 2)
-    burnin_first = plan.burnin_first if plan.burnin_first is not None else 16 * plan.K
+    interval = plan.interval or _default_interval(net)
     rng = random.Random(plan.seed)
+    passes = 1 if plan.target_se is None else plan.max_passes
 
     points = []      # PointEstimate records across passes
-    states = []      # final network per simulated point
-    delta = 0.0
-    mc_se = math.inf
-    last_u = None
-    for l in range(1, plan.max_passes + 1):
+    states = []      # final network per point, kept when passes may follow
+    for l in range(1, passes + 1):
         v = kronecker_shift(l)
-        us = [(j - 0.5 + v) / plan.J for j in range(1, plan.J + 1)]
-        # nearest-neighbor visiting order, chaining from the last point
-        remaining = list(us)
-        ordered = []
-        anchor = last_u if last_u is not None else min(remaining)
+        remaining = [(j - 0.5 + v) / plan.J for j in range(1, plan.J + 1)]
+        anchor = points[-1].u if points else remaining[0]
         while remaining:
-            nxt = min(remaining, key=lambda u: abs(u - anchor))
-            remaining.remove(nxt)
-            ordered.append(nxt)
-            anchor = nxt
-        for u in ordered:
-            coefs = _path_coefs(theta_tilde, direction, u, model.offset_index)
+            u = min(remaining, key=lambda x: abs(x - anchor))
+            remaining.remove(u)
+            anchor = u
             if points:
+                burnin = interval
                 nearest = min(range(len(points)),
                               key=lambda q: abs(points[q].u - u))
-                sim_net = states[nearest].copy()
-                burnin = interval
+                if nearest != len(points) - 1:
+                    sim_net = states[nearest].copy()
+                    proposal, checker = make_proposal(sim_net, constraints,
+                                                      attrs)
             else:
-                burnin = burnin_first
-            proposal, checker = make_proposal(sim_net,
-                                              constraints or ConstraintSpec(),
-                                              attrs)
-            mean, se = _simulate_point(sim_net, model, coefs, proposal,
-                                       checker, direction, g_obs, plan.K,
-                                       interval, burnin, rng)
+                burnin = 16 * plan.K
+            coefs = _path_coefs(theta_tilde, direction, u, model.offset_index)
+            cfg = SamplerConfig(samplesize=plan.K, interval=interval,
+                                burnin=burnin)
+            sm = run_chain(sim_net, model, coefs, proposal, cfg,
+                           checker=checker, rng=rng)
+            mean, se = _point_mean_se((sm.values - g_obs) @ direction)
             points.append(PointEstimate(u=u, mean=mean, se=se))
-            states.append(sim_net.copy())
-            last_u = u
-        weights = voronoi_weights([pt.u for pt in points])
+            if passes > 1:
+                states.append(sim_net.copy())
+        # the midpoint grid's cells are exactly 1/J long, which the
+        # Voronoi midpoint sums miss in the last bit unless J is 2^k
+        weights = ([1.0 / plan.J] * plan.J if l == 1
+                   else voronoi_weights([pt.u for pt in points]))
         for pt, w in zip(points, weights):
             pt.weight = float(w)
         delta = -sum(pt.weight * pt.mean for pt in points)
         mc_se = math.sqrt(sum((pt.weight * pt.se) ** 2 for pt in points))
-        if plan.target_se is not None and mc_se <= plan.target_se:
+        if plan.target_se is None or mc_se <= plan.target_se:
             return LoglikResult(delta_loglik=delta, mc_se=mc_se, passes=l,
                                 points=points)
-    return LoglikResult(delta_loglik=delta, mc_se=mc_se, passes=plan.max_passes,
+    return LoglikResult(delta_loglik=delta, mc_se=mc_se, passes=passes,
                         converged=False, points=points)
 
 
@@ -310,23 +263,15 @@ def evaluate_loglik(net, model, theta_hat, offset_coefs=(), plan=None,
     """Full log-likelihood report at theta_hat.
 
     Computes the exact dyad-independent baseline, bridges the
-    difference (adaptively when the plan carries a target_se), and
-    fills in the null deviance, AIC and BIC.  `d`, the number of
+    difference, and fills in the null deviance, AIC and BIC.  `d`, the number of
     non-fixed potential relations, excludes dyads frozen by blocks.
     """
-    plan = plan or BridgePlan()
     baseline = dyad_independent_loglik(net, model, offset_coefs)
     if baseline.boundary:
         raise DataError("degenerate observed network: baseline likelihood "
                         "sits on the boundary, bridge endpoints undefined")
-    theta_hat = np.asarray(theta_hat, dtype=float)
-    if plan.target_se is not None:
-        res = adaptive_bridge(net, model, theta_hat, baseline.theta,
-                              plan.target_se, J=plan.J, K=plan.K, plan=plan,
-                              constraints=constraints, attrs=attrs, g_obs=g_obs)
-    else:
-        res = bridge_loglik(net, model, theta_hat, baseline.theta, plan,
-                            constraints=constraints, attrs=attrs, g_obs=g_obs)
+    res = bridge_loglik(net, model, theta_hat, baseline.theta, plan,
+                        constraints=constraints, attrs=attrs, g_obs=g_obs)
     res.baseline_loglik = baseline.loglik
     res.loglik = baseline.loglik + res.delta_loglik
     d = net.dyad_count()

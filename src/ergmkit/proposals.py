@@ -27,6 +27,7 @@ from typing import NamedTuple
 from warnings import warn
 
 from .errors import ConstraintError, DataError, FrozenStateError
+from .formula import ConstraintSpec
 
 __all__ = ["Proposal", "UniformProposal", "TntProposal", "BDStratTNT",
            "ConstraintChecker", "make_proposal"]
@@ -192,7 +193,7 @@ class BDStratTNT:
 
     name = "bdstrat"
 
-    def __init__(self, net, constraints, attrs=None, pmat=None):
+    def __init__(self, net, constraints, attrs=None):
         if net.directed or net.bipartite:
             raise DataError("BDStratTNT supports undirected unipartite networks")
         n = net.n
@@ -276,7 +277,7 @@ class BDStratTNT:
             self.strat_cells[self.cell_stratum[k]].append(k)
 
         # weights over strata
-        self.weights = self._stratum_weights(net, constraints, pmat, slev, S, strat_lut)
+        self.weights = self._stratum_weights(net, constraints, slev, S, strat_lut)
 
         # mutable per-class / per-cell / per-stratum state
         caps = self.caps
@@ -324,11 +325,13 @@ class BDStratTNT:
 
     # -- construction helpers -------------------------------------------
 
-    def _stratum_weights(self, net, constraints, pmat, slev, S, strat_lut):
+    def _stratum_weights(self, net, constraints, slev, S, strat_lut):
         L = len(self.strat_levels)
-        if pmat is None:
-            pmat = constraints.strat_pmat
-        if pmat is not None and not isinstance(pmat, str):
+        pmat = constraints.strat_pmat
+        if isinstance(pmat, str):
+            raise DataError(f"pmat file {pmat!r} is not loaded: set "
+                            "strat_pmat to the matrix it holds")
+        if pmat is not None:
             mat = [[float(x) for x in row] for row in pmat]
             if len(mat) != L or any(len(row) != L for row in mat):
                 raise DataError(f"pmat must be {L}x{L} over the stratification levels "
@@ -654,20 +657,22 @@ def _append(lst, pos, x):
     lst.append(x)
 
 
-def make_proposal(net, constraints, attrs=None, pmat=None):
+def make_proposal(net, constraints=None, attrs=None):
     """Choose a proposal for a constraint spec; return (proposal, checker).
 
-    The checker is None when the proposal itself respects the
-    constraints (BDStratTNT); otherwise the sampler must reject toggles
-    the checker disallows.
+    No constraint spec means the unconstrained default.  The checker is
+    None when the proposal itself respects the constraints (BDStratTNT);
+    otherwise the sampler must reject toggles the checker disallows.
     """
+    if constraints is None:
+        constraints = ConstraintSpec()
     forced = constraints.force_proposal
     if forced == "uniform":
         proposal = UniformProposal()
     elif forced == "tnt":
         proposal = TntProposal()
     elif constraints.strat_attr is not None or constraints.constrained():
-        proposal = BDStratTNT(net, constraints, attrs, pmat=pmat)
+        proposal = BDStratTNT(net, constraints, attrs)
         return proposal, None
     elif constraints.sparse:
         proposal = TntProposal()

@@ -2,10 +2,11 @@
 
 Single steps, fixed-schedule runs, and the adaptive loop that targets a
 multivariate effective sample size: extend, halve-and-double the
-interval once the retained sample exceeds twice the nominal size,
-estimate burn-in from the geometric-decay fit, test convergence with
-the two-window diagnostic, then either return (ESS at target) or
-extrapolate the additional steps from the ESS-per-draw ratio.
+interval once the retained sample exceeds twice the nominal size (or
+twice the two-window test's minimum, if larger), estimate burn-in from
+the geometric-decay fit, test convergence with the two-window
+diagnostic, then either return (ESS at target) or extrapolate the
+additional steps from the ESS-per-draw ratio.
 
 Statistic values are tracked as offsets from the statistics of the
 network a run starts from and re-based on output, which avoids
@@ -217,13 +218,11 @@ def sample_chains(net, model, coefs, config, workers=1, constraints=None,
 
 def _chain_worker(payload):
     """Run one chain of sample_chains, rebuilding its proposal."""
-    from .formula import ConstraintSpec
     from .proposals import make_proposal
     net, model, coefs, constraints, attrs, samplesize, burnin, interval, seed \
         = payload
     chain_net = net.copy()
-    spec = constraints if constraints is not None else ConstraintSpec()
-    proposal, checker = make_proposal(chain_net, spec, attrs)
+    proposal, checker = make_proposal(chain_net, constraints, attrs)
     cfg = SamplerConfig(samplesize=samplesize, burnin=burnin,
                         interval=interval, seed=seed)
     sm = run_chain(chain_net, model, coefs, proposal, cfg, checker,
@@ -262,8 +261,9 @@ def adaptive_run(net, model, coefs, proposal, config, checker=None, rng=None):
 
     Returns (SampleMatrix of post-burn-in retained draws, diagnostics).
     The loop: (1) extend by samplesize*interval steps; (2) once the
-    cumulative retained count exceeds 2*samplesize, drop every other
-    draw and double the interval; (3) fit the geometric-decay burn-in;
+    cumulative retained count exceeds twice the larger of samplesize
+    and the two-window test's minimum, drop every other draw and double
+    the interval; (3) fit the geometric-decay burn-in;
     (4) run the two-window test after discarding the burn-in; (5) on
     nonconvergence continue; (6) return once the ESS of the retained
     draws meets the target; (7) otherwise extrapolate the additional
@@ -278,6 +278,9 @@ def adaptive_run(net, model, coefs, proposal, config, checker=None, rng=None):
     rows = []
     interval = config.interval
     direction = _direction_for(model, coefs)
+    # the two-window test needs 8 draws in its short (10%) window
+    min_kept = max(80, model.p + 2)
+    cap = 2 * max(config.samplesize, min_kept)
 
     pending = config.samplesize
     for round_no in range(1, config.max_rounds + 1):
@@ -289,20 +292,24 @@ def adaptive_run(net, model, coefs, proposal, config, checker=None, rng=None):
         rows.extend(run_chain(net, model, coefs, proposal, cfg, checker,
                               rng).values)
         diag.total_steps += burnin + pending * interval
-        # step 2: thin to keep the retained sample bounded
-        while len(rows) > 2 * config.samplesize:
+        # step 2: thin to keep the retained sample bounded, never below
+        # what the two-window test needs
+        while len(rows) > cap:
             rows = rows[1::2]
             interval *= 2
             diag.thinning_events += 1
         diag.interval = interval
+        if len(rows) < 16:      # too few draws for the burn-in fit
+            pending = config.samplesize
+            diag.history.append(("too-short", len(rows)))
+            continue
 
         x = np.asarray(rows)
         fit = estimate_burnin(x, direction)
         s0 = min(int(math.ceil(fit.s0)), len(rows))
         kept = x[s0:]
         diag.burnin_draws = s0
-        # the two-window test needs 8 draws in its short (10%) window
-        if len(kept) < max(80, model.p + 2):
+        if len(kept) < min_kept:
             pending = config.samplesize
             diag.history.append(("too-short", len(kept)))
             continue

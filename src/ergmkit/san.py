@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .formula import ConstraintSpec
 from .proposals import make_proposal
 from .sampler import _log_tilt
 
@@ -39,6 +38,10 @@ class SanConfig:
     trace_interval: int = 1000
     max_stored_diffs: int = 100_000
     seed: int = 0
+
+    def __post_init__(self):
+        if self.trace_interval < 1:
+            raise DataError("trace_interval must be positive")
 
 
 @dataclass
@@ -81,8 +84,7 @@ def san_run(net, model, config, constraints=None, attrs=None, rng=None):
     """
     if rng is None:
         rng = random.Random(config.seed)
-    spec = constraints if constraints is not None else ConstraintSpec()
-    proposal, checker = make_proposal(net, spec, attrs)
+    proposal, checker = make_proposal(net, constraints, attrs)
 
     free = model.free_index
     offs = model.offset_index

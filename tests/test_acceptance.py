@@ -22,8 +22,7 @@ from ergmkit.estimate import (McmleControl, check_termination, logistic_fit,
                               mcmle_fit, mple, mple_rows, _IterationRecord)
 from ergmkit.formula import ConstraintSpec, parse_constraint_formula
 from ergmkit.hull import boundary_multiplier, in_hull, scale_into_hull
-from ergmkit.loglik import BridgePlan, adaptive_bridge, bridge_loglik, \
-    null_deviance
+from ergmkit.loglik import BridgePlan, bridge_loglik, null_deviance
 from ergmkit.network import Network, VertexAttributes
 from ergmkit.proposals import (BDStratTNT, ConstraintChecker, TntProposal,
                                UniformProposal)
@@ -280,9 +279,8 @@ def test_criterion_08_bridge_sampling():
             < max(tol, 2e-3)
 
         # adaptive refinement reaches the target standard error
-        plan_a = BridgePlan(interval=5, seed=13)
-        res_a = adaptive_bridge(net, model, theta_hat, theta_tilde,
-                                target_se=0.01, J=8, K=2000, plan=plan_a)
+        plan_a = BridgePlan(interval=5, seed=13, target_se=0.01, J=8, K=2000)
+        res_a = bridge_loglik(net, model, theta_hat, theta_tilde, plan_a)
         assert res_a.mc_se <= 0.01
         assert abs(res_a.delta_loglik - want) < max(3 * res_a.mc_se, 0.03)
 

@@ -8,6 +8,7 @@ import pytest
 from helpers import batch_means_se
 from ergmkit.bench import (PopulationSpec, ess_benchmark, generate_population,
                            mixing_benchmark, san_benchmark)
+from ergmkit.errors import DataError
 from ergmkit.formula import parse_constraint_formula
 from ergmkit.terms import bind
 
@@ -59,6 +60,15 @@ class TestMixing:
             assert len(rows) == 6  # total_proposals / trace_interval
             # degree cap 1 bounds the edge count by n/2 throughout
             assert all(r[1][0] <= 40 for r in rows)
+
+    @pytest.mark.parametrize("interval", [0, -3])
+    def test_trace_interval_must_be_positive(self, interval):
+        net, attrs = generate_population(PopulationSpec(n=10), seed=3)
+        model = bind("edges", net, attrs)
+        with pytest.raises(DataError):
+            mixing_benchmark(net, attrs, model, [-1.0],
+                             {"plain": parse_constraint_formula(".")},
+                             total_proposals=100, trace_interval=interval)
 
     def test_stratified_reaches_rare_homophily_sooner(self):
         # rare-group homophily is where stratification pays: proposals

@@ -63,6 +63,25 @@ def coef_rows(out):
 
 
 class TestSimulate:
+    def test_pmat_file_weights(self, capsys, tmp_path):
+        # a diagonal pmat forbids cross-group ties
+        attrs = VertexAttributes(12)
+        attrs.add("grp", ["X" if v % 3 == 0 else "Y" for v in range(12)])
+        write_attributes(attrs, tmp_path / "attrs.csv")
+        (tmp_path / "pm.tsv").write_text("1\t0\n0\t1\n")
+        code, out, _ = run(capsys, "simulate", "--n", "12",
+                           "--attrs", str(tmp_path / "attrs.csv"),
+                           "--formula", "edges", "--coef=-1",
+                           "--constraints",
+                           f'strat(attr="grp", pmat="{tmp_path / "pm.tsv"}")',
+                           "--nsim", "1", "--burnin", "2000",
+                           "--output", "edgelist", "--seed", "2")
+        assert code == 0
+        edges = [tuple(int(x) - 1 for x in line.split("\t"))
+                 for line in out.strip().split("\n")[1:]]
+        assert edges
+        assert all((i % 3 == 0) == (j % 3 == 0) for i, j in edges)
+
     def test_stats_shape(self, capsys, net10):
         code, out, _ = run(capsys, "simulate", "--network", net10,
                            "--formula", "edges", "--coef", "0.6931471805599453",
@@ -215,6 +234,18 @@ class TestLoglik:
             assert key in rows
 
 
+    @pytest.mark.parametrize("extra", [[], ["--target-se", "0.1"]],
+                             ids=["grid", "target-se"])
+    @pytest.mark.parametrize("flag", ["--bridge-j", "--bridge-k"])
+    def test_empty_bridge_exit_3(self, capsys, observed_net, flag, extra):
+        code, out, err = run(capsys, "loglik", "--network", observed_net,
+                             "--formula", "edges", "--coef", "0.3",
+                             "--interval", "5", flag, "0", *extra)
+        assert code == 3
+        assert out == ""
+        assert "error: data" in err
+
+
 class TestEss:
     def test_from_stats_file(self, capsys, net10, tmp_path):
         stats = tmp_path / "stats.tsv"
@@ -303,6 +334,19 @@ class TestErrors:
                            "--formula", "edges")
         assert code == 4
         assert "numerical" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["san", "--n", "10", "--formula", "edges", "--targets", "5"],
+        ["bench", "mixing", "--n", "10", "--formula", "edges", "--coef=-1",
+         "--proposals", "a=.", "--total-proposals", "100"],
+        ["bench", "san", "--n", "10", "--formula", "edges", "--targets", "5",
+         "--proposals", "a=.", "--total-proposals", "100"],
+    ], ids=["san", "bench-mixing", "bench-san"])
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_trace_interval_must_be_positive(self, argv, value):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--trace-interval", value])
+        assert exc.value.code == 2
 
     def test_help_lists_defaults(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -92,6 +92,21 @@ def _cases():
          f'strat={HETERO} + strat(attr="race")',
          "--total-proposals", "2000", "--trace-interval", "200",
          "--seed", "7"], [])
+    # J=12 is not a power of two: the grid weights 1/J are not exact
+    cases["loglik-gwesp-j12"] = (
+        ["loglik", "--network", "{d}/obs.txt", "--formula", f"edges + {GW}",
+         "--coef=-0.5,0.2", "--bridge-j", "12", "--bridge-k", "40",
+         "--interval", "10", "--seed", "8"], [])
+    cases["loglik-triangle-target-se"] = (
+        ["loglik", "--network", "{d}/obs.txt", "--formula", "edges + triangle",
+         "--coef=-0.4,0.1", "--bridge-j", "4", "--bridge-k", "40",
+         "--interval", "10", "--target-se", "0.1", "--seed", "9"], [])
+    cases["loglik-blocks-target-se"] = (
+        ["loglik", "--network", "{d}/matched.txt", "--attrs", "{d}/attrs.csv",
+         "--formula", "edges + concurrent", "--constraints",
+         'blocks(attr="sex", levels2=diag)', "--coef=-2.0,0.3",
+         "--bridge-j", "4", "--bridge-k", "40", "--interval", "10",
+         "--target-se", "0.3", "--seed", "10"], [])
     return cases
 
 
@@ -100,6 +115,9 @@ CASES = _cases()
 DIGESTS = {
     'bench-mixing': 'd0a7d93502c37d2b789b329ef792bce69e71ad6e42cc8d8bb403c1c8159ba84c',
     'fit-small': '58187c8953ebbba4359b29c9c4145fbf62ce217ed79c1d329634c0e3a46e36bc',
+    'loglik-blocks-target-se': 'a3c31ece1c51be36a946274c166dfd82fa094711758b93859d3ea6aad7bbd71d',
+    'loglik-gwesp-j12': 'e83964cfdf945e3ea3409500273856b1d8b2a3feff5423ad18dc86dd74e774a5',
+    'loglik-triangle-target-se': 'c2317ac19d603886c79a9985bcc16e0dd69e2d3af6a194d0f91f95bc3ac92de4',
     'mple-sandwich-offset': '1c415ee2eb2c3dc2cef42bf1f84c54b7dcea7772c12c878c307f10f496290a04',
     'san-offsets-trace': '5011a50af0340e38d4584f27499678a0202c5430ea74ff74af9c720fc15add29',
     'simulate-plain-edgelist-w1': '53323b356ea7fd2831a0857c311c7242c34e6c2947203e4be8862d12b522023e',

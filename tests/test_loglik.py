@@ -1,5 +1,6 @@
 """Log-likelihood: exact baselines and bridge estimates vs enumeration."""
 
+import dataclasses
 import math
 import random
 
@@ -8,9 +9,10 @@ import pytest
 
 from helpers import exact_log_normalizer
 from ergmkit.errors import DataError
+from ergmkit import loglik
 from ergmkit.formula import parse_constraint_formula
-from ergmkit.loglik import (BridgePlan, _blocked_dyad_count, adaptive_bridge,
-                            bridge_loglik, dyad_independent_loglik,
+from ergmkit.loglik import (BridgePlan, _blocked_dyad_count, bridge_loglik,
+                            dyad_independent_loglik,
                             evaluate_loglik, kronecker_shift, null_deviance,
                             voronoi_weights)
 from ergmkit.network import Network, VertexAttributes
@@ -177,21 +179,73 @@ class TestAdaptive:
         want = exact_loglik(5, "edges + triangle", theta_hat, net) \
             - exact_loglik(5, "edges + triangle", theta_tilde, net)
         model = bind("edges + triangle", net)
-        plan = BridgePlan(interval=5, seed=19)
-        res = adaptive_bridge(net, model, np.array(theta_hat),
-                              np.array(theta_tilde), target_se=0.01,
-                              J=8, K=2000, plan=plan)
+        plan = BridgePlan(interval=5, seed=19, target_se=0.01, J=8, K=2000)
+        res = bridge_loglik(net, model, np.array(theta_hat),
+                            np.array(theta_tilde), plan)
         assert res.mc_se <= 0.01
         assert abs(res.delta_loglik - want) < max(3 * res.mc_se, 0.03)
 
     def test_pass_cap_flags(self):
         net = five_node_net(20)
         model = bind("edges", net)
-        plan = BridgePlan(interval=3, seed=21, max_passes=2)
-        res = adaptive_bridge(net, model, np.array([0.5]), np.array([0.0]),
-                              target_se=1e-9, J=4, K=200, plan=plan)
+        plan = BridgePlan(interval=3, seed=21, max_passes=2, target_se=1e-9,
+                          J=4, K=200)
+        res = bridge_loglik(net, model, np.array([0.5]), np.array([0.0]), plan)
         assert not res.converged
         assert res.passes == 2
+
+    def test_plan_left_unmodified(self):
+        net = five_node_net(25)
+        model = bind("edges + triangle", net)
+        plan = BridgePlan(J=4, K=200, interval=5, seed=26, target_se=0.05,
+                          max_passes=3)
+        before = dataclasses.replace(plan)
+        bridge_loglik(net, model, np.array([-0.4, 0.25]),
+                      np.array([0.1, 0.0]), plan)
+        assert plan == before
+
+    def test_loose_target_equals_fixed_grid(self):
+        # a target above the pass-one error stops after the grid pass
+        net = five_node_net(27)
+        model = bind("edges + triangle", net)
+        a, b = np.array([-0.4, 0.25]), np.array([0.1, 0.0])
+        fixed = bridge_loglik(net, model, a, b,
+                              BridgePlan(J=8, K=500, interval=5, seed=28))
+        loose = bridge_loglik(net, model, a, b,
+                              BridgePlan(J=8, K=500, interval=5, seed=28,
+                                         target_se=10 * fixed.mc_se))
+        assert loose.passes == 1 and loose.converged
+        assert repr(loose) == repr(fixed)
+
+    def test_grid_pass_keeps_the_live_chain(self, monkeypatch):
+        # along the grid the nearest simulated point is always the last
+        # one, so one proposal serves every point
+        built = []
+        original = loglik.make_proposal
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(loglik, "make_proposal", counting)
+        net = five_node_net(29)
+        model = bind("edges + triangle", net)
+        bridge_loglik(net, model, np.array([-0.4, 0.25]),
+                      np.array([0.1, 0.0]),
+                      BridgePlan(J=8, K=50, interval=5, seed=30))
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("field, value", [("J", 0), ("K", 0),
+                                              ("max_passes", 0),
+                                              ("target_se", 0.0)])
+    @pytest.mark.parametrize("target_se", [None, 0.05])
+    def test_empty_bridge_rejected(self, field, value, target_se):
+        net = five_node_net(31)
+        model = bind("edges", net)
+        plan = BridgePlan(J=4, K=50, interval=5, target_se=target_se)
+        setattr(plan, field, value)
+        with pytest.raises(DataError):
+            bridge_loglik(net, model, np.array([0.5]), np.array([0.0]), plan)
 
 
 class TestEvaluate:

@@ -181,13 +181,20 @@ class TestBDStratInit:
         net = Network(12)
         attrs = alternating_sex(12)
         spec = ConstraintSpec(strat_attr=("grp",))
-        pmat = [[1.0, 0.0], [0.0, 1.0]]   # forbid X-Y mixing
-        state = BDStratTNT(net, spec, attrs, pmat=pmat)
+        spec.strat_pmat = [[1.0, 0.0], [0.0, 1.0]]   # forbid X-Y mixing
+        state = BDStratTNT(net, spec, attrs)
         rng = random.Random(8)
         grp = attrs.columns["grp"]
         for _ in range(4000):
             i, j, _ = state.propose(net, rng)
             assert grp[i] == grp[j]
+
+    def test_pmat_file_path_rejected(self):
+        # a path left in strat_pmat would otherwise fall back to uniform
+        # weights, and zero weights change the sample space
+        spec = parse_constraint_formula('strat(attr="grp", pmat="pm.tsv")')
+        with pytest.raises(DataError):
+            make_proposal(Network(12), spec, alternating_sex(12))
 
     def test_violating_initial_network(self):
         net = Network(6)
@@ -225,8 +232,8 @@ class TestBDStratInit:
 
 
 class TestBDStratDynamics:
-    def run_accepted_toggles(self, net, attrs, spec, steps, seed, pmat=None):
-        state = BDStratTNT(net, spec, attrs, pmat=pmat)
+    def run_accepted_toggles(self, net, attrs, spec, steps, seed):
+        state = BDStratTNT(net, spec, attrs)
         checker = ConstraintChecker(net, spec, attrs)
         rng = random.Random(seed)
         for _ in range(steps):
@@ -368,16 +375,16 @@ class TestBDStratReverseCounts:
         if blocks:
             text += ' + blocks(attr="sex", levels2=diag)'
         spec = parse_constraint_formula(text)
-        pmat = [[1.0, 0.6], [0.6, 0.3]]
+        spec.strat_pmat = [[1.0, 0.6], [0.6, 0.3]]
         a, b = zero
-        pmat[a][b] = pmat[b][a] = 0.0
+        spec.strat_pmat[a][b] = spec.strat_pmat[b][a] = 0.0
         net = Network(n)
-        return net, attrs, spec, BDStratTNT(net, spec, attrs, pmat=pmat), pmat
+        return net, attrs, spec, BDStratTNT(net, spec, attrs)
 
     def test_stratum_emptied(self):
         # X = {0, 3} (one M, one F): the X-X edge saturates both X
         # vertices at cap 1, leaving the X-Y stratum nothing to propose
-        net, attrs, spec, state, _ = self.build(6, 1, True, (1, 1))
+        net, attrs, spec, state = self.build(6, 1, True, (1, 1))
         assert check_reverse_counts(state, net, 0, 3)
         net.toggle(0, 3)
         state.commit(net, 0, 3, True)
@@ -411,7 +418,7 @@ class TestBDStratReverseCounts:
     @example(n=6, cap=1, blocks=True, zero=(1, 1), picks=[1, 0, 0], seed=0)
     @settings(max_examples=40, deadline=None)
     def test_against_provisional_commit(self, n, cap, blocks, zero, picks, seed):
-        net, attrs, spec, state, pmat = self.build(n, cap, blocks, zero)
+        net, attrs, spec, state = self.build(n, cap, blocks, zero)
         rng = random.Random(seed)
         for pick in picks:
             legal = proposable_dyads(net, state)
@@ -426,7 +433,7 @@ class TestBDStratReverseCounts:
             i, j = legal[pick % len(legal)]
             added = net.toggle(i, j)
             state.commit(net, i, j, added)
-            fresh = BDStratTNT(net, spec, attrs, pmat=pmat)
+            fresh = BDStratTNT(net, spec, attrs)
             assert state.snapshot() == fresh.snapshot()
 
 

@@ -270,6 +270,18 @@ class TestAdaptive:
         sm, diag = adaptive_run(net, model, [math.log(2), 0.0], TntProposal(), cfg)
         assert diag.converged and diag.ess >= 64
 
+    @pytest.mark.parametrize("samplesize, max_rounds", [(10, 40), (40, 12)])
+    def test_small_samplesize_converges(self, samplesize, max_rounds):
+        # thinning keeps room for the two-window test's 80 draws, so a
+        # small nominal size does not end every round too short
+        net = Network(24)
+        model = bind("edges", net)
+        cfg = SamplerConfig(samplesize=samplesize, interval=10, burnin=60,
+                            seed=4, target_ess=50, max_rounds=max_rounds)
+        sm, diag = adaptive_run(net, model, [-1.5], TntProposal(), cfg)
+        assert diag.converged and diag.ess >= 50
+        assert sm.S >= 80
+
     def test_nonconvergence_flagged(self):
         net = Network(10)
         model = bind("edges", net)

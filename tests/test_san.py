@@ -174,3 +174,8 @@ class TestSanRun:
         model = bind("edges + triangle", net)
         with pytest.raises(DataError):
             san_run(net, model, SanConfig(targets=[1.0]))
+
+    @pytest.mark.parametrize("interval", [0, -3])
+    def test_trace_interval_must_be_positive(self, interval):
+        with pytest.raises(DataError):
+            SanConfig(targets=[1.0], trace_interval=interval)
