@@ -305,7 +305,8 @@ def _cmd_fit(args):
         _write_fit(out, fit)
         if args.eval_loglik:
             plan = BridgePlan(J=args.bridge_j, K=args.bridge_k,
-                              target_se=args.target_se, seed=args.seed)
+                              target_se=args.target_se,
+                              interval=args.interval, seed=args.seed)
             res = evaluate_loglik(net, model, fit.coefs, offset_coefs=offsets,
                                   plan=plan, constraints=constraints,
                                   attrs=attrs, g_obs=g_obs)
@@ -492,7 +493,8 @@ def build_parser():
     p.add_argument("--se", choices=["naive", "sandwich"], default="naive",
                    help="standard errors (default naive)")
     p.add_argument("--samplesize", type=int, default=1000,
-                   help="MCMC draws for the sandwich middle term (default 1000)")
+                   help="MCMC draws for the sandwich middle term, at least 2 "
+                        "(default 1000)")
     p.add_argument("--interval", type=int, default=None,
                    help="steps between draws (default: half the dyads)")
     p.set_defaults(func=_cmd_mple)

@@ -5,12 +5,15 @@ list of dyads with a dyad->slot map, so that toggling an edge and
 drawing a uniformly random edge are both constant-time (deletion uses
 swap-remove).  Free dyads are numbered row-major (upper triangle when
 undirected) and an index decodes to its dyad in closed form, so drawing
-a uniformly random dyad is constant-time too.  Vertex ids are 0-based
-internally and 1-based in files.
+a uniformly random dyad is constant-time too.  Full-dyad sweeps read
+the dyads as numpy index arrays, a block of whole rows at a time.
+Vertex ids are 0-based internally and 1-based in files.
 """
 
 import csv
 import math
+
+import numpy as np
 
 from .errors import NetworkFormatError
 
@@ -174,6 +177,86 @@ class Network:
 
     def random_dyad(self, rng):
         return self.dyad_at(rng.randrange(self.dyad_count()))
+
+    def row_blocks(self, size):
+        """Yield (r0, r1): consecutive ranges of whole rows, together
+        covering every free dyad, each holding at most `size` dyads
+        unless its single row holds more.  A network without free dyads
+        gives one empty range."""
+        n, b = self.n, self.bipartite
+        if b:
+            lengths = [n - b] * b
+        elif self.directed:
+            lengths = [n - 1] * n
+        else:                       # the last vertex heads no row
+            lengths = range(n - 1, 0, -1)
+        r0, count = 0, 0
+        for r, length in enumerate(lengths):
+            if count and count + length > size:
+                yield r0, r
+                r0, count = r, 0
+            count += length
+        yield r0, len(lengths)
+
+    def dyad_rows(self, r0, r1):
+        """Free dyads of rows r0 <= i < r1 as int64 arrays (tails, heads),
+        in the order dyads() yields them."""
+        n, b = self.n, self.bipartite
+        rows = np.arange(r0, r1, dtype=np.int64)
+        if b:
+            return np.repeat(rows, n - b), np.tile(np.arange(b, n), len(rows))
+        if self.directed:
+            tails = np.repeat(rows, n - 1)
+            k = np.tile(np.arange(n - 1), len(rows))
+            return tails, k + (k >= tails)
+        lengths = n - 1 - rows
+        tails = np.repeat(rows, lengths)
+        starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+        return tails, np.arange(len(tails)) - starts + tails + 1
+
+    def dyad_index(self, tails, heads):
+        """Index in dyads() order of the canonical free dyads (tails[k],
+        heads[k]), for int arrays or ints: dyad_at inverted."""
+        n, b = self.n, self.bipartite
+        if b:
+            return tails * (n - b) + heads - b
+        if self.directed:
+            return tails * (n - 1) + heads - (heads > tails)
+        return tails * (2 * n - tails - 1) // 2 + heads - tails - 1
+
+    def dyad_mask(self, tails, heads, pair_tails, pair_heads):
+        """Boolean array over a block (tails, heads) from dyad_rows: is
+        each dyad among the vertex pairs (pair_tails[m], pair_heads[m])?
+
+        Pairs outside the block's rows, pairs that are no free dyad and
+        undirected pairs given as (larger, smaller) are ignored: the
+        symmetric relations the callers list (adjacency, shared
+        partners) hold each such pair as (smaller, larger) too.
+        """
+        mask = np.zeros(len(tails), dtype=bool)
+        if not len(tails):
+            return mask
+        i = np.asarray(pair_tails, dtype=np.int64)
+        j = np.asarray(pair_heads, dtype=np.int64)
+        if self.bipartite:
+            keep = j >= self.bipartite
+        elif self.directed:
+            keep = i != j
+        else:
+            keep = j > i
+        marked = (self.dyad_index(i[keep], j[keep])
+                  - self.dyad_index(tails[0], heads[0]))
+        mask[marked[(marked >= 0) & (marked < len(mask))]] = True
+        return mask
+
+    def edge_mask(self, tails, heads):
+        """Boolean array over a block (tails, heads) from dyad_rows: is
+        each dyad an edge?"""
+        pair_tails, pair_heads = [], []
+        for i in range(int(tails[0]), int(tails[-1]) + 1) if len(tails) else ():
+            pair_tails += [i] * len(self.adj[i])
+            pair_heads += self.adj[i]
+        return self.dyad_mask(tails, heads, pair_tails, pair_heads)
 
     # -- structure -----------------------------------------------------
 

@@ -12,9 +12,21 @@ directed transitive triples); nodematch(attr, diff); nodefactor(attr,
 levels); nodecov(attr); absdiff(attr); concurrent; degree(d);
 gwdegree(decay, fixed=true); gwesp(decay, fixed=true).  The
 geometrically weighted terms support fixed decay only.
+
+Each term also scores a block of dyads at once (``changes``), for the
+full-dyad sweeps of the pseudo-likelihood.  Block rows are bit-identical
+to the scalar ``change``: attribute and degree terms do the same float
+operations elementwise, and the shared-partner terms are exactly 0.0
+off the dyads with a shared partner and call ``change`` on them.  The
+arrays that ``changes`` reads are built on its first call, so binding
+a model for the MH chain alone does not pay for them; they are set up
+as None in ``__init__``, because an attribute added to an instance
+later slows every attribute read of the scalar path by about 6 %.
 """
 
 import math
+
+import numpy as np
 
 from .errors import DataError
 from .formula import parse_model_formula
@@ -26,6 +38,41 @@ __all__ = ["BoundModel", "bind", "summary_stats", "change_stats",
 def _require_undirected(net, name):
     if net.directed:
         raise DataError(f"term {name!r} is defined for undirected networks only")
+
+
+def _support_mask(net, tails, heads):
+    """Dyads of the block that have a shared partner: a superset of
+    those where a shared-partner count (triangle, gwesp) is nonzero."""
+    adj, inn = net.adj, net.in_adj
+    pair_tails, pair_heads = [], []
+    for i in range(int(tails[0]), int(tails[-1]) + 1) if len(tails) else ():
+        near = set()
+        for k in adj[i]:
+            near |= adj[k]
+            if inn is not None:
+                near |= inn[k]
+        if inn is not None:
+            for k in inn[i]:
+                near |= adj[k]
+        pair_tails += [i] * len(near)
+        pair_heads += near
+    return net.dyad_mask(tails, heads, pair_tails, pair_heads)
+
+
+def _changes_on_support(term, net, tails, heads):
+    """A one-column shared-partner term: 0.0 off the support, the scalar
+    change on it."""
+    out = np.zeros((len(tails), 1))
+    on = np.flatnonzero(_support_mask(net, tails, heads))
+    out[on, 0] = [term.change(net, i, j)[0]
+                  for i, j in zip(tails[on].tolist(), heads[on].tolist())]
+    return out
+
+
+def _free_degrees(net, tails, heads, present):
+    """Degrees of both endpoints with the dyad itself discounted."""
+    deg = np.asarray(net.deg)
+    return deg[tails] - present, deg[heads] - present
 
 
 def _resolve_levels(levels_arg, level_names, term):
@@ -70,6 +117,9 @@ class _Edges:
     def change(self, net, i, j):
         return [1.0]
 
+    def changes(self, net, tails, heads, present):
+        return np.ones((len(tails), 1))
+
 
 class _Triangle:
     dyad_independent = False
@@ -94,6 +144,9 @@ class _Triangle:
             return [float(c)]
         return [float(len(net.adj[i] & net.adj[j]))]
 
+    def changes(self, net, tails, heads, present):
+        return _changes_on_support(self, net, tails, heads)
+
 
 class _Nodematch:
     dyad_independent = True
@@ -105,6 +158,7 @@ class _Nodematch:
         if attrs is None or attr not in attrs:
             raise DataError(f"network has no attribute {attr!r}")
         self.levels, self.lev = attrs.categorical(attr)
+        self._lev = None
         self.diff = bool(term.arg("diff", False))
         if self.diff:
             self.names = [f"nodematch.{attr}.{l}" for l in self.levels]
@@ -132,6 +186,17 @@ class _Nodematch:
             out[lev[i]] = 1.0
         return out
 
+    def changes(self, net, tails, heads, present):
+        if self._lev is None:
+            self._lev = np.asarray(self.lev)
+        li, lj = self._lev[tails], self._lev[heads]
+        match = li == lj
+        if not self.diff:
+            return match.astype(float)[:, None]
+        out = np.zeros((len(tails), self.dim))
+        out[match, li[match]] = 1.0
+        return out
+
 
 class _Nodefactor:
     dyad_independent = True
@@ -145,6 +210,7 @@ class _Nodefactor:
         self.levels, self.lev = attrs.categorical(attr)
         keep = _resolve_levels(term.arg("levels"), self.levels, "nodefactor")
         self.slot = {k: s for s, k in enumerate(keep)}
+        self._slot = None
         self.names = [f"nodefactor.{attr}.{self.levels[k]}" for k in keep]
         self.dim = len(keep)
 
@@ -170,6 +236,17 @@ class _Nodefactor:
             out[s] += 1.0
         return out
 
+    def changes(self, net, tails, heads, present):
+        if self._slot is None:   # per vertex: its level's slot, or -1
+            self._slot = np.array([self.slot.get(l, -1) for l in self.lev])
+        out = np.zeros((len(tails), self.dim))
+        rows = np.arange(len(tails))
+        for ends in (tails, heads):
+            s = self._slot[ends]
+            kept = s >= 0
+            out[rows[kept], s[kept]] += 1.0
+        return out
+
 
 class _Nodecov:
     dyad_independent = True
@@ -179,6 +256,7 @@ class _Nodecov:
         if attrs is None or attr not in attrs:
             raise DataError(f"network has no attribute {attr!r}")
         self.x = attrs.numeric(attr)
+        self._x = None
         self.names = [f"nodecov.{attr}"]
         self.dim = 1
 
@@ -189,6 +267,11 @@ class _Nodecov:
     def change(self, net, i, j):
         return [self.x[i] + self.x[j]]
 
+    def changes(self, net, tails, heads, present):
+        if self._x is None:
+            self._x = np.asarray(self.x, dtype=float)
+        return (self._x[tails] + self._x[heads])[:, None]
+
 
 class _Absdiff:
     dyad_independent = True
@@ -198,6 +281,7 @@ class _Absdiff:
         if attrs is None or attr not in attrs:
             raise DataError(f"network has no attribute {attr!r}")
         self.x = attrs.numeric(attr)
+        self._x = None
         self.names = [f"absdiff.{attr}"]
         self.dim = 1
 
@@ -207,6 +291,11 @@ class _Absdiff:
 
     def change(self, net, i, j):
         return [abs(self.x[i] - self.x[j])]
+
+    def changes(self, net, tails, heads, present):
+        if self._x is None:
+            self._x = np.asarray(self.x, dtype=float)
+        return np.abs(self._x[tails] - self._x[heads])[:, None]
 
 
 class _Concurrent:
@@ -225,6 +314,10 @@ class _Concurrent:
         di = net.deg[i] - present
         dj = net.deg[j] - present
         return [float((di == 1) + (dj == 1))]
+
+    def changes(self, net, tails, heads, present):
+        di, dj = _free_degrees(net, tails, heads, present)
+        return ((di == 1).astype(float) + (dj == 1))[:, None]
 
 
 class _Degree:
@@ -250,6 +343,13 @@ class _Degree:
         dj = net.deg[j] - present
         return [float((di + 1 == d) - (di == d) + (dj + 1 == d) - (dj == d))]
 
+    def changes(self, net, tails, heads, present):
+        d = self.d
+        di, dj = _free_degrees(net, tails, heads, present)
+        count = ((di + 1 == d).astype(np.int64) - (di == d)
+                 + (dj + 1 == d) - (dj == d))
+        return count.astype(float)[:, None]
+
 
 def _fixed_decay(term, name):
     decay = term.arg("decay")
@@ -268,6 +368,7 @@ class _Gwdegree:
         _require_undirected(net, "gwdegree")
         self.decay = _fixed_decay(term, "gwdegree")
         self.u = 1.0 - math.exp(-self.decay)
+        self._pow = None
         self.names = [f"gwdegree.fixed.{self.decay:g}"]
         self.dim = 1
 
@@ -281,6 +382,14 @@ class _Gwdegree:
         di = net.deg[i] - present
         dj = net.deg[j] - present
         return [u ** di + u ** dj]
+
+    def changes(self, net, tails, heads, present):
+        if self._pow is None:
+            # u ** k for every possible degree k, by Python's float
+            # power, which np.power need not match bit for bit
+            self._pow = np.array([self.u ** k for k in range(net.n)])
+        di, dj = _free_degrees(net, tails, heads, present)
+        return (self._pow[di] + self._pow[dj])[:, None]
 
 
 class _Gwesp:
@@ -310,6 +419,9 @@ class _Gwesp:
             ejk = len(aj & adj[k]) - present
             total += u ** eik + u ** ejk
         return [total]
+
+    def changes(self, net, tails, heads, present):
+        return _changes_on_support(self, net, tails, heads)
 
 
 _TERM_CLASSES = {
@@ -389,6 +501,21 @@ class BoundModel:
         out = []
         for t in self._terms:
             out.extend(t.change(net, i, j))
+        return out
+
+    def changes(self, net, tails, heads, present):
+        """Change scores of a block of dyads as a (len(tails), p) array.
+
+        `tails`/`heads` are a block of whole rows of free dyads
+        (``Network.dyad_rows``) and `present` their edge states
+        (``Network.edge_mask``).  Row k is bit-identical to
+        ``change(net, tails[k], heads[k])``.
+        """
+        out = np.empty((len(tails), self.p))
+        col = 0
+        for t in self._terms:
+            out[:, col:col + t.dim] = t.changes(net, tails, heads, present)
+            col += t.dim
         return out
 
     def assemble_coefs(self, free_coefs, offset_coefs=()):

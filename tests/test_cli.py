@@ -191,6 +191,14 @@ class TestMple:
         assert "# vcov" in out
         assert "# termination" in out
 
+    def test_sandwich_needs_two_draws(self, capsys, observed_net):
+        code, out, err = run(capsys, "mple", "--network", observed_net,
+                             "--formula", "edges + triangle", "--se",
+                             "sandwich", "--samplesize", "1", "--seed", "1")
+        assert code == 3
+        assert out == ""
+        assert "error: data" in err and "Warning" not in err
+
 
 class TestFit:
     def test_edges_fit_close_to_log2(self, capsys, observed_net):
@@ -219,6 +227,24 @@ class TestFit:
                            "--maxit", "15", "--seed", "4")
         assert code == 0
         assert "hummel" in out
+
+    def test_bridge_gets_interval(self, capsys, observed_net, monkeypatch):
+        import ergmkit.cli as cli
+        plans = []
+
+        def spy(*args, **kwargs):
+            plans.append(kwargs["plan"])
+            return evaluate_loglik(*args, **kwargs)
+
+        evaluate_loglik = cli.evaluate_loglik
+        monkeypatch.setattr(cli, "evaluate_loglik", spy)
+        code, out, _ = run(capsys, "fit", "--network", observed_net,
+                           "--formula", "edges", "--samplesize", "512",
+                           "--interval", "20", "--maxit", "20",
+                           "--eval-loglik", "--bridge-j", "2",
+                           "--bridge-k", "20", "--seed", "2")
+        assert code == 0
+        assert [p.interval for p in plans] == [20]
 
 
 class TestLoglik:

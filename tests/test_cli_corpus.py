@@ -53,6 +53,23 @@ def _write_inputs(root):
         if not obs.has_edge(i, j):
             obs.toggle(i, j)
     write_network(obs, os.path.join(root, "obs.txt"))
+    # a seeded graph with triangles on attrs.csv's vertices, and one
+    # with cross-sex ties only (legal under blocks(sex, diag))
+    clustered, crosssex = Network(N), Network(N)
+    for a, b, c in (rng.sample(range(N), 3) for _ in range(4)):
+        for i, j in ((a, b), (a, c), (b, c)):
+            if not clustered.has_edge(i, j):
+                clustered.toggle(i, j)
+    while clustered.edge_count < 24:
+        i, j = clustered.random_dyad(rng)
+        if not clustered.has_edge(i, j):
+            clustered.toggle(i, j)
+    while crosssex.edge_count < 30:
+        i, j = crosssex.random_dyad(rng)
+        if (i + j) % 2 == 1 and not crosssex.has_edge(i, j):
+            crosssex.toggle(i, j)
+    write_network(clustered, os.path.join(root, "clustered.txt"))
+    write_network(crosssex, os.path.join(root, "crosssex.txt"))
 
 
 def _cases():
@@ -79,6 +96,25 @@ def _cases():
         ["mple", "--network", "{d}/matched.txt", "--attrs", "{d}/attrs.csv",
          "--formula", MONOGAMY, "--offset-coef=-Inf,-Inf", "--se", "sandwich",
          "--samplesize", "60", "--interval", "15", "--seed", "5"], [])
+    # finite coefficients on every term: eta is finite on every dyad
+    cases["mple-sandwich-finite"] = (
+        ["mple", "--network", "{d}/clustered.txt", "--attrs", "{d}/attrs.csv",
+         "--formula", f'edges + nodematch("race") + concurrent + {GW}',
+         "--se", "sandwich", "--samplesize", "40", "--interval", "20",
+         "--seed", "12"], [])
+    # blocks take the dyadlist extraction and the blocked-dyad shifts
+    cases["mple-blocks-naive"] = (
+        ["mple", "--network", "{d}/crosssex.txt", "--attrs", "{d}/attrs.csv",
+         "--formula", 'edges + nodematch("race") + concurrent',
+         "--constraints", 'blocks(attr="sex", levels2=diag)', "--seed", "13"],
+        [])
+    # the sandwich score leaves out the dyads the blocks freeze
+    cases["mple-blocks-sandwich"] = (
+        ["mple", "--network", "{d}/crosssex.txt", "--attrs", "{d}/attrs.csv",
+         "--formula", 'edges + nodematch("race") + concurrent',
+         "--constraints", 'blocks(attr="sex", levels2=diag)', "--se",
+         "sandwich", "--samplesize", "40", "--interval", "20", "--seed", "14"],
+        [])
     cases["fit-small"] = (
         ["fit", "--network", "{d}/obs.txt", "--formula", f"edges + {GW}",
          "--samplesize", "200", "--interval", "10", "--maxit", "4",
@@ -114,10 +150,13 @@ CASES = _cases()
 
 DIGESTS = {
     'bench-mixing': 'd0a7d93502c37d2b789b329ef792bce69e71ad6e42cc8d8bb403c1c8159ba84c',
-    'fit-small': '58187c8953ebbba4359b29c9c4145fbf62ce217ed79c1d329634c0e3a46e36bc',
+    'fit-small': '702dcc4943a401f1e7dfeec437d5d059e01c96a5622609e4ca381e5ae5b9aebf',
     'loglik-blocks-target-se': 'a3c31ece1c51be36a946274c166dfd82fa094711758b93859d3ea6aad7bbd71d',
     'loglik-gwesp-j12': 'e83964cfdf945e3ea3409500273856b1d8b2a3feff5423ad18dc86dd74e774a5',
     'loglik-triangle-target-se': 'c2317ac19d603886c79a9985bcc16e0dd69e2d3af6a194d0f91f95bc3ac92de4',
+    'mple-blocks-sandwich': 'f300e74e9c21d8078d7b917fca7bf27ee6491c0ea6d4c6f1c490b79a74d101d9',
+    'mple-blocks-naive': '3a3b340f4ec55d8a598271ad5e05b35399af04eab0c34082ab3169416f5dafd7',
+    'mple-sandwich-finite': '117db0bd010987fa9ecca072bc1076aef7bd0859a31b08667a442ddf732fbacd',
     'mple-sandwich-offset': '1c415ee2eb2c3dc2cef42bf1f84c54b7dcea7772c12c878c307f10f496290a04',
     'san-offsets-trace': '5011a50af0340e38d4584f27499678a0202c5430ea74ff74af9c720fc15add29',
     'simulate-plain-edgelist-w1': '53323b356ea7fd2831a0857c311c7242c34e6c2947203e4be8862d12b522023e',

@@ -2,18 +2,20 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from helpers import exact_moments
+from ergmkit import estimate
 from ergmkit.errors import DataError, SeparationError, SingularityError
 from ergmkit.estimate import (McmleControl, cd_fit, check_termination,
                               logistic_fit, mcmle_fit, mcmle_step, mple,
                               mple_rows, pseudo_loglik, _IterationRecord)
 from ergmkit.formula import parse_constraint_formula
 from ergmkit.network import Network, VertexAttributes
-from ergmkit.sampler import _offset_shift
+from ergmkit.sampler import _log_tilt, _offset_shift
 from ergmkit.terms import bind
 
 
@@ -61,13 +63,79 @@ def sex_attrs(n):
     return attrs
 
 
-def random_net(n, density, seed, directed=False):
+def random_net(n, density, seed, directed=False, bipartite=0):
     rng = random.Random(seed)
-    net = Network(n, directed=directed)
+    net = Network(n, directed=directed, bipartite=bipartite)
     for k in range(net.dyad_count()):
         if rng.random() < density:
             net.toggle(*net.dyad_at(k))
     return net
+
+
+def loop_rows(net, model, mode):
+    """mple_rows dyad by dyad through the scalar change score."""
+    free, off = model.free_index, model.offset_index
+    if mode == "array":
+        cube = np.full((net.n, net.n, model.p), np.nan)
+        for i, j in net.dyads():
+            cube[i, j, :] = model.change(net, i, j)
+            if not net.directed:
+                cube[j, i, :] = model.change(net, i, j)
+        return cube
+    rows, listed, dyads = {}, [], []
+    for i, j in net.dyads():
+        delta = model.change(net, i, j)
+        key = (1.0 if net.has_edge(i, j) else 0.0,
+               *(delta[c] for c in free), *(delta[c] for c in off))
+        rows[key] = rows.get(key, 0) + 1
+        listed.append(key)
+        dyads.append((i + 1, j + 1))
+    table = listed if mode == "dyadlist" else list(rows)
+    table = np.array(table, dtype=float).reshape(len(table), 1 + model.p)
+    weights = (np.ones(len(listed)) if mode == "dyadlist"
+               else np.array(list(rows.values()), dtype=float))
+    return (table[:, 0], table[:, 1:1 + len(free)], table[:, 1 + len(free):],
+            weights, np.array(dyads, dtype=np.int64).reshape(-1, 2))
+
+
+def loop_score(net, model, coefs, frozen=lambda i, j: False):
+    """The sandwich estimating function dyad by dyad, skipping frozen dyads."""
+    free = model.free_index
+    u = np.zeros(len(free))
+    for i, j in net.dyads():
+        if frozen(i, j):
+            continue
+        delta = model.change(net, i, j)
+        eta = _log_tilt(coefs, delta, 1)
+        if eta == math.inf:
+            p = 1.0
+        elif eta == -math.inf:
+            p = 0.0
+        else:
+            p = 1.0 / (1.0 + math.exp(-min(max(eta, -700.0), 700.0)))
+        resid = (1.0 if net.has_edge(i, j) else 0.0) - p
+        for c, kf in enumerate(free):
+            u[c] += delta[kf] * resid
+    return u
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+def capture_score(monkeypatch):
+    """Make mple hand its sandwich score function to the returned list."""
+    seen = []
+    run_chain = estimate.run_chain
+
+    def spy(*args, collect=None, **kwargs):
+        seen.append(collect)
+        return run_chain(*args, collect=collect, **kwargs)
+
+    monkeypatch.setattr(estimate, "run_chain", spy)
+    return seen
 
 
 class TestMpleRows:
@@ -109,6 +177,48 @@ class TestMpleRows:
         model = bind("edges", net)
         rows = mple_rows(net, model, mode="dyadlist")
         assert len(rows.response) == 15
+
+    @pytest.mark.parametrize("kind", ["undirected", "directed", "bipartite"])
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    def test_blocks_match_dyad_loop(self, kind, block, monkeypatch):
+        monkeypatch.setattr(estimate, "_BLOCK_DYADS", block)
+        net = random_net(11, 0.3, 7, directed=kind == "directed",
+                         bipartite=4 if kind == "bipartite" else 0)
+        formula = ('edges + triangle + nodematch("sex") + offset(nodecov("age"))'
+                   + ('' if kind == "directed" else
+                      ' + concurrent + gwesp(0.5, fixed=true)'))
+        model = bind(formula, net, sex_attrs(11))
+        assert same_bits(mple_rows(net, model, mode="array").array,
+                         loop_rows(net, model, "array"))
+        for mode in ("compressed", "dyadlist"):
+            rows = mple_rows(net, model, mode=mode)
+            resp, pred, offv, weights, dyads = loop_rows(net, model, mode)
+            for got, want in ((rows.response, resp), (rows.predictor, pred),
+                              (rows.offsets, offv), (rows.weights, weights)):
+                assert same_bits(got, want)
+                assert got.flags.c_contiguous
+            if mode == "dyadlist":
+                assert np.array_equal(rows.dyads, dyads)
+
+    def test_memory_bounded_by_block(self):
+        # the sweep holds one block of change scores at a time: the peak
+        # must not grow with the dyad count (16x from n=200 to n=800)
+        peaks = []
+        for n in (200, 800):
+            rng = random.Random(n)
+            net = Network(n)
+            while net.edge_count < n:
+                i, j = net.random_dyad(rng)
+                if not net.has_edge(i, j):
+                    net.toggle(i, j)
+            model = bind("edges + concurrent + gwesp(0.5, fixed=true)", net)
+            tracemalloc.start()
+            try:
+                mple_rows(net, model)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0]
 
 
 class TestLogisticFit:
@@ -182,6 +292,57 @@ class TestOffsetShift:
 
 
 class TestMple:
+    @pytest.mark.parametrize("offset", [-0.7, -math.inf])
+    def test_sandwich_score_matches_dyad_loop(self, monkeypatch, offset):
+        seen = capture_score(monkeypatch)
+        attrs = sex_attrs(24)
+        if math.isinf(offset):
+            # cross-sex ties only, so the -inf offset forbids no edge
+            net = Network(24)
+            rng = random.Random(8)
+            while net.edge_count < 30:
+                i, j = net.random_dyad(rng)
+                if (i + j) % 2 == 1 and not net.has_edge(i, j):
+                    net.toggle(i, j)
+            formula = 'edges + concurrent + nodecov("age") + offset(nodematch("sex"))'
+        else:
+            net = random_net(24, 0.15, 8)
+            for a, b, c in ((0, 1, 2), (3, 4, 5), (1, 4, 9)):
+                for i, j in ((a, b), (a, c), (b, c)):
+                    if not net.has_edge(i, j):
+                        net.toggle(i, j)
+            formula = ('edges + nodematch("sex") + gwesp(0.5, fixed=true)'
+                       ' + offset(concurrent)')
+        model = bind(formula, net, attrs)
+        fit = mple(net, model, offset_coefs=[offset], se="sandwich",
+                   samplesize=2, interval=5, seed=1)
+        assert same_bits(seen[-1](net), loop_score(net, model, list(fit.coefs)))
+
+    def test_sandwich_score_skips_blocked_dyads(self, monkeypatch):
+        seen = capture_score(monkeypatch)
+        rng = random.Random(40)
+        net = Network(40)
+        while net.edge_count < 30:
+            i, j = net.random_dyad(rng)
+            if (i + j) % 2 == 1 and not net.has_edge(i, j):
+                net.toggle(i, j)
+        attrs = sex_attrs(40)
+        model = bind("edges + concurrent", net, attrs)
+        spec = parse_constraint_formula('blocks(attr="sex", levels2=diag)')
+        fit = mple(net, model, se="sandwich", constraints=spec, attrs=attrs,
+                   samplesize=2, interval=5, seed=2)
+        same_sex = lambda i, j: (i + j) % 2 == 0
+        score = seen[-1](net)
+        assert same_bits(score, loop_score(net, model, list(fit.coefs),
+                                           frozen=same_sex))
+        assert not same_bits(score, loop_score(net, model, list(fit.coefs)))
+
+    def test_sandwich_needs_two_draws(self):
+        net = random_net(10, 0.3, 9)
+        model = bind("edges", net)
+        with pytest.raises(DataError):
+            mple(net, model, se="sandwich", samplesize=1)
+
     def test_dyad_independent_sandwich_close_to_naive(self):
         net = random_net(20, 0.3, 20)
         attrs = sex_attrs(20)

@@ -87,6 +87,30 @@ class TestDyadDecode:
             assert list(net.dyads()) == \
                 [net.dyad_at(k) for k in range(net.dyad_count())]
 
+    @given(kind=st.sampled_from(["undirected", "directed", "bipartite"]),
+           n=st.integers(1, 14), size=st.integers(1, 60),
+           density=st.floats(0.0, 1.0), seed=st.integers(0, 10**6))
+    @settings(max_examples=80, deadline=None)
+    def test_row_blocks_match_dyads(self, kind, n, size, density, seed):
+        if kind == "bipartite" and n < 2:
+            n = 2
+        net = random_net(n, directed=kind == "directed",
+                         bipartite=n // 2 if kind == "bipartite" else 0,
+                         density=density, seed=seed)
+        dyads, present = [], []
+        for r0, r1 in net.row_blocks(size):
+            tails, heads = net.dyad_rows(r0, r1)
+            assert tails.dtype == heads.dtype == np.int64
+            if r1 - r0 > 1:
+                assert len(tails) <= size
+            dyads += zip(tails.tolist(), heads.tolist())
+            present += net.edge_mask(tails, heads).tolist()
+        assert dyads == list(net.dyads())
+        assert present == [net.has_edge(i, j) for i, j in dyads]
+        tails = np.array([i for i, _ in dyads], dtype=np.int64)
+        heads = np.array([j for _, j in dyads], dtype=np.int64)
+        assert net.dyad_index(tails, heads).tolist() == list(range(len(dyads)))
+
 
 class TestToggle:
     def test_on_off(self):

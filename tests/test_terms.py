@@ -8,7 +8,9 @@ exactly for integer-valued terms and to 1e-12 for real-valued ones.
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ergmkit.errors import DataError
 from ergmkit.network import Network, VertexAttributes
@@ -31,9 +33,9 @@ def make_attrs(n, seed=0):
     return attrs
 
 
-def random_net(n, directed=False, density=0.35, seed=0):
+def random_net(n, directed=False, density=0.35, seed=0, bipartite=0):
     rng = random.Random(seed)
-    net = Network(n, directed=directed)
+    net = Network(n, directed=directed, bipartite=bipartite)
     for k in range(net.dyad_count()):
         if rng.random() < density:
             net.toggle(*net.dyad_at(k))
@@ -131,6 +133,19 @@ class TestChangeScores:
             slow = brute_force_change(net, model, i, j)
             assert all(abs(f - s) < 1e-12 for f, s in zip(fast, slow))
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_brute_force_bipartite(self, seed):
+        rng = random.Random(200 + seed)
+        n = rng.randint(4, 8)
+        net = random_net(n, density=0.5, seed=seed,
+                         bipartite=rng.randint(1, n - 1))
+        model = bind(UNDIRECTED_FORMULA, net, make_attrs(n, seed))
+        for k in range(net.dyad_count()):
+            i, j = net.dyad_at(k)
+            fast = change_stats(net, model, i, j)
+            slow = brute_force_change(net, model, i, j)
+            assert all(abs(f - s) < 1e-12 for f, s in zip(fast, slow))
+
     def test_state_independence(self):
         net = random_net(6, seed=8)
         model = bind(UNDIRECTED_FORMULA, net, make_attrs(6, 8))
@@ -139,6 +154,43 @@ class TestChangeScores:
         net.toggle(i, j)
         after = change_stats(net, model, i, j)
         assert all(abs(a - b) < 1e-12 for a, b in zip(before, after))
+
+
+class TestBlockChanges:
+    """Block change scores against the scalar path, bit for bit."""
+
+    @given(kind=st.sampled_from(["undirected", "directed", "bipartite"]),
+           n=st.integers(2, 12), density=st.floats(0.0, 0.8),
+           cuts=st.sets(st.integers(1, 11)), seed=st.integers(0, 10**6))
+    @settings(max_examples=80, deadline=None)
+    def test_bit_identical_to_change(self, kind, n, density, cuts, seed):
+        net = random_net(n, directed=kind == "directed", density=density,
+                         seed=seed,
+                         bipartite=seed % (n - 1) + 1 if kind == "bipartite" else 0)
+        formula = DIRECTED_FORMULA if kind == "directed" else UNDIRECTED_FORMULA
+        rng = random.Random(seed)
+        attrs = VertexAttributes(n)
+        attrs.add("grp", rng.sample(["ABC"[v % 3] for v in range(n)], n))
+        attrs.add("age", [rng.choice([-0.5, 0.1, 0.2, 18.3, 1e9])
+                          for _ in range(n)])
+        model = bind(formula, net, attrs)
+        rows = {"undirected": n - 1, "directed": n, "bipartite": net.bipartite}[kind]
+        bounds = [0] + sorted(c for c in cuts if c < rows) + [rows]
+        for r0, r1 in zip(bounds, bounds[1:]):
+            tails, heads = net.dyad_rows(r0, r1)
+            block = model.changes(net, tails, heads, net.edge_mask(tails, heads))
+            want = np.array([model.change(net, i, j) for i, j in
+                             zip(tails.tolist(), heads.tolist())],
+                            dtype=float).reshape(block.shape)
+            assert np.array_equal(block.view(np.uint64), want.view(np.uint64))
+
+    def test_nodematch_diff_and_nodefactor_levels(self):
+        net = random_net(9, density=0.3, seed=5)
+        model = bind('nodematch("grp", diff=true) + nodefactor("grp", levels=[1, 3])',
+                     net, make_attrs(9, 5))
+        tails, heads = net.dyad_rows(0, 8)
+        block = model.changes(net, tails, heads, net.edge_mask(tails, heads))
+        assert block.tolist() == [model.change(net, i, j) for i, j in net.dyads()]
 
 
 class TestIncremental:
