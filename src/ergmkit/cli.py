@@ -77,7 +77,10 @@ def _parse_vector(text):
         elif tok in ("-Inf", "-inf"):
             out.append(-math.inf)
         else:
-            out.append(float(tok))
+            try:
+                out.append(float(tok))
+            except ValueError:
+                raise DataError(f"not a number: {tok!r}") from None
     return out
 
 
@@ -343,8 +346,21 @@ def _cmd_loglik(args):
 def _cmd_ess(args):
     with open(args.stats, encoding="utf-8") as fh:
         header = fh.readline().strip().split("\t")
-        rows = [[float(x) for x in line.strip().split("\t")]
-                for line in fh if line.strip()]
+        rows = []
+        for lineno, line in enumerate(fh, 2):
+            if not line.strip():
+                continue
+            try:
+                row = [float(x) for x in line.strip().split("\t")]
+            except ValueError:
+                raise DataError(f"{args.stats}:{lineno}: non-numeric field") \
+                    from None
+            if len(row) != len(header):
+                raise DataError(f"{args.stats}:{lineno}: {len(row)} fields, "
+                                f"the header names {len(header)}")
+            rows.append(row)
+    if not rows:
+        raise DataError(f"{args.stats}: no draws")
     values = np.asarray(rows)
     if header and header[0] == "chain":
         values = values[:, 1:]
@@ -437,8 +453,8 @@ def build_parser():
 
     def common(p, need_formula=True):
         p.add_argument("--network", help="network file")
-        p.add_argument("--n", type=int, help="empty network size (alternative "
-                                             "to --network)")
+        p.add_argument("--n", type=_positive_int, help="empty network size "
+                                                     "(alternative to --network)")
         p.add_argument("--directed", action="store_true",
                        help="with --n: make the empty network directed")
         p.add_argument("--attrs", help="vertex attribute CSV")
@@ -553,7 +569,7 @@ def build_parser():
 
     p = sub.add_parser("bench", help="proposal-efficiency benchmarks")
     p.add_argument("what", choices=["mixing", "ess", "san"])
-    p.add_argument("--n", type=int, default=1000,
+    p.add_argument("--n", type=_positive_int, default=1000,
                    help="population size (default 1000)")
     p.add_argument("--race-freqs", default=None,
                    help="e.g. A:0.5,B:0.3,C:0.2")

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import DataError
 
@@ -176,10 +175,11 @@ def geweke_test(sample, frac_first=0.1, frac_last=0.5):
     a2 = n2 // int(math.isqrt(n2))
     q1, q2 = 1.0 / n1, 1.0 / n2
     nu = (q1 + q2) ** 2 / (q1 * q1 / (a1 - 1) + q2 * q2 / (a2 - 1))
+    from scipy.special import chdtrc, fdtrc
     if nu - p + 1 <= 0:
-        return float(stats.chi2.sf(t2, p))
+        return float(chdtrc(p, t2))
     f_stat = t2 * (nu - p + 1) / (nu * p)
-    return float(stats.f.sf(f_stat, p, nu - p + 1))
+    return float(fdtrc(p, nu - p + 1, f_stat))
 
 
 def _decay_sse(x, s_index, s0):

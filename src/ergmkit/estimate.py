@@ -22,13 +22,14 @@ import random
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .diagnostics import batch_means_cov
 from .errors import DataError, SeparationError, SingularityError
 from .hull import boundary_multiplier, scale_into_hull
 from .proposals import make_proposal
-from .sampler import (SampleMatrix, SamplerConfig, _offset_shift,
+# mh_step is not called here, but stays a module attribute: perfbench
+# traces it by name
+from .sampler import (SampleMatrix, SamplerConfig, _mh_stepper, _offset_shift,
                       adaptive_run, mh_step, run_chain)
 from .formula import ConstraintSpec
 
@@ -475,6 +476,7 @@ def check_termination(kind, history, control=None):
         ok = history[-1].gamma >= need and history[-2].gamma >= need
         return ok, rec.gamma
 
+    from scipy.special import chdtrc, fdtrc, ndtri
     mean, basis = _reduce_support(sample)
     u_r = basis.T @ U
     resid = U - basis @ u_r
@@ -492,9 +494,9 @@ def check_termination(kind, history, control=None):
             t2 = float(u_r @ np.linalg.pinv(cov_mean) @ u_r)
         nu = S // int(math.isqrt(S)) - 1
         if nu - p + 1 <= 0:
-            pval = float(stats.chi2.sf(t2, p))
+            pval = float(chdtrc(p, t2))
         else:
-            pval = float(stats.f.sf(t2 * (nu - p + 1) / (nu * p), p, nu - p + 1))
+            pval = float(fdtrc(p, nu - p + 1, t2 * (nu - p + 1) / (nu * p)))
         return pval > control.hotelling_alpha, pval
 
     # confidence: equivalence test on the Mahalanobis distance bound
@@ -508,7 +510,7 @@ def check_termination(kind, history, control=None):
     inner = lam_inv @ sigma
     var_d2 = float(4.0 * u_r @ lam_inv @ sigma @ lam_inv @ u_r
                    + 2.0 * np.trace(inner @ inner))
-    z = stats.norm.ppf(1.0 - control.confidence_alpha)
+    z = ndtri(1.0 - control.confidence_alpha)
     ucb = math.sqrt(max(d2, 0.0) + z * math.sqrt(max(var_d2, 0.0)))
     return ucb < control.confidence_delta, ucb
 
@@ -643,10 +645,11 @@ def cd_fit(net, model, offset_coefs=(), k=8, rounds=160, minibatch=24,
         for b in range(minibatch):
             chain = net.copy()
             chain_prop, chain_check = make_proposal(chain, constraints, attrs)
+            step = _mh_stepper(chain, model, coefs, chain_prop, chain_check,
+                               rng)
             stats_vec = list(g_obs)
             for _ in range(k):
-                _, stats_vec = mh_step(chain, model, coefs, chain_prop,
-                                       stats_vec, rng, chain_check)
+                stats_vec = step(stats_vec)
             sims[b] = [stats_vec[c] for c in free]
         u = obs_free - sims.mean(axis=0)
         cov = np.cov(sims, rowvar=False).reshape(len(free), len(free))

@@ -23,6 +23,7 @@ their dyads' edge states, like blocks.
 import math
 import random
 from bisect import bisect_right
+from functools import partial
 from typing import NamedTuple
 from warnings import warn
 
@@ -47,9 +48,19 @@ class UniformProposal:
 
     name = "uniform"
 
+    def bind(self, net, rng):
+        """draw() -> (i, j, log_q_ratio) for chains on `net` drawing
+        from `rng`."""
+        randrange, dyad_at, N = rng.randrange, net.dyad_at, net.dyad_count()
+
+        def draw():
+            i, j = dyad_at(randrange(N))
+            return i, j, _ZERO
+
+        return draw
+
     def propose(self, net, rng):
-        i, j = net.random_dyad(rng)
-        return Proposal(i, j, _ZERO)
+        return Proposal(*self.bind(net, rng)())
 
     def commit(self, net, i, j, added):
         pass
@@ -65,28 +76,34 @@ class TntProposal:
 
     name = "tnt"
 
-    def propose(self, net, rng):
-        E = len(net.edges)
+    def bind(self, net, rng):
+        """draw() -> (i, j, log_q_ratio) for chains on `net` drawing
+        from `rng`."""
+        random, randrange, log = rng.random, rng.randrange, math.log
+        edges, adj, dyad_at = net.edges, net.adj, net.dyad_at
         N = net.dyad_count()
-        if E == 0:
-            i, j = net.random_dyad(rng)
-            # forward: dyad branch forced; reverse state has one edge
-            q_fwd = 1.0 / N
-            q_rev = 0.5 + 0.5 / N
-            return Proposal(i, j, math.log(q_rev / q_fwd))
-        if rng.random() < 0.5:
-            i, j = net.edges[rng.randrange(E)]
-            is_edge = True
-        else:
-            i, j = net.random_dyad(rng)
-            is_edge = j in net.adj[i]
-        if is_edge:
-            q_fwd = 0.5 / E + 0.5 / N
-            q_rev = 0.5 / N if E > 1 else 1.0 / N
-        else:
-            q_fwd = 0.5 / N
-            q_rev = 0.5 / (E + 1) + 0.5 / N
-        return Proposal(i, j, math.log(q_rev / q_fwd))
+
+        def draw():
+            E = len(edges)
+            if E and random() < 0.5:
+                i, j = edges[randrange(E)]
+                is_edge = True
+            else:
+                i, j = dyad_at(randrange(N))
+                is_edge = j in adj[i]
+            if is_edge:
+                q_fwd = 0.5 / E + 0.5 / N
+                q_rev = 0.5 / N if E > 1 else 1.0 / N
+            else:
+                # with no edges the dyad branch is forced
+                q_fwd = 0.5 / N if E else 1.0 / N
+                q_rev = 0.5 / (E + 1) + 0.5 / N
+            return i, j, log(q_rev / q_fwd)
+
+        return draw
+
+    def propose(self, net, rng):
+        return Proposal(*self.bind(net, rng)())
 
     def commit(self, net, i, j, added):
         pass
@@ -221,11 +238,15 @@ class BDStratTNT:
                     raise DataError(f"network has no attribute {name!r}")
                 levels, lev = attrs.categorical(name)
                 cols.append((levels, lev))
-            labels = [".".join(cols[k][0][cols[k][1][v]] for k in range(len(cols)))
-                      for v in range(n)]
-            self.strat_levels = sorted(set(labels))
+            # one label per distinct combination of levels
+            combos = list(zip(*(lev for _, lev in cols)))
+            label = {combo: ".".join(levels[x] for (levels, _), x
+                                     in zip(cols, combo))
+                     for combo in set(combos)}
+            self.strat_levels = sorted(set(label.values()))
             lut = {lab: s for s, lab in enumerate(self.strat_levels)}
-            slev = [lut[lab] for lab in labels]
+            level_of = {combo: lut[lab] for combo, lab in label.items()}
+            slev = [level_of[combo] for combo in combos]
         else:
             self.strat_levels = ["all"]
             slev = [0] * n
@@ -379,6 +400,11 @@ class BDStratTNT:
 
     # -- proposal --------------------------------------------------------
 
+    def bind(self, net, rng):
+        """draw() -> (i, j, log_q_ratio) for chains on `net` drawing
+        from `rng`."""
+        return partial(self.propose, net, rng)
+
     def propose(self, net, rng):
         if self.active_weight <= 0.0:
             raise FrozenStateError("no stratum has a proposable dyad")
@@ -402,17 +428,15 @@ class BDStratTNT:
             q_fwd = (0.5 / D_s) if E_s else (1.0 / D_s)
         W = self.active_weight
 
-        # read the reverse-state counts off the toggled network, then
-        # toggle back; the proposal's own counters are not written
-        added = net.toggle(i, j)
+        added = not is_edge
         E_r, D_r, W_r, moved = self._reverse_counts(net, s, i, j, added)
-        net.toggle(i, j)
-        # Leave the lists in the order that committing the toggle and
-        # rolling it back would: a removed edge, or the endpoints an
-        # added edge saturates, move to the end of their lists.  The
-        # order decides the dyads later draws pick, and this one keeps
-        # seeded runs byte-identical to versions that read the reverse
-        # counts by such a rollback.
+        # Leave the network and the lists in the order that toggling
+        # the dyad, committing, and rolling both back would: a removed
+        # edge, or the endpoints an added edge saturates, move to the
+        # end of their lists.  The order decides the dyads later draws
+        # pick, and this one keeps seeded runs byte-identical to
+        # versions that read the reverse counts by such a rollback.
+        net.toggle_twice(i, j)
         if added:
             for v in moved:
                 c = self.class_of[v]
@@ -432,9 +456,9 @@ class BDStratTNT:
         return Proposal(i, j, math.log((q_rev * W) / (q_fwd * W_r)))
 
     def _reverse_counts(self, net, s, i, j, added):
-        """(E_r, D_r, W_r, moved) after the toggle of (i, j) in stratum
-        s, already applied to net, read without writing the proposal's
-        state.
+        """(E_r, D_r, W_r, moved) after toggling dyad (i, j) of stratum
+        s, which `added` says adds an edge, read off the state before
+        the toggle without writing the network or the proposal.
 
         E_r and D_r are stratum s's edge and eligible counts and W_r the
         active weight that ``commit`` would leave.  ``moved`` lists the
@@ -451,7 +475,7 @@ class BDStratTNT:
         D for s and for those.
         """
         caps, deg, E, D = self.caps, net.deg, self.strat_E, self.strat_D
-        pre, step = (0, -1) if added else (1, 1)   # removal: degrees before it
+        pre, step = (1, -1) if added else (0, 1)   # add: degrees after it
         E_r = E[s] - step
         if deg[i] + pre == caps[i]:
             moved = (i, j) if deg[j] + pre == caps[j] else (i,)
@@ -477,13 +501,20 @@ class BDStratTNT:
                     if o == c and added:
                         u -= 1
                     dD[t] = get(t, 0) + step * u
-            # v's edges to unsaturated partners leave (join) the
-            # unsaturated-edge counts; other strata they touch hold edges
+            # v's edges after the toggle to unsaturated partners leave
+            # (join) the unsaturated-edge counts; other strata they touch
+            # hold edges.  The toggled dyad is one of them on an add,
+            # with a partner unsaturated before it, and none on a removal.
+            other = j if v == i else i
             for w in net.adj[v]:
+                if w == other:
+                    continue
                 cw = class_of[w]
                 if cell_stratum[cell_of_pair[c][cw]] == s and \
                         (w in unsat_pos[cw]) != (w == flipped):
                     dD[s] -= step
+            if added and other != flipped:
+                dD[s] -= step
             flipped, first = v, c
         W_r = self.active_weight
         weights = self.weights

@@ -18,6 +18,7 @@ change is zero.
 import math
 import random
 from dataclasses import dataclass, field
+from operator import add, sub
 
 import numpy as np
 
@@ -132,27 +133,76 @@ def _offset_shift(offsets, offset_coefs):
     return shift
 
 
+def _mh_stepper(net, model, coefs, proposal, checker, rng):
+    """The Metropolis-Hastings step of one chain, bound once.
+
+    Returns step(stats) -> stats, which makes one step on `net` and
+    returns the updated statistic vector, or `stats` itself (the same
+    list object) when the move is rejected.  A checker turns
+    constraint-violating proposals into certain rejections, which is
+    how plain proposals honor bd/blocks constraints.
+
+    Everything a step looks up is bound here: the proposal's draw, its
+    commit, the checker, each term's change function and the RNG.  When
+    every coefficient is finite the tilt is a plain sum that skips zero
+    changes, which is what _log_tilt computes for finite coefficients;
+    otherwise the step goes through _log_tilt.
+    """
+    if len(coefs) != model.p:
+        raise DataError(f"need {model.p} coefficients, got {len(coefs)}")
+    coefs = [float(c) for c in coefs]
+    if any(math.isnan(c) for c in coefs):
+        raise DataError("coefficients must not be NaN")
+    finite = not any(math.isinf(c) for c in coefs)
+    draw = proposal.bind(net, rng)
+    commit = proposal.commit
+    allowed = checker.allowed if checker is not None else None
+    changes = model.change_functions()
+    adj, toggle = net.adj, net.toggle
+    random, exp = rng.random, math.exp
+
+    def step(stats):
+        i, j, log_q = draw()
+        if allowed is not None and not allowed(net, i, j):
+            return stats
+        adding = j not in adj[i]
+        delta = []
+        for f in changes:
+            delta += f(net, i, j)
+        if not finite:
+            log_ar = _log_tilt(coefs, delta, 1 if adding else -1) + log_q
+        else:
+            tilt = 0.0
+            if adding:
+                for c, d in zip(coefs, delta):
+                    if d != 0.0:
+                        tilt += c * d
+            else:
+                # c * -d is -(c * d) exactly, so this is _log_tilt's sum
+                for c, d in zip(coefs, delta):
+                    if d != 0.0:
+                        tilt -= c * d
+            log_ar = tilt + log_q
+        if log_ar >= 0.0 or (log_ar > -_INF and random() < exp(log_ar)):
+            toggle(i, j)
+            commit(net, i, j, adding)
+            if adding:
+                return list(map(add, stats, delta))
+            return list(map(sub, stats, delta))
+        return stats
+
+    return step
+
+
 def mh_step(net, model, coefs, proposal, current_stats, rng, checker=None):
     """One Metropolis-Hastings step; mutates net when accepting.
 
     Returns (accepted, stats) where stats is the updated statistic
-    vector (the same list object when the move is rejected).  A checker
-    turns constraint-violating proposals into certain rejections, which
-    is how plain proposals honor bd/blocks constraints.
+    vector (the same list object when the move is rejected).  This is
+    the chain step of _mh_stepper, built and applied once.
     """
-    i, j, log_q = proposal.propose(net, rng)
-    if checker is not None and not checker.allowed(net, i, j):
-        return False, current_stats
-    adding = not net.has_edge(i, j)
-    delta = model.change(net, i, j)
-    log_ar = _log_tilt(coefs, delta, 1 if adding else -1) + log_q
-    if log_ar >= 0.0 or (log_ar > -_INF and rng.random() < math.exp(log_ar)):
-        net.toggle(i, j)
-        proposal.commit(net, i, j, adding)
-        if adding:
-            return True, [c + d for c, d in zip(current_stats, delta)]
-        return True, [c - d for c, d in zip(current_stats, delta)]
-    return False, current_stats
+    stats = _mh_stepper(net, model, coefs, proposal, checker, rng)(current_stats)
+    return stats is not current_stats, stats
 
 
 def run_chain(net, model, coefs, proposal, config, checker=None, rng=None,
@@ -166,19 +216,18 @@ def run_chain(net, model, coefs, proposal, config, checker=None, rng=None,
     """
     if rng is None:
         rng = random.Random(config.seed)
-    if len(coefs) != model.p:
-        raise DataError(f"need {model.p} coefficients, got {len(coefs)}")
+    step = _mh_stepper(net, model, coefs, proposal, checker, rng)
     base = model.summary(net)
     rel = [0.0] * model.p
     out = np.empty((config.samplesize, model.p), dtype=float)
     collected = [] if collect is not None else None
 
     for _ in range(config.burnin):
-        _, rel = mh_step(net, model, coefs, proposal, rel, rng, checker)
+        rel = step(rel)
     interval = config.interval
     for s in range(config.samplesize):
         for _ in range(interval):
-            _, rel = mh_step(net, model, coefs, proposal, rel, rng, checker)
+            rel = step(rel)
         out[s] = rel
         if collect is not None:
             collected.append(collect(net))

@@ -85,6 +85,7 @@ def san_run(net, model, config, constraints=None, attrs=None, rng=None):
     if rng is None:
         rng = random.Random(config.seed)
     proposal, checker = make_proposal(net, constraints, attrs)
+    draw = proposal.bind(net, rng)
 
     free = model.free_index
     offs = model.offset_index
@@ -126,7 +127,7 @@ def san_run(net, model, config, constraints=None, attrs=None, rng=None):
                 trace.final_energy = 0.0
                 trace.runs_completed = r
                 return net, trace
-            i, j, _logq = proposal.propose(net, rng)
+            i, j, _logq = draw()
             trace.proposals += 1
             if trace.proposals % config.trace_interval == 0:
                 trace.rows.append((trace.proposals, list(stats),

@@ -503,6 +503,12 @@ class BoundModel:
             out.extend(t.change(net, i, j))
         return out
 
+    def change_functions(self):
+        """Each term's change function, in order: `change` returns
+        their results concatenated.  The MH step binds these once per
+        chain."""
+        return [t.change for t in self._terms]
+
     def changes(self, net, tails, heads, present):
         """Change scores of a block of dyads as a (len(tails), p) array.
 

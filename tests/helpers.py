@@ -70,3 +70,41 @@ def batch_means_se(series):
     means = x.reshape(a, b).mean(axis=1)
     var_sigma = b * np.var(means, ddof=1)
     return math.sqrt(var_sigma / (a * b))
+
+
+def reference_mh_step(net, model, coefs, proposal, current_stats, rng,
+                      checker=None):
+    """A frozen copy of the one-call Metropolis-Hastings step that the
+    bound chain step replaced: it looks everything up on every call.
+    Returns (accepted, stats) like sampler.mh_step."""
+    from ergmkit.sampler import _log_tilt
+    i, j, log_q = proposal.propose(net, rng)
+    if checker is not None and not checker.allowed(net, i, j):
+        return False, current_stats
+    adding = not net.has_edge(i, j)
+    delta = model.change(net, i, j)
+    log_ar = _log_tilt(coefs, delta, 1 if adding else -1) + log_q
+    if log_ar >= 0.0 or (log_ar > -math.inf and rng.random() < math.exp(log_ar)):
+        net.toggle(i, j)
+        proposal.commit(net, i, j, adding)
+        if adding:
+            return True, [c + d for c, d in zip(current_stats, delta)]
+        return True, [c - d for c, d in zip(current_stats, delta)]
+    return False, current_stats
+
+
+def reference_chain(net, model, coefs, proposal, burnin, samplesize,
+                    interval, rng, checker=None):
+    """run_chain's draws from a loop over reference_mh_step."""
+    base = model.summary(net)
+    rel = [0.0] * model.p
+    for _ in range(burnin):
+        _, rel = reference_mh_step(net, model, coefs, proposal, rel, rng,
+                                   checker)
+    out = np.empty((samplesize, model.p))
+    for s in range(samplesize):
+        for _ in range(interval):
+            _, rel = reference_mh_step(net, model, coefs, proposal, rel, rng,
+                                       checker)
+        out[s] = rel
+    return out + np.asarray(base)

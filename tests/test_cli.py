@@ -1,9 +1,13 @@
 """CLI contract: subcommands, determinism, exit codes, TSV shapes."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ergmkit
 from ergmkit.cli import main
 from ergmkit.network import Network, VertexAttributes, read_network, \
     write_network, write_attributes
@@ -46,6 +50,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(*argv, cwd=None):
+    """Run `python -m ergmkit.cli argv` in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ergmkit.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "ergmkit.cli", *argv],
+                          capture_output=True, text=True, env=env, cwd=cwd,
+                          timeout=120)
 
 
 def coef_rows(out):
@@ -361,6 +374,41 @@ class TestErrors:
         assert code == 4
         assert "numerical" in err
 
+    def test_nonpositive_vertex_count_exit_3(self, tmp_path):
+        path = tmp_path / "neg.txt"
+        path.write_text("%n -3\n")
+        proc = run_process("simulate", "--network", str(path), "--formula",
+                           "edges", "--coef", "0")
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert "error: data" in proc.stderr
+
+    def test_non_numeric_stats_row_exit_3(self, tmp_path):
+        path = tmp_path / "stats.tsv"
+        path.write_text("edges\n3.0\nthree\n")
+        proc = run_process("ess", "--stats", str(path))
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert "error: data" in proc.stderr
+
+    def test_non_numeric_coefficient_exit_3(self, capsys, net10):
+        code, _, err = run(capsys, "simulate", "--network", net10,
+                           "--formula", "edges", "--coef", "abc")
+        assert code == 3
+        assert "not a number" in err
+
+    def test_nonpositive_n_is_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--n", "0", "--formula", "edges", "--coef", "0"])
+        assert exc.value.code == 2
+
+    def test_nan_coefficient_exit_3(self, net10):
+        proc = run_process("simulate", "--network", net10, "--formula",
+                           "edges", "--coef", "nan", "--nsim", "5")
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     @pytest.mark.parametrize("argv", [
         ["san", "--n", "10", "--formula", "edges", "--targets", "5"],
         ["bench", "mixing", "--n", "10", "--formula", "edges", "--coef=-1",
@@ -381,3 +429,15 @@ class TestErrors:
         out = capsys.readouterr().out
         assert "default 1000" in out  # interval default documented
         assert "default stats" in out
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about a second at start-up; the few special
+    # functions the stopping rules need come from scipy.special, late
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ergmkit.__file__)))
+    code = "import sys, ergmkit; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

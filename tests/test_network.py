@@ -163,6 +163,39 @@ class TestToggle:
         assert all((i < 3) != (j < 3) for i, j in net.edges)
 
 
+    @given(kind=st.sampled_from(["undirected", "directed", "bipartite"]),
+           n=st.integers(4, 40), seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=40, deadline=None)
+    def test_toggle_twice_matches_two_toggles(self, kind, n, seed):
+        # sets can reorder when an item leaves and comes back, or when an
+        # insertion resizes them; toggle_twice must leave the same order.
+        # The two networks are built by the same toggles, not copied: a
+        # copied set is laid out afresh, and the layout decides where a
+        # re-insertion lands.
+        rng = random.Random(seed)
+        net, twice = (Network(n, directed=kind == "directed",
+                              bipartite=n // 2 if kind == "bipartite" else 0)
+                      for _ in range(2))
+
+        def layout(nw):
+            sets = nw.adj + (nw.in_adj or [])
+            return (list(nw.edges), list(nw._edge_pos.items()),
+                    [list(a) for a in sets], list(nw.deg), nw.in_deg)
+
+        for _ in range(400):
+            i, j = net.random_dyad(rng)
+            if rng.random() < 0.5:
+                net.toggle(i, j)
+                twice.toggle(i, j)
+                continue
+            if kind == "undirected" and rng.random() < 0.5:
+                i, j = j, i
+            net.toggle(i, j)
+            net.toggle(i, j)
+            twice.toggle_twice(i, j)
+            assert layout(twice) == layout(net)
+
+
 class TestRandomEdge:
     def test_single_edge(self):
         net = Network(4)
@@ -246,6 +279,15 @@ class TestFileIO:
     def test_duplicate_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("%n 5\n%directed 0\n%bipartite 0\n1 2\n2 1\n")
+        with pytest.raises(NetworkFormatError):
+            read_network(path)
+
+    @pytest.mark.parametrize("header", ["%n 0", "%n -3",
+                                        "%n 4\n%bipartite 9",
+                                        "%n 4\n%directed 1\n%bipartite 2"])
+    def test_bad_shape_rejected(self, tmp_path, header):
+        path = tmp_path / "bad.txt"
+        path.write_text(header + "\n")
         with pytest.raises(NetworkFormatError):
             read_network(path)
 

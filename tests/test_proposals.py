@@ -189,6 +189,21 @@ class TestBDStratInit:
             i, j, _ = state.propose(net, rng)
             assert grp[i] == grp[j]
 
+    def test_strat_levels_from_several_attributes(self):
+        # a vertex's stratum label joins its levels with "."; combinations
+        # that join to the same label share a stratum, sorted by label
+        a = ["x.y", "x", "x", "z", "10", "9"] * 2
+        b = ["w", "y.w", "q", "w", "w", "w"] * 2
+        attrs = VertexAttributes(12)
+        attrs.add_categorical("a", a)
+        attrs.add_categorical("b", b)
+        state = BDStratTNT(Network(12), ConstraintSpec(strat_attr=("a", "b")),
+                           attrs)
+        labels = [f"{x}.{y}" for x, y in zip(a, b)]
+        assert state.strat_levels == ["10.w", "9.w", "x.q", "x.y.w", "z.w"]
+        assert [state.strat_levels[state.class_key[c][0]]
+                for c in state.class_of] == labels
+
     def test_pmat_file_path_rejected(self):
         # a path left in strat_pmat would otherwise fall back to uniform
         # weights, and zero weights change the sample space
@@ -349,10 +364,11 @@ def check_reverse_counts(state, net, i, j):
     commit; returns whether some stratum's D crosses zero."""
     s = state.cell_stratum[state._cell_of_dyad(i, j)]
     D_before, W = list(state.strat_D), state.active_weight
-    added = net.toggle(i, j)
-    E_r, D_r, W_r, _ = state._reverse_counts(net, s, i, j, added)
-    net.toggle(i, j)
+    edges_before = list(net.edges)
+    E_r, D_r, W_r, _ = state._reverse_counts(net, s, i, j,
+                                             not net.has_edge(i, j))
     assert state.strat_D == D_before and state.active_weight == W
+    assert net.edges == edges_before
     want_E, want_D, want_W = provisional_reverse_counts(state, net, s, i, j)
     assert (E_r, D_r) == (want_E, want_D[s])
     # the rollback may round W through W - w + w; the closed form does

@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import batch_means_se, exact_moments
+from helpers import batch_means_se, exact_moments, reference_chain
+from ergmkit.errors import DataError
 from ergmkit.formula import parse_constraint_formula
 from ergmkit.network import Network, VertexAttributes
 from ergmkit.proposals import (BDStratTNT, ConstraintChecker, TntProposal,
-                               UniformProposal)
+                               UniformProposal, make_proposal)
 from ergmkit.sampler import (SamplerConfig, adaptive_run, mh_step, run_chain,
-                             sample_chains, _log_tilt, _offset_shift)
+                             sample_chains, _log_tilt, _mh_stepper,
+                             _offset_shift)
 from ergmkit.terms import bind
 
 
@@ -95,6 +97,166 @@ class TestOffsetArithmetic:
             assert _log_tilt(coefs, d, 1) == shift[r]
             flipped = [-x for x in d]
             assert _log_tilt(coefs, d, -1) == _log_tilt(coefs, flipped, 1)
+
+
+# terms valid on every network kind, and those for undirected ones only
+ANY_TERMS = ["edges", "triangle", 'nodematch("sex")', 'nodefactor("grp")',
+             'nodecov("age")', 'absdiff("age")']
+UNDIRECTED_TERMS = ["concurrent", "degree(1)", "gwdegree(decay=0.5, fixed=true)",
+                    "gwesp(decay=0.5, fixed=true)"]
+OFFSET_COEF = st.sampled_from([math.inf, -math.inf, -0.7, 0.4])
+
+
+@st.composite
+def chain_cases(draw):
+    """A network kind, formula, coefficients, proposal, constraints and
+    schedule for one short chain."""
+    kind = draw(st.sampled_from(["undirected", "directed", "bipartite"]))
+    n = draw(st.integers(4, 9))
+    pool = ANY_TERMS + (UNDIRECTED_TERMS if kind != "directed" else [])
+    terms = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4,
+                          unique=True))
+    offsets = draw(st.lists(st.booleans(), min_size=len(terms),
+                            max_size=len(terms)))
+    formula = " + ".join(f"offset({t})" if off else t
+                         for t, off in zip(terms, offsets))
+    proposals = ["uniform", "tnt"] + (["bdstrat"] if kind == "undirected" else [])
+    proposal = draw(st.sampled_from(proposals))
+    if proposal == "bdstrat":
+        constraints = draw(st.sampled_from([
+            'strat(attr="grp")', "bd(maxout=2)",
+            'bd(maxout=1) + blocks(attr="sex", levels2=diag)',
+            'bd(maxout=2) + strat(attr="grp")']))
+    else:
+        constraints = draw(st.sampled_from(
+            [None, 'blocks(attr="sex", levels2=diag)']
+            + (["bd(maxout=2)"] if kind == "undirected" else [])))
+        atom = "dense" if proposal == "uniform" else "tnt"
+        constraints = atom if constraints is None else f"{atom} + {constraints}"
+    edges = draw(st.lists(st.integers(0, 10 ** 6), max_size=12))
+    schedule = draw(st.tuples(st.integers(0, 20), st.integers(1, 8),
+                              st.integers(1, 5)))
+    return dict(kind=kind, n=n, formula=formula, constraints=constraints,
+                edges=edges, schedule=schedule,
+                free=draw(st.lists(st.floats(-1.5, 1.5), min_size=8,
+                                   max_size=8)),
+                offset_coefs=draw(st.lists(OFFSET_COEF, min_size=8,
+                                           max_size=8)),
+                seed=draw(st.integers(0, 2 ** 16)))
+
+
+def build_chain_case(case):
+    """(start network, attrs, model, coefficients, constraint spec); the
+    start holds the drawn edges that the constraints admit."""
+    n, kind = case["n"], case["kind"]
+    net = Network(n, directed=kind == "directed",
+                  bipartite=n // 2 if kind == "bipartite" else 0)
+    attrs = grp_attrs(n)
+    spec = parse_constraint_formula(case["constraints"])
+    checker = ConstraintChecker(net, spec, attrs)
+    for k in case["edges"]:
+        i, j = net.dyad_at(k % net.dyad_count())
+        if not net.has_edge(i, j) and checker.allowed(net, i, j):
+            net.toggle(i, j)
+    model = bind(case["formula"], net, attrs)
+    coefs = []
+    for t, term in enumerate(model.offset_mask):
+        coefs.append(case["offset_coefs"][t % 8] if term else case["free"][t % 8])
+    return net, attrs, model, coefs, spec
+
+
+class TestBoundStep:
+    """The chain step bound once per chain makes the same moves as a
+    step that looks everything up per call."""
+
+    @given(case=chain_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_run_chain_matches_reference_loop(self, case):
+        start, attrs, model, coefs, spec = build_chain_case(case)
+        burnin, samplesize, interval = case["schedule"]
+        runs = []
+        for bound in (True, False):
+            net = start.copy()
+            proposal, checker = make_proposal(net, spec, attrs)
+            rng = random.Random(case["seed"])
+            if bound:
+                cfg = SamplerConfig(samplesize=samplesize, burnin=burnin,
+                                    interval=interval)
+                draws = run_chain(net, model, coefs, proposal, cfg, checker,
+                                  rng).values
+            else:
+                draws = reference_chain(net, model, coefs, proposal, burnin,
+                                        samplesize, interval, rng, checker)
+            snapshot = proposal.snapshot() if hasattr(proposal, "snapshot") \
+                else None
+            runs.append((draws.view(np.uint64).tolist(), list(net.edges),
+                         [list(a) for a in net.adj], snapshot,
+                         rng.getstate()))
+        assert runs[0] == runs[1]
+
+    @given(coefs=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=5),
+           delta=st.lists(st.one_of(st.just(0.0), st.floats(-50.0, 50.0)),
+                          min_size=5, max_size=5),
+           log_q=st.sampled_from([0.0, -0.25, 0.7]))
+    @settings(max_examples=300, deadline=None)
+    def test_finite_tilt_is_log_tilt(self, coefs, delta, log_q):
+        """With finite coefficients the step's plain sum gives the same
+        bits as _log_tilt, adding and removing.  The step's exp sees
+        log_ar whenever the move is not accepted outright."""
+        delta = delta[:len(coefs)]
+
+        class Term:
+            def change(self, net, i, j):
+                return delta
+
+        class Model:
+            p = len(coefs)
+
+            def change_functions(self):
+                return [Term().change]
+
+        class Fixed:
+            def bind(self, net, rng):
+                return lambda: (0, 1, log_q)
+
+            def commit(self, net, i, j, added):
+                pass
+
+        seen = []
+
+        def exp(x):
+            seen.append(x)
+            return 0.0      # reject: the network keeps its state
+
+        for present in (False, True):
+            net = Network(3)
+            if present:
+                net.toggle(0, 1)
+            real_exp, math.exp = math.exp, exp
+            try:
+                step = _mh_stepper(net, Model(), coefs, Fixed(), None,
+                                   random.Random(0))
+            finally:
+                math.exp = real_exp
+            seen.clear()
+            stats = [0.0] * len(coefs)
+            result = step(stats)
+            want = _log_tilt(coefs, delta, -1 if present else 1) + log_q
+            if want >= 0.0:
+                assert result is not stats and not seen
+            else:
+                assert result is stats
+                assert [x.hex() for x in seen] == [want.hex()]
+
+    def test_nan_coefficient_rejected(self):
+        net = Network(5)
+        model = bind("edges + triangle", net)
+        with pytest.raises(DataError, match="NaN"):
+            run_chain(net, model, [0.1, math.nan], TntProposal(),
+                      SamplerConfig(samplesize=3))
+        with pytest.raises(DataError, match="coefficients"):
+            mh_step(net, model, [0.1], TntProposal(), [0.0, 0.0],
+                    random.Random(0))
 
 
 class TestRunChain:
