@@ -132,36 +132,6 @@ class Network:
             self.deg[j] += 1
         return True
 
-    def toggle_twice(self, i, j):
-        """Leave the network as two toggles of free dyad (i, j) would,
-        without their bookkeeping.  The graph is unchanged, but an edge
-        moves to the end of `edges`, and the adjacency sets see the
-        removal and re-insertion (or insertion and removal) of the
-        dyad, which can change their iteration order."""
-        if not self.directed and j < i:
-            i, j = j, i
-        d = (i, j)
-        pos, edges = self._edge_pos, self.edges
-        out = self.adj[i]
-        back = self.in_adj[j] if self.directed else self.adj[j]
-        if d in pos:
-            slot = pos.pop(d)
-            last = edges.pop()
-            if last != d:
-                edges[slot] = last
-                pos[last] = slot
-            pos[d] = len(edges)
-            edges.append(d)
-            out.discard(j)
-            out.add(j)
-            back.discard(i)
-            back.add(i)
-        else:
-            out.add(j)
-            out.discard(j)
-            back.add(i)
-            back.discard(i)
-
     # -- sampling helpers ----------------------------------------------
 
     def random_edge(self, rng):

@@ -433,10 +433,13 @@ class BDStratTNT:
         # Leave the network and the lists in the order that toggling
         # the dyad, committing, and rolling both back would: a removed
         # edge, or the endpoints an added edge saturates, move to the
-        # end of their lists.  The order decides the dyads later draws
-        # pick, and this one keeps seeded runs byte-identical to
+        # end of their lists, and the adjacency sets see the dyad leave
+        # and come back (or come and leave), which can reorder them.
+        # The order decides the dyads later draws pick and the order of
+        # gwesp's sums, and this one keeps seeded runs byte-identical to
         # versions that read the reverse counts by such a rollback.
-        net.toggle_twice(i, j)
+        net.toggle(i, j)
+        net.toggle(i, j)
         if added:
             for v in moved:
                 c = self.class_of[v]

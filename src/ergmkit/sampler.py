@@ -143,17 +143,14 @@ def _mh_stepper(net, model, coefs, proposal, checker, rng):
     how plain proposals honor bd/blocks constraints.
 
     Everything a step looks up is bound here: the proposal's draw, its
-    commit, the checker, each term's change function and the RNG.  When
-    every coefficient is finite the tilt is a plain sum that skips zero
-    changes, which is what _log_tilt computes for finite coefficients;
-    otherwise the step goes through _log_tilt.
+    commit, the checker, each term's change function and the RNG.  The
+    tilt goes through _log_tilt, the one 0 * inf rule.
     """
     if len(coefs) != model.p:
         raise DataError(f"need {model.p} coefficients, got {len(coefs)}")
     coefs = [float(c) for c in coefs]
     if any(math.isnan(c) for c in coefs):
         raise DataError("coefficients must not be NaN")
-    finite = not any(math.isinf(c) for c in coefs)
     draw = proposal.bind(net, rng)
     commit = proposal.commit
     allowed = checker.allowed if checker is not None else None
@@ -169,20 +166,7 @@ def _mh_stepper(net, model, coefs, proposal, checker, rng):
         delta = []
         for f in changes:
             delta += f(net, i, j)
-        if not finite:
-            log_ar = _log_tilt(coefs, delta, 1 if adding else -1) + log_q
-        else:
-            tilt = 0.0
-            if adding:
-                for c, d in zip(coefs, delta):
-                    if d != 0.0:
-                        tilt += c * d
-            else:
-                # c * -d is -(c * d) exactly, so this is _log_tilt's sum
-                for c, d in zip(coefs, delta):
-                    if d != 0.0:
-                        tilt -= c * d
-            log_ar = tilt + log_q
+        log_ar = _log_tilt(coefs, delta, 1 if adding else -1) + log_q
         if log_ar >= 0.0 or (log_ar > -_INF and random() < exp(log_ar)):
             toggle(i, j)
             commit(net, i, j, adding)
@@ -199,7 +183,9 @@ def mh_step(net, model, coefs, proposal, current_stats, rng, checker=None):
 
     Returns (accepted, stats) where stats is the updated statistic
     vector (the same list object when the move is rejected).  This is
-    the chain step of _mh_stepper, built and applied once.
+    the chain step of _mh_stepper, built and applied once, so each call
+    pays for binding the proposal, terms and checker; to run a chain,
+    use run_chain, which binds them once.
     """
     stats = _mh_stepper(net, model, coefs, proposal, checker, rng)(current_stats)
     return stats is not current_stats, stats

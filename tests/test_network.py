@@ -163,39 +163,6 @@ class TestToggle:
         assert all((i < 3) != (j < 3) for i, j in net.edges)
 
 
-    @given(kind=st.sampled_from(["undirected", "directed", "bipartite"]),
-           n=st.integers(4, 40), seed=st.integers(0, 2 ** 16))
-    @settings(max_examples=40, deadline=None)
-    def test_toggle_twice_matches_two_toggles(self, kind, n, seed):
-        # sets can reorder when an item leaves and comes back, or when an
-        # insertion resizes them; toggle_twice must leave the same order.
-        # The two networks are built by the same toggles, not copied: a
-        # copied set is laid out afresh, and the layout decides where a
-        # re-insertion lands.
-        rng = random.Random(seed)
-        net, twice = (Network(n, directed=kind == "directed",
-                              bipartite=n // 2 if kind == "bipartite" else 0)
-                      for _ in range(2))
-
-        def layout(nw):
-            sets = nw.adj + (nw.in_adj or [])
-            return (list(nw.edges), list(nw._edge_pos.items()),
-                    [list(a) for a in sets], list(nw.deg), nw.in_deg)
-
-        for _ in range(400):
-            i, j = net.random_dyad(rng)
-            if rng.random() < 0.5:
-                net.toggle(i, j)
-                twice.toggle(i, j)
-                continue
-            if kind == "undirected" and rng.random() < 0.5:
-                i, j = j, i
-            net.toggle(i, j)
-            net.toggle(i, j)
-            twice.toggle_twice(i, j)
-            assert layout(twice) == layout(net)
-
-
 class TestRandomEdge:
     def test_single_edge(self):
         net = Network(4)

@@ -452,6 +452,32 @@ class TestBDStratReverseCounts:
             fresh = BDStratTNT(net, spec, attrs)
             assert state.snapshot() == fresh.snapshot()
 
+    @given(n=st.integers(6, 16), cap=st.integers(1, 3), blocks=st.booleans(),
+           seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=30, deadline=None)
+    def test_propose_leaves_network_as_a_rollback(self, n, cap, blocks, seed):
+        # propose must leave the edge list and the adjacency sets in the
+        # order that toggling the dyad and toggling it back leaves them:
+        # a set can reorder when an item leaves and comes back, or when
+        # an insertion resizes it.  The mirror network is built by the
+        # same toggles, not copied, since a copied set is laid out afresh.
+        net, attrs, spec, state = self.build(n, cap, blocks, (0, 0))
+        mirror = Network(n)
+        rng = random.Random(seed)
+
+        def layout(nw):
+            return (list(nw.edges), list(nw._edge_pos.items()),
+                    [list(a) for a in nw.adj], list(nw.deg))
+
+        for _ in range(200):
+            i, j, _ = state.propose(net, rng)
+            mirror.toggle(i, j)
+            mirror.toggle(i, j)
+            assert layout(net) == layout(mirror)
+            if rng.random() < 0.5:
+                state.commit(net, i, j, net.toggle(i, j))
+                mirror.toggle(i, j)
+
 
 class TestErgodicity:
     def constrained_reachability(self, n, spec, attrs):

@@ -200,9 +200,9 @@ class TestBoundStep:
            log_q=st.sampled_from([0.0, -0.25, 0.7]))
     @settings(max_examples=300, deadline=None)
     def test_finite_tilt_is_log_tilt(self, coefs, delta, log_q):
-        """With finite coefficients the step's plain sum gives the same
-        bits as _log_tilt, adding and removing.  The step's exp sees
-        log_ar whenever the move is not accepted outright."""
+        """With finite coefficients the step's log acceptance ratio is
+        _log_tilt's plus log_q, bit for bit, adding and removing.  The
+        step's exp sees it whenever the move is not accepted outright."""
         delta = delta[:len(coefs)]
 
         class Term:
