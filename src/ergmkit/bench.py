@@ -38,8 +38,9 @@ class PopulationSpec:
 
 def generate_population(spec, seed=0):
     """Empty network plus sampled demographics, deterministic in seed."""
-    if abs(sum(spec.race_freqs.values()) - 1.0) > 1e-9:
-        raise DataError("race frequencies must sum to 1")
+    freqs = spec.race_freqs.values()
+    if not all(f >= 0.0 for f in freqs) or abs(sum(freqs) - 1.0) > 1e-9:
+        raise DataError("race frequencies must be nonnegative and sum to 1")
     rng = np.random.default_rng(seed)
     n = spec.n
     net = Network(n)

@@ -19,7 +19,7 @@ from .errors import DataError, ErgmError, NonconvergenceError, NumericalError
 from .estimate import McmleControl, mcmle_fit, mple
 from .formula import parse_constraint_formula, parse_model_formula
 from .loglik import BridgePlan, evaluate_loglik
-from .network import Network, read_attributes, read_network
+from .network import Network, network_text, read_attributes, read_network
 from .proposals import make_proposal
 from .sampler import SamplerConfig, sample_chains, adaptive_run
 from .san import SanConfig, san_run
@@ -69,29 +69,26 @@ def _parse_vector(text):
     if text.startswith("@"):
         with open(text[1:], encoding="utf-8") as fh:
             text = fh.read()
-    parts = text.replace(",", " ").split()
     out = []
-    for tok in parts:
-        if tok in ("Inf", "inf", "+Inf"):
-            out.append(math.inf)
-        elif tok in ("-Inf", "-inf"):
-            out.append(-math.inf)
-        else:
-            try:
-                out.append(float(tok))
-            except ValueError:
-                raise DataError(f"not a number: {tok!r}") from None
+    for tok in text.replace(",", " ").split():
+        try:
+            out.append(float(tok))
+        except ValueError:
+            raise DataError(f"not a number: {tok!r}") from None
     return out
 
 
-def _load_pmat(path, L=None):
+def _load_pmat(path):
     rows = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            rows.append([float(x) for x in line.replace(",", " ").split()])
+            try:
+                rows.append([float(x) for x in line.replace(",", " ").split()])
+            except ValueError:
+                raise DataError(f"{path}: non-numeric pmat entry") from None
     return rows
 
 
@@ -204,7 +201,7 @@ def _cmd_simulate(args):
             for c, final in enumerate(finals):
                 if len(finals) > 1:
                     out.line(f"%chain {c}")
-                out.fh.write(_network_text(final))
+                out.fh.write(network_text(final))
         elif args.output == "edgelist":
             if args.chains > 1:
                 out.line("chain", "tail", "head")
@@ -218,13 +215,6 @@ def _cmd_simulate(args):
     finally:
         out.close()
     return 0
-
-
-def _network_text(net):
-    lines = [f"%n {net.n}", f"%directed {1 if net.directed else 0}",
-             f"%bipartite {net.bipartite}"]
-    lines += [f"{i + 1} {j + 1}" for i, j in net.edges]
-    return "\n".join(lines) + "\n"
 
 
 def _cmd_san(args):
@@ -245,7 +235,7 @@ def _cmd_san(args):
                 f"{targets[slot]} (pass --allow-inexact to accept)")
     out = _Out(args.out)
     try:
-        out.fh.write(_network_text(final))
+        out.fh.write(network_text(final))
     finally:
         out.close()
     if args.trace:
@@ -387,7 +377,11 @@ def _bench_population(args):
         freqs = {}
         for part in args.race_freqs.split(","):
             name, _, val = part.partition(":")
-            freqs[name] = float(val)
+            try:
+                freqs[name] = float(val)
+            except ValueError:
+                raise DataError("race frequencies are NAME:VALUE pairs; "
+                                f"got {part!r}") from None
         spec.race_freqs = freqs
     return bench_mod.generate_population(spec, seed=args.seed)
 
@@ -404,6 +398,10 @@ def _parse_proposal_list(args):
 
 
 def _cmd_bench(args):
+    option = "targets" if args.what == "san" else "coef"
+    if getattr(args, option) is None:
+        raise DataError(f"bench {args.what} needs --{option}")
+    vector = _parse_vector(getattr(args, option))
     net, attrs = _bench_population(args)
     spec = parse_model_formula(args.formula)
     model = bind(spec, net, attrs)
@@ -411,18 +409,16 @@ def _cmd_bench(args):
     out = _Out(args.out)
     try:
         if args.what == "mixing":
-            coefs = _parse_vector(args.coef)
             traces = bench_mod.mixing_benchmark(
-                net, attrs, model, coefs, proposals, args.total_proposals,
+                net, attrs, model, vector, proposals, args.total_proposals,
                 trace_interval=args.trace_interval, seed=args.seed)
             out.line("proposal", "proposals", *model.names)
             for name, rows in traces.items():
                 for count, stats in rows:
                     out.line(name, count, *stats)
         elif args.what == "ess":
-            coefs = _parse_vector(args.coef)
             results = bench_mod.ess_benchmark(
-                net, attrs, model, coefs, proposals, args.nsim,
+                net, attrs, model, vector, proposals, args.nsim,
                 interval=args.interval, seed=args.seed)
             out.line("proposal", "seconds",
                      *[f"ess.{n}" for n in model.names],
@@ -431,9 +427,8 @@ def _cmd_bench(args):
                 out.line(name, res["seconds"], *res["ess"],
                          *res["ess_per_second"])
         elif args.what == "san":
-            targets = _parse_vector(args.targets)
             traces = bench_mod.san_benchmark(
-                net, attrs, model, targets, proposals, args.total_proposals,
+                net, attrs, model, vector, proposals, args.total_proposals,
                 trace_interval=args.trace_interval, seed=args.seed)
             out.line("proposal", "proposals", *model.names, "energy")
             for name, trace in traces.items():
@@ -491,9 +486,9 @@ def build_parser():
     common(p)
     p.add_argument("--targets", required=True,
                    help="target statistics (non-offset terms), inline or @file")
-    p.add_argument("--runs", type=int, default=4,
+    p.add_argument("--runs", type=_positive_int, default=4,
                    help="annealing runs (default 4)")
-    p.add_argument("--steps", type=int, default=None,
+    p.add_argument("--steps", type=_positive_int, default=None,
                    help="proposals per run (default max(4096, 8*dyads))")
     p.add_argument("--tau", type=float, default=None,
                    help="initial temperature (default: statistic count)")
@@ -521,7 +516,7 @@ def build_parser():
                    help="fit these sufficient statistics (annealed start)")
     p.add_argument("--allow-inexact-targets", action="store_true",
                    help="proceed when annealing misses the targets")
-    p.add_argument("--san-steps", type=int, default=None,
+    p.add_argument("--san-steps", type=_positive_int, default=None,
                    help="annealing proposals per run for --target-stats")
     p.add_argument("--init", default="mple",
                    help="mple, cd, or explicit coefficients (default mple)")
@@ -533,11 +528,11 @@ def build_parser():
                    help="adaptive sampling to this effective size")
     p.add_argument("--samplesize", type=int, default=1024,
                    help="draws per iteration (default 1024)")
-    p.add_argument("--interval", type=int, default=None,
+    p.add_argument("--interval", type=_positive_int, default=None,
                    help="steps between draws (default: half the dyads)")
     p.add_argument("--burnin", type=int, default=None,
                    help="first-iteration burn-in (default 16*interval)")
-    p.add_argument("--maxit", type=int, default=60,
+    p.add_argument("--maxit", type=_positive_int, default=60,
                    help="iteration cap (default 60)")
     p.add_argument("--eval-loglik", action="store_true",
                    help="append a bridge-sampled log-likelihood report")
@@ -558,7 +553,7 @@ def build_parser():
                    help="draws per path point (default 1000)")
     p.add_argument("--target-se", type=float, default=None,
                    help="adaptive bridge target standard error")
-    p.add_argument("--interval", type=int, default=None,
+    p.add_argument("--interval", type=_positive_int, default=None,
                    help="steps between draws (default: half the dyads)")
     p.set_defaults(func=_cmd_loglik)
 

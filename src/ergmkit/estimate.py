@@ -26,12 +26,11 @@ import numpy as np
 from .diagnostics import batch_means_cov
 from .errors import DataError, SeparationError, SingularityError
 from .hull import boundary_multiplier, scale_into_hull
-from .proposals import make_proposal
+from .proposals import blocks_rule, make_proposal
 # mh_step is not called here, but stays a module attribute: perfbench
 # traces it by name
 from .sampler import (SampleMatrix, SamplerConfig, _mh_stepper, _offset_shift,
                       adaptive_run, mh_step, run_chain)
-from .formula import ConstraintSpec
 
 __all__ = ["MpleRows", "FitResult", "ScoreEval", "McmleControl", "mple_rows",
            "logistic_fit", "mple", "mcmle_step", "check_termination",
@@ -254,15 +253,26 @@ def pseudo_loglik(predictor, response, weights, shift, beta):
 def _frozen_dyads(net, constraints, attrs):
     """A blocks constraint as a function of (tails, heads) index arrays
     that marks the dyads it freezes; None without a blocks constraint."""
-    if constraints is None or constraints.blocks_attr is None:
+    rule = blocks_rule(net, constraints, attrs)
+    if rule is None:
         return None
-    from .proposals import ConstraintChecker
-    spec = ConstraintSpec(blocks_attr=constraints.blocks_attr,
-                          blocks_levels2=constraints.blocks_levels2)
-    checker = ConstraintChecker(net, spec, attrs)
-    lev = np.asarray(checker.block_level)
-    forbid = np.asarray(checker.forbid, dtype=bool)
+    lev, forbid = np.asarray(rule[0]), np.asarray(rule[1], dtype=bool)
     return lambda tails, heads: forbid[lev[tails], lev[heads]]
+
+
+def _mple_design(net, model, offset_coefs, frozen):
+    """(rows, shift, live) of the pseudo-likelihood design: the rows of
+    ``mple_rows``, their offset shift with -inf on the dyads `frozen`
+    marks (one row per dyad then), and the row weights with the frozen
+    dyads' set to zero."""
+    rows = mple_rows(net, model,
+                     mode="compressed" if frozen is None else "dyadlist")
+    shift = _offset_shift(rows.offsets, list(offset_coefs))
+    if frozen is None:
+        return rows, shift, rows.weights
+    blocked = frozen(rows.dyads[:, 0] - 1, rows.dyads[:, 1] - 1)
+    shift[blocked] = -_INF
+    return rows, shift, np.where(blocked, 0.0, rows.weights)
 
 
 def _edge_probability(eta):
@@ -291,11 +301,7 @@ def mple(net, model, offset_coefs=(), se="naive", constraints=None, attrs=None,
     are those of a dyad-by-dyad pass.
     """
     frozen = _frozen_dyads(net, constraints, attrs)
-    rows = mple_rows(net, model,
-                     mode="compressed" if frozen is None else "dyadlist")
-    shift = _offset_shift(rows.offsets, list(offset_coefs))
-    if frozen is not None:
-        shift[frozen(rows.dyads[:, 0] - 1, rows.dyads[:, 1] - 1)] = -_INF
+    rows, shift, _ = _mple_design(net, model, offset_coefs, frozen)
     beta, J = logistic_fit(rows.predictor, rows.response, rows.weights, shift)
     try:
         vcov = np.linalg.inv(J)
@@ -530,6 +536,8 @@ def mcmle_fit(net, model, g_obs=None, offset_coefs=(), constraints=None,
     tilted statistic covariance at the final iterate.
     """
     control = control or McmleControl()
+    if control.maxit < 1:
+        raise DataError("maxit must be at least 1")
     full_obs = np.asarray(model.summary(net) if g_obs is None else g_obs,
                           dtype=float)
     if full_obs.shape != (model.p,):
@@ -538,9 +546,7 @@ def mcmle_fit(net, model, g_obs=None, offset_coefs=(), constraints=None,
     obs_free = full_obs[free]
 
     if isinstance(init, str):
-        degree_caps = constraints is not None and (
-            constraints.bd_maxout is not None
-            or constraints.bd_maxin is not None)
+        degree_caps = constraints is not None and constraints.degree_capped()
         if init == "mple" and not degree_caps:
             start = mple(net, model, offset_coefs, constraints=constraints,
                          attrs=attrs)
@@ -558,7 +564,8 @@ def mcmle_fit(net, model, g_obs=None, offset_coefs=(), constraints=None,
 
     sim_net = net.copy()
     proposal, checker = make_proposal(sim_net, constraints, attrs)
-    interval = control.interval or _default_interval(net)
+    interval = (_default_interval(net) if control.interval is None
+                else control.interval)
     burnin = control.burnin if control.burnin is not None else 16 * interval
     rng = random.Random(control.seed)
 

@@ -304,12 +304,13 @@ class ConstraintSpec:
     Fields mirror the supported atoms: degree caps (scalar, or resolved
     per-vertex at bind time), blocked level pairs of an attribute,
     stratification with explicit or empirical weights, and the
-    ``sparse``/``dense``/``tnt`` proposal hints.
+    ``dense``/``tnt`` proposal hints (``sparse`` names the default and
+    sets no field).
     """
 
     def __init__(self, bd_maxout=None, bd_maxin=None, blocks_attr=None,
                  blocks_levels2=None, strat_attr=None, strat_pmat=None,
-                 strat_empirical=False, sparse=True, force_proposal=None):
+                 strat_empirical=False, force_proposal=None):
         self.bd_maxout = bd_maxout
         self.bd_maxin = bd_maxin
         self.blocks_attr = blocks_attr
@@ -317,17 +318,18 @@ class ConstraintSpec:
         self.strat_attr = strat_attr           # tuple of attribute names
         self.strat_pmat = strat_pmat           # matrix, file path, or None
         self.strat_empirical = strat_empirical
-        self.sparse = sparse
         self.force_proposal = force_proposal   # None | "uniform" | "tnt"
 
     def is_trivial(self):
         return (self.bd_maxout is None and self.bd_maxin is None
                 and self.blocks_attr is None and self.strat_attr is None)
 
+    def degree_capped(self):
+        return self.bd_maxout is not None or self.bd_maxin is not None
+
     def constrained(self):
         """True when the sample space is actually restricted."""
-        return self.bd_maxout is not None or self.bd_maxin is not None \
-            or self.blocks_attr is not None
+        return self.degree_capped() or self.blocks_attr is not None
 
     def __eq__(self, other):
         if not isinstance(other, ConstraintSpec):
@@ -360,7 +362,7 @@ class ConstraintSpec:
             if self.strat_empirical:
                 args.append("empirical=true")
             parts.append("strat(" + ", ".join(args) + ")")
-        if self.sparse and self.force_proposal is None:
+        if self.force_proposal is None:
             parts.append("sparse")
         return " + ".join(parts) if parts else "."
 
@@ -393,9 +395,8 @@ def parse_constraint_formula(text):
         if term.name in seen:
             raise FormulaError(f"constraint atom {term.name!r} repeated")
         seen.add(term.name)
-        if term.name == "sparse":
-            spec.sparse = True
-        elif term.name == "dense":
+        # "sparse" names the default (TNT) and sets nothing
+        if term.name == "dense":
             spec.force_proposal = "uniform"
         elif term.name == "tnt":
             spec.force_proposal = "tnt"

@@ -6,7 +6,10 @@ as the exact logistic log-likelihood of the dyad-independent sub-model
 (all dyad-dependent coefficients fixed at zero) plus a bridge-sampling
 estimate of the difference: simulate at parameters interpolated along
 the line between the two coefficient vectors and average the shifted
-statistics tilted by the direction of travel.
+statistics tilted by the direction of travel.  Under a blocks
+constraint the likelihood is that of the constrained sample space: N,
+the sub-model's fit and its sum cover only the dyads the blocks leave
+free.  Degree caps admit no exact baseline and are rejected.
 
 One loop runs the bridge in passes of interpolation points.  The first
 pass is the midpoint grid; when a target standard error is set, each
@@ -23,11 +26,12 @@ import numpy as np
 
 from .diagnostics import batch_means_cov
 from .errors import DataError
-from .estimate import _default_interval, logistic_fit, mple_rows, \
-    pseudo_loglik
-from .formula import ConstraintSpec
+# mple_rows is not called here, but stays a module attribute: perfbench
+# traces it by name
+from .estimate import _default_interval, _frozen_dyads, _mple_design, \
+    logistic_fit, mple_rows, pseudo_loglik
 from .proposals import make_proposal
-from .sampler import SamplerConfig, _offset_shift, run_chain
+from .sampler import SamplerConfig, run_chain
 
 __all__ = ["BridgePlan", "LoglikResult", "null_deviance",
            "dyad_independent_loglik", "bridge_loglik", "evaluate_loglik"]
@@ -79,45 +83,51 @@ class DyadIndependentBaseline:
     theta: np.ndarray      # full-length coefficients (dyad-dependent at 0)
     loglik: float
     boundary: bool = False
+    dyads: int = 0         # the dyads the fit used: those not frozen
 
 
-def dyad_independent_loglik(net, model, offset_coefs=()):
+def dyad_independent_loglik(net, model, offset_coefs=(), constraints=None,
+                            attrs=None):
     """Exact MLE and log-likelihood of the dyad-independent sub-model.
 
     Dyad-dependent free coefficients are fixed at zero; the remaining
     fit is a logistic regression whose Bernoulli product is the exact
-    likelihood.  A degenerate response (no edges, or all dyads tied)
-    sits on the parameter-space boundary: the supremum 0 is reported
-    with the boundary flag set.  Infinite coefficients on
-    dyad-dependent offsets are rejected: they change the sample space,
+    likelihood.  Under a blocks constraint the likelihood is defined on
+    the constrained space: the fit, the sum and the dyad count cover the
+    dyads the blocks do not freeze.  A degenerate response over those
+    dyads (no edges, or all tied) sits on the parameter-space boundary:
+    the supremum 0 is reported with the boundary flag set.  Infinite
+    coefficients on dyad-dependent offsets and degree caps are
+    rejected: they make the sample space depend on the whole network,
     and no closed-form baseline exists.
     """
     for c, k in zip(offset_coefs, model.offset_index):
         if math.isinf(c) and not model.dyad_independent_mask[k]:
             raise DataError("infinite dyad-dependent offsets admit no "
                             "closed-form baseline log-likelihood")
-    rows = mple_rows(net, model, mode="compressed")
-    shift = _offset_shift(rows.offsets, list(offset_coefs))
+    if constraints is not None and constraints.degree_capped():
+        raise DataError("degree caps admit no closed-form baseline "
+                        "log-likelihood")
+    rows, shift, w = _mple_design(net, model, offset_coefs,
+                                  _frozen_dyads(net, constraints, attrs))
     free = model.free_index
     di_cols = [c for c, k in enumerate(free) if model.dyad_independent_mask[k]]
     X = rows.predictor[:, di_cols]
 
-    y, w = rows.response, rows.weights
-    ones = (w * y).sum()
-    if ones == 0.0 or ones == w.sum():
-        theta = np.zeros(model.p)
-        for k, c in zip(model.offset_index, offset_coefs):
-            theta[k] = c
-        return DyadIndependentBaseline(theta=theta, loglik=0.0, boundary=True)
-
-    beta, _ = logistic_fit(X, y, w, shift)
-    ll = pseudo_loglik(X, y, w, shift, beta)
+    y = rows.response
+    ones, dyads = (w * y).sum(), w.sum()
     theta = np.zeros(model.p)
+    for k, c in zip(model.offset_index, offset_coefs):
+        theta[k] = c
+    if ones == 0.0 or ones == dyads:
+        return DyadIndependentBaseline(theta=theta, loglik=0.0, boundary=True,
+                                       dyads=int(dyads))
+
+    beta, _ = logistic_fit(X, y, rows.weights, shift)
+    ll = pseudo_loglik(X, y, rows.weights, shift, beta)
     for c, col in enumerate(di_cols):
         theta[free[col]] = beta[c]
-    for k, coef in zip(model.offset_index, offset_coefs):
-        theta[k] = coef
-    return DyadIndependentBaseline(theta=theta, loglik=ll, boundary=False)
+    return DyadIndependentBaseline(theta=theta, loglik=ll, dyads=int(dyads))
 
 
 def _point_mean_se(series):
@@ -191,7 +201,7 @@ def bridge_loglik(net, model, theta_hat, theta_tilde, plan=None,
     if not np.any(direction):
         return LoglikResult(delta_loglik=0.0, mc_se=0.0, passes=0)
     g_obs = np.asarray(model.summary(net) if g_obs is None else g_obs, dtype=float)
-    interval = plan.interval or _default_interval(net)
+    interval = _default_interval(net) if plan.interval is None else plan.interval
     rng = random.Random(plan.seed)
     passes = 1 if plan.target_se is None else plan.max_passes
 
@@ -239,34 +249,18 @@ def bridge_loglik(net, model, theta_hat, theta_tilde, plan=None,
                         converged=False, points=points)
 
 
-def _blocked_dyad_count(net, level, forbid):
-    """Free dyads whose endpoints' levels the blocks matrix `forbid`
-    forbids, from per-level vertex counts (per mode when bipartite)."""
-    L = len(forbid)
-    if net.bipartite:
-        first, second = [0] * L, [0] * L
-        for v, a in enumerate(level):
-            (first if v < net.bipartite else second)[a] += 1
-        return sum(first[a] * second[c] for a in range(L) for c in range(L)
-                   if forbid[a][c])
-    count = [0] * L
-    for a in level:
-        count[a] += 1
-    ordered = sum(count[a] * (count[c] - (a == c)) for a in range(L)
-                  for c in range(L) if forbid[a][c])
-    # undirected blocks matrices are symmetric: each dyad counted twice
-    return ordered if net.directed else ordered // 2
-
-
 def evaluate_loglik(net, model, theta_hat, offset_coefs=(), plan=None,
                     constraints=None, attrs=None, g_obs=None):
     """Full log-likelihood report at theta_hat.
 
     Computes the exact dyad-independent baseline, bridges the
-    difference, and fills in the null deviance, AIC and BIC.  `d`, the number of
-    non-fixed potential relations, excludes dyads frozen by blocks.
+    difference, and fills in the null deviance, AIC and BIC.  `d`, the
+    number of non-fixed potential relations, is the baseline's dyad
+    count: dyads frozen by blocks are left out.  Degree caps raise
+    DataError (see ``dyad_independent_loglik``).
     """
-    baseline = dyad_independent_loglik(net, model, offset_coefs)
+    baseline = dyad_independent_loglik(net, model, offset_coefs,
+                                       constraints, attrs)
     if baseline.boundary:
         raise DataError("degenerate observed network: baseline likelihood "
                         "sits on the boundary, bridge endpoints undefined")
@@ -274,13 +268,7 @@ def evaluate_loglik(net, model, theta_hat, offset_coefs=(), plan=None,
                         constraints=constraints, attrs=attrs, g_obs=g_obs)
     res.baseline_loglik = baseline.loglik
     res.loglik = baseline.loglik + res.delta_loglik
-    d = net.dyad_count()
-    if constraints is not None and constraints.blocks_attr is not None:
-        from .proposals import ConstraintChecker
-        checker = ConstraintChecker(net, ConstraintSpec(
-            blocks_attr=constraints.blocks_attr,
-            blocks_levels2=constraints.blocks_levels2), attrs)
-        d -= _blocked_dyad_count(net, checker.block_level, checker.forbid)
+    d = baseline.dyads
     res.null_deviance = null_deviance(d)
     p_free = len(model.free_index)
     res.aic = -2.0 * res.loglik + 2.0 * p_free

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import NetworkFormatError
 
 __all__ = ["Network", "VertexAttributes", "read_network", "write_network",
-           "read_attributes", "write_attributes"]
+           "network_text", "read_attributes", "write_attributes"]
 
 
 class Network:
@@ -372,13 +372,18 @@ class VertexAttributes:
 # `%bipartite <0|count>`, then one `tail head` pair per line (1-based).
 # Attribute file: CSV with a leading `vertex` column (1-based).
 
+def network_text(net):
+    """The network file format: the %n, %directed and %bipartite header
+    lines, then one 1-based "tail head" line per edge."""
+    lines = [f"%n {net.n}", f"%directed {1 if net.directed else 0}",
+             f"%bipartite {net.bipartite}"]
+    lines += [f"{i + 1} {j + 1}" for i, j in net.edges]
+    return "\n".join(lines) + "\n"
+
+
 def write_network(net, path):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"%n {net.n}\n")
-        fh.write(f"%directed {1 if net.directed else 0}\n")
-        fh.write(f"%bipartite {net.bipartite}\n")
-        for i, j in net.edges:
-            fh.write(f"{i + 1} {j + 1}\n")
+        fh.write(network_text(net))
 
 
 def read_network(path):

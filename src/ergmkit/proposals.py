@@ -31,7 +31,7 @@ from .errors import ConstraintError, DataError, FrozenStateError
 from .formula import ConstraintSpec
 
 __all__ = ["Proposal", "UniformProposal", "TntProposal", "BDStratTNT",
-           "ConstraintChecker", "make_proposal"]
+           "ConstraintChecker", "blocks_rule", "make_proposal"]
 
 
 class Proposal(NamedTuple):
@@ -126,15 +126,9 @@ class ConstraintChecker:
             if constraints.bd_maxin is not None:
                 raise DataError("maxin applies to directed networks only")
             self.caps_in = None
-        self.blocked = None
-        if constraints.blocks_attr is not None:
-            if attrs is None or constraints.blocks_attr not in attrs:
-                raise DataError(f"network has no attribute {constraints.blocks_attr!r}")
-            levels, lev = attrs.categorical(constraints.blocks_attr)
-            forbid = _blocks_matrix(constraints.blocks_levels2, len(levels), net.directed)
-            self.block_level = lev
-            self.forbid = forbid
-            self.blocked = True
+        self.blocked = blocks_rule(net, constraints, attrs)
+        if self.blocked is not None:
+            self.block_level, self.forbid = self.blocked
 
     def allowed(self, net, i, j):
         """May dyad (i, j) be toggled from the current state?"""
@@ -176,18 +170,27 @@ def _resolve_caps(spec_cap, n):
     return caps
 
 
-def _blocks_matrix(levels2, L, directed):
+def blocks_rule(net, constraints, attrs=None):
+    """The dyads a blocks constraint freezes, as (level, forbid): dyad
+    (i, j) is frozen when forbid[level[i]][level[j]].  None when there
+    is no constraint spec or it has no blocks constraint."""
+    if constraints is None or constraints.blocks_attr is None:
+        return None
+    if attrs is None or constraints.blocks_attr not in attrs:
+        raise DataError(f"network has no attribute {constraints.blocks_attr!r}")
+    levels, level = attrs.categorical(constraints.blocks_attr)
+    L, levels2 = len(levels), constraints.blocks_levels2
     if levels2 == "diag":
-        return [[a == b for b in range(L)] for a in range(L)]
+        return level, [[a == b for b in range(L)] for a in range(L)]
     forbid = [[bool(x) for x in row] for row in levels2]
     if len(forbid) != L or any(len(row) != L for row in forbid):
         raise DataError(f"blocks matrix must be {L}x{L} over the attribute levels")
-    if not directed:
+    if not net.directed:
         for a in range(L):
             for b in range(L):
                 if forbid[a][b] != forbid[b][a]:
                     raise DataError("blocks matrix must be symmetric for undirected networks")
-    return forbid
+    return level, forbid
 
 
 class BDStratTNT:
@@ -220,15 +223,8 @@ class BDStratTNT:
             raise DataError("maxin applies to directed networks only")
 
         # blocks level per vertex
-        if constraints.blocks_attr is not None:
-            if attrs is None or constraints.blocks_attr not in attrs:
-                raise DataError(f"network has no attribute {constraints.blocks_attr!r}")
-            _, blev = attrs.categorical(constraints.blocks_attr)
-            nlev_b = max(blev) + 1
-            forbid = _blocks_matrix(constraints.blocks_levels2, nlev_b, False)
-        else:
-            blev = [0] * n
-            forbid = [[False]]
+        blev, forbid = (blocks_rule(net, constraints, attrs)
+                        or ([0] * n, [[False]]))
 
         # stratification level per vertex (cross-classification label)
         if constraints.strat_attr:
@@ -312,8 +308,6 @@ class BDStratTNT:
         self.cell_edges = [[] for _ in range(K)]
         self.cell_edge_pos = [{} for _ in range(K)]
         self.cell_unsat_edges = [0] * K
-        self._blev = blev
-        self._forbid = forbid
         for (i, j) in net.edges:
             if net.deg[i] > caps[i] or net.deg[j] > caps[j]:
                 raise ConstraintError("initial network violates the degree caps")
@@ -703,15 +697,11 @@ def make_proposal(net, constraints=None, attrs=None):
     forced = constraints.force_proposal
     if forced == "uniform":
         proposal = UniformProposal()
-    elif forced == "tnt":
-        proposal = TntProposal()
-    elif constraints.strat_attr is not None or constraints.constrained():
-        proposal = BDStratTNT(net, constraints, attrs)
-        return proposal, None
-    elif constraints.sparse:
-        proposal = TntProposal()
+    elif forced is None and (constraints.strat_attr is not None
+                             or constraints.constrained()):
+        return BDStratTNT(net, constraints, attrs), None
     else:
-        proposal = UniformProposal()
+        proposal = TntProposal()
     if constraints.constrained():
         checker = ConstraintChecker(net, constraints, attrs)
         checker.validate_network(net)

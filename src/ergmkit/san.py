@@ -40,8 +40,10 @@ class SanConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.trace_interval < 1:
-            raise DataError("trace_interval must be positive")
+        if self.trace_interval < 1 or self.runs < 1 or (
+                self.steps_per_run is not None and self.steps_per_run < 1):
+            raise DataError("trace_interval, runs and steps_per_run must be "
+                            "positive")
 
 
 @dataclass
@@ -112,7 +114,7 @@ def san_run(net, model, config, constraints=None, attrs=None, rng=None):
     stats = model.summary(net)
     dev = np.array([stats[k] for k in free]) - targets
     trace = SanTrace()
-    runs = max(config.runs, 1)
+    runs = config.runs
 
     for r in range(runs):
         if runs > 1:

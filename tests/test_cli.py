@@ -422,6 +422,56 @@ class TestErrors:
             main(argv + ["--trace-interval", value])
         assert exc.value.code == 2
 
+    BENCH = ["--n", "10", "--formula", "edges", "--proposals", "a=.",
+             "--total-proposals", "100", "--nsim", "10"]
+
+    @pytest.mark.parametrize("argv,code", [
+        # zero used to fall back to the default, or to crash (--maxit)
+        (["fit", "--network", "{obs}", "--formula", "edges", "--maxit", "0"], 2),
+        (["fit", "--network", "{obs}", "--formula", "edges",
+          "--interval", "0"], 2),
+        (["fit", "--network", "{obs}", "--formula", "edges",
+          "--target-stats", "30", "--san-steps", "0"], 2),
+        (["loglik", "--network", "{obs}", "--formula", "edges", "--coef",
+          "0.3", "--interval", "0"], 2),
+        (["san", "--n", "10", "--formula", "edges", "--targets", "5",
+          "--steps", "0"], 2),
+        (["san", "--n", "10", "--formula", "edges", "--targets", "5",
+          "--runs", "0"], 2),
+        # malformed values and missing vectors
+        (["bench", "ess", *BENCH, "--coef=-1", "--race-freqs", "A:x"], 3),
+        (["bench", "ess", *BENCH, "--coef=-1", "--race-freqs", "A"], 3),
+        (["bench", "ess", *BENCH, "--coef=-1", "--race-freqs", "A:nan"], 3),
+        (["bench", "mixing", *BENCH], 3),
+        (["bench", "ess", *BENCH], 3),
+        (["bench", "san", *BENCH], 3),
+        (["simulate", "--n", "12", "--attrs", "{attrs}", "--formula", "edges",
+          "--coef=-1", "--constraints", 'strat(attr="grp", pmat="{pmat}")'], 3),
+        # degree caps admit no closed-form baseline log-likelihood
+        (["loglik", "--network", "{capped}", "--formula", "edges + triangle",
+          "--coef=-0.3,0.4", "--constraints", "bd(maxout=2)"], 3),
+    ], ids=["maxit", "fit-interval", "san-steps", "loglik-interval",
+            "san-steps-per-run", "san-runs", "race-freqs-value",
+            "race-freqs-pair", "race-freqs-nan", "mixing-no-coef",
+            "ess-no-coef", "san-no-targets", "pmat-entry", "loglik-bd"])
+    def test_bad_input_exit_code(self, observed_net, tmp_path, argv, code):
+        attrs = VertexAttributes(12)
+        attrs.add("grp", ["X" if v % 3 == 0 else "Y" for v in range(12)])
+        write_attributes(attrs, tmp_path / "attrs.csv")
+        (tmp_path / "pm.tsv").write_text("1\tx\n0\t1\n")
+        capped = Network(6)     # degrees at most 2: legal under bd(maxout=2)
+        for i, j in [(0, 1), (2, 3), (0, 5), (1, 4)]:
+            capped.toggle(i, j)
+        write_network(capped, tmp_path / "capped.txt")
+        argv = [a.replace("{obs}", observed_net)
+                 .replace("{capped}", str(tmp_path / "capped.txt"))
+                 .replace("{attrs}", str(tmp_path / "attrs.csv"))
+                 .replace("{pmat}", str(tmp_path / "pm.tsv")) for a in argv]
+        proc = run_process(*argv)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     def test_help_lists_defaults(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--help"])

@@ -151,7 +151,7 @@ CASES = _cases()
 DIGESTS = {
     'bench-mixing': 'd0a7d93502c37d2b789b329ef792bce69e71ad6e42cc8d8bb403c1c8159ba84c',
     'fit-small': '702dcc4943a401f1e7dfeec437d5d059e01c96a5622609e4ca381e5ae5b9aebf',
-    'loglik-blocks-target-se': 'a3c31ece1c51be36a946274c166dfd82fa094711758b93859d3ea6aad7bbd71d',
+    'loglik-blocks-target-se': '2360b84fb8dfbc796b09b794f33df73526af6aefa1f0ad38bd0a2b3b6b14f8fe',
     'loglik-gwesp-j12': 'e83964cfdf945e3ea3409500273856b1d8b2a3feff5423ad18dc86dd74e774a5',
     'loglik-triangle-target-se': 'c2317ac19d603886c79a9985bcc16e0dd69e2d3af6a194d0f91f95bc3ac92de4',
     'mple-blocks-sandwich': 'f300e74e9c21d8078d7b917fca7bf27ee6491c0ea6d4c6f1c490b79a74d101d9',

@@ -484,6 +484,14 @@ class TestMcmleFit:
         assert fit.converged
         assert abs(fit.coefs[0] - math.log(2.0)) < 0.02
 
+    def test_maxit_must_be_positive(self):
+        # with no iteration there is no sample to report
+        net = Network(10)
+        model = bind("edges", net)
+        with pytest.raises(DataError):
+            mcmle_fit(net, model, g_obs=[30.0], init=[0.0],
+                      control=McmleControl(maxit=0))
+
     @pytest.mark.parametrize("termination", ["hotelling", "hummel", "confidence"])
     def test_termination_criteria_stop(self, termination):
         net = Network(10)

@@ -140,7 +140,7 @@ class TestConstraintFormula:
 
     def test_sparse_only(self):
         spec = parse_constraint_formula("sparse")
-        assert spec.sparse and spec.is_trivial()
+        assert spec == ConstraintSpec() and spec.is_trivial()
 
     def test_strat_empirical(self):
         spec = parse_constraint_formula('strat(attr="race", empirical=true) + sparse')
@@ -155,7 +155,7 @@ class TestConstraintFormula:
     def test_dot_is_empty(self):
         for text in (".", "~."):
             spec = parse_constraint_formula(text)
-            assert spec.is_trivial() and spec.sparse
+            assert spec.is_trivial() and spec == ConstraintSpec()
 
     def test_tilde_stripped(self):
         spec = parse_constraint_formula("~bd(maxout=1)")

@@ -7,11 +7,11 @@ import random
 import numpy as np
 import pytest
 
-from helpers import exact_log_normalizer
+from helpers import all_networks, exact_log_normalizer
 from ergmkit.errors import DataError
 from ergmkit import loglik
 from ergmkit.formula import parse_constraint_formula
-from ergmkit.loglik import (BridgePlan, _blocked_dyad_count, bridge_loglik,
+from ergmkit.loglik import (BridgePlan, bridge_loglik,
                             dyad_independent_loglik,
                             evaluate_loglik, kronecker_shift, null_deviance,
                             voronoi_weights)
@@ -277,12 +277,53 @@ class TestEvaluate:
         assert res.aic == -2.0 * res.loglik + 2.0
         assert res.bic == -2.0 * res.loglik + math.log(9)
 
+    @staticmethod
+    def constrained_case(constraints):
+        net = Network(6)
+        for i, j in [(0, 1), (2, 3), (0, 5), (1, 4)]:
+            net.toggle(i, j)
+        attrs = VertexAttributes(6)
+        attrs.add("sex", ["M" if v % 2 == 0 else "F" for v in range(6)])
+        return net, attrs, parse_constraint_formula(constraints)
+
+    def test_blocks_matches_enumeration(self):
+        # the likelihood lives on the 2^9 graphs the blocks allow: the
+        # baseline must be fitted on the 9 free dyads alone
+        net, attrs, spec = self.constrained_case(
+            'blocks(attr="sex", levels2=diag)')
+        theta = np.array([-0.3, 0.4])
+        model = bind("edges + concurrent", net)
+        checker = ConstraintChecker(net, spec, attrs)
+        legal = [g for g in all_networks(6)
+                 if all(checker.allowed(g, i, j) for i, j in g.edges)]
+        assert len(legal) == 2 ** 9
+        logw = [float(theta @ model.summary(g)) for g in legal]
+        m = max(logw)
+        kappa = m + math.log(sum(math.exp(v - m) for v in logw))
+        want = float(theta @ model.summary(net)) - kappa
+        plan = BridgePlan(J=8, K=2000, interval=5, seed=24)
+        res = evaluate_loglik(net, model, theta, plan=plan, constraints=spec,
+                              attrs=attrs)
+        assert abs(res.loglik - want) < 0.05
+
+    def test_degree_caps_rejected(self):
+        # no closed-form baseline exists on a degree-capped space
+        net, attrs, spec = self.constrained_case("bd(maxout=2)")
+        model = bind("edges + triangle", net)
+        with pytest.raises(DataError, match="degree caps"):
+            evaluate_loglik(net, model, np.array([-0.3, 0.4]),
+                            plan=BridgePlan(J=2, K=20, interval=5),
+                            constraints=spec, attrs=attrs)
+
 
 def enumerated_blocked(net, level, forbid):
     return sum(1 for i, j in net.dyads() if forbid[level[i]][level[j]])
 
 
 class TestBlockedDyadCount:
+    """The baseline's dyad count, which evaluate_loglik takes as d, leaves
+    out exactly the dyads the blocks freeze."""
+
     LEVELS = [0, 2, 1, 0, 0, 2, 1, 2, 0, 1, 1]     # three levels, 11 vertices
 
     @pytest.mark.parametrize("net", [Network(11), Network(11, directed=True),
@@ -305,4 +346,6 @@ class TestBlockedDyadCount:
             return
         want = enumerated_blocked(net, checker.block_level, checker.forbid)
         assert want > 0
-        assert _blocked_dyad_count(net, checker.block_level, checker.forbid) == want
+        base = dyad_independent_loglik(net, bind("edges", net),
+                                       constraints=spec, attrs=attrs)
+        assert base.dyads == net.dyad_count() - want

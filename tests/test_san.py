@@ -179,3 +179,10 @@ class TestSanRun:
     def test_trace_interval_must_be_positive(self, interval):
         with pytest.raises(DataError):
             SanConfig(targets=[1.0], trace_interval=interval)
+
+    @pytest.mark.parametrize("field", ["runs", "steps_per_run"])
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_runs_and_steps_must_be_positive(self, field, value):
+        # zero used to fall back to the default silently
+        with pytest.raises(DataError):
+            SanConfig(targets=[1.0], **{field: value})
