@@ -74,8 +74,8 @@ def mixing_benchmark(net, attrs, model, coefs, proposals, total_proposals,
     trace holds rows of (proposal_count, stats) every trace_interval
     proposals.
     """
-    if trace_interval < 1:
-        raise DataError("trace_interval must be positive")
+    if trace_interval < 1 or total_proposals < 1:
+        raise DataError("trace_interval and total_proposals must be positive")
     out = {}
     draws = total_proposals // trace_interval
     for name, spec in proposals.items():

@@ -475,7 +475,7 @@ def build_parser():
                    default="stats", help="output mode (default stats)")
     p.add_argument("--chains", type=int, default=1,
                    help="independent chains (default 1)")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_positive_int, default=1,
                    help="worker processes for the chains (default 1); "
                         "output is identical for any worker count")
     p.add_argument("--target-ess", type=float, default=None,
@@ -573,7 +573,7 @@ def build_parser():
     p.add_argument("--targets", default=None, help="targets (san)")
     p.add_argument("--proposals", required=True,
                    help="semicolon list NAME=constraint-formula")
-    p.add_argument("--total-proposals", type=int, default=100_000,
+    p.add_argument("--total-proposals", type=_positive_int, default=100_000,
                    help="proposals per trace (default 100000)")
     p.add_argument("--trace-interval", type=_positive_int, default=1000,
                    help="proposals between trace rows (default 1000)")

@@ -91,9 +91,6 @@ class Network:
     def has_edge(self, i, j):
         return j in self.adj[i]
 
-    def degree(self, i):
-        return self.deg[i]
-
     # -- mutation ------------------------------------------------------
 
     def toggle(self, i, j):

@@ -112,9 +112,10 @@ class TntProposal:
 class ConstraintChecker:
     """Validates toggles against bd caps and blocks.
 
-    Used to reject constraint-violating proposals from plain proposals
-    (the target assigns them zero probability) and, in tests, to wrap
-    BDStratTNT and assert it never emits a violating proposal.
+    The one reader of a spec's caps and blocks: plain proposals use it
+    to reject constraint-violating toggles (the target assigns them
+    zero probability), BDStratTNT reads its caps and blocked level pairs
+    from it, and tests wrap BDStratTNT in it.
     """
 
     def __init__(self, net, constraints, attrs=None):
@@ -204,9 +205,13 @@ class BDStratTNT:
     the count of edges whose endpoints are both unsaturated; per class
     it maintains the unsaturated-vertex set; per stratum the total edge
     and eligible-dyad counts.  All counts are updated incrementally by
-    ``commit`` in time proportional to the affected cells; ``propose``
-    reads the post-toggle counts of the q-ratio in the same time,
-    without writing them.
+    ``commit`` in time proportional to the affected cells, through one
+    saturation routine, ``_move_unsat``, that moves a vertex reaching
+    its cap out of its class's unsaturated set, or one dropping below
+    it back in; ``propose`` reads the post-toggle counts of the q-ratio
+    in the same time, without writing them.  The degree caps and the
+    blocked level pairs come from a ``ConstraintChecker``, which also
+    validates the start network.
 
     Undirected unipartite networks only.
     """
@@ -218,13 +223,10 @@ class BDStratTNT:
             raise DataError("BDStratTNT supports undirected unipartite networks")
         n = net.n
         self.n = n
-        self.caps = _resolve_caps(constraints.bd_maxout, n)
-        if constraints.bd_maxin is not None:
-            raise DataError("maxin applies to directed networks only")
-
-        # blocks level per vertex
-        blev, forbid = (blocks_rule(net, constraints, attrs)
-                        or ([0] * n, [[False]]))
+        checker = ConstraintChecker(net, constraints, attrs)
+        checker.validate_network(net)
+        self.caps = checker.caps_out
+        blev, forbid = checker.blocked or ([0] * n, [[False]])
 
         # stratification level per vertex (cross-classification label)
         if constraints.strat_attr:
@@ -257,9 +259,7 @@ class BDStratTNT:
                 class_lut[key] = len(class_lut)
             class_of.append(class_lut[key])
         self.class_of = class_of
-        self.class_key = [None] * len(class_lut)
-        for key, c in class_lut.items():
-            self.class_key[c] = key
+        self.class_key = list(class_lut)
         C = len(self.class_key)
 
         # strata: unordered strat-level pairs; cells: unordered class pairs
@@ -309,11 +309,7 @@ class BDStratTNT:
         self.cell_edge_pos = [{} for _ in range(K)]
         self.cell_unsat_edges = [0] * K
         for (i, j) in net.edges:
-            if net.deg[i] > caps[i] or net.deg[j] > caps[j]:
-                raise ConstraintError("initial network violates the degree caps")
             k = self._cell_of_dyad(i, j)
-            if k is None:
-                raise ConstraintError(f"initial edge ({i + 1}, {j + 1}) violates blocks")
             if self.weights[self.cell_stratum[k]] > 0.0:
                 self.cell_edge_pos[k][(i, j)] = len(self.cell_edges[k])
                 self.cell_edges[k].append((i, j))
@@ -335,8 +331,6 @@ class BDStratTNT:
             acc += w
             self._cum_weights.append(acc)
         self._total_weight = acc
-        if acc <= 0.0:
-            raise ConstraintError("all strata have zero weight")
 
     # -- construction helpers -------------------------------------------
 
@@ -586,9 +580,9 @@ class BDStratTNT:
             self.strat_E[s] += 1
             self.cell_unsat_edges[k] += 1
             if deg[i] == caps[i]:
-                self._saturate(net, i)
+                self._move_unsat(net, i, -1)
             if deg[j] == caps[j]:
-                self._saturate(net, j)
+                self._move_unsat(net, j, -1)
         else:
             d = (i, j) if i < j else (j, i)
             _swap_remove(self.cell_edges[k], self.cell_edge_pos[k], d)
@@ -599,49 +593,36 @@ class BDStratTNT:
             if i_was_sat or j_was_sat:
                 self._add_D(s, -1)
                 if i_was_sat:
-                    self._unsaturate(net, i)
+                    self._move_unsat(net, i, 1)
                 if j_was_sat:
-                    self._unsaturate(net, j)
+                    self._move_unsat(net, j, 1)
             else:
                 self.cell_unsat_edges[k] -= 1
 
-    def _saturate(self, net, v):
+    def _move_unsat(self, net, v, step):
+        """Move v out of its class's unsaturated set (step -1: v just
+        reached its cap) or into it (step +1: v just dropped below).
+        Pair counts change, in every cell touching v's class, by v's
+        unsaturated partners there; v's edges to unsaturated partners
+        leave (join) the unsaturated-edge counts, their dyads staying
+        eligible once, as edges."""
         c = self.class_of[v]
-        _swap_remove(self.unsat[c], self.unsat_pos[c], v)
-        # unsaturated-pair counts shrink in every cell touching class c,
-        # by v's unsaturated partners there
-        unsat, cell_stratum = self.unsat, self.cell_stratum
+        unsat, unsat_pos = self.unsat, self.unsat_pos
+        if step < 0:
+            _swap_remove(unsat[c], unsat_pos[c], v)
         for t, o in self.partners[c]:
             u = len(unsat[o])
             if u:
-                self._add_D(t, -u)
-        # v's incident edges with an unsaturated partner stop being
-        # unsaturated edges (their dyads stay eligible exactly once,
-        # as edges)
-        class_of, unsat_pos = self.class_of, self.unsat_pos
+                self._add_D(t, step * u)
+        if step > 0:
+            _append(unsat[c], unsat_pos[c], v)
+        class_of, cell_stratum = self.class_of, self.cell_stratum
         cell_unsat = self.cell_unsat_edges
         for w in net.adj[v]:
             if w in unsat_pos[class_of[w]]:
                 k = self._cell_of_dyad(v, w)
-                cell_unsat[k] -= 1
-                self._add_D(cell_stratum[k], 1)
-
-    def _unsaturate(self, net, v):
-        c = self.class_of[v]
-        # pair counts grow, by v's unsaturated partners, before v is appended
-        unsat, cell_stratum = self.unsat, self.cell_stratum
-        for t, o in self.partners[c]:
-            u = len(unsat[o])
-            if u:
-                self._add_D(t, u)
-        _append(unsat[c], self.unsat_pos[c], v)
-        class_of, unsat_pos = self.class_of, self.unsat_pos
-        cell_unsat = self.cell_unsat_edges
-        for w in net.adj[v]:
-            if w in unsat_pos[class_of[w]]:
-                k = self._cell_of_dyad(v, w)
-                cell_unsat[k] += 1
-                self._add_D(cell_stratum[k], -1)
+                cell_unsat[k] += step
+                self._add_D(cell_stratum[k], -step)
 
     def _add_D(self, s, delta):
         D = self.strat_D

@@ -72,10 +72,6 @@ class SampleMatrix:
     def p(self):
         return self.values.shape[1]
 
-    def per_chain(self):
-        for c in np.unique(self.chain_ids):
-            yield c, self.values[self.chain_ids == c]
-
     def mean(self):
         return self.values.mean(axis=0)
 
@@ -235,6 +231,8 @@ def sample_chains(net, model, coefs, config, workers=1, constraints=None,
     identical whatever the worker count.  Returns the SampleMatrix and
     the final networks.
     """
+    if workers < 1:
+        raise DataError("workers must be positive")
     payloads = [(net, model, list(coefs), constraints, attrs,
                  config.samplesize, config.burnin, config.interval,
                  config.seed + c) for c in range(config.chains)]

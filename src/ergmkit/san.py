@@ -44,6 +44,8 @@ class SanConfig:
                 self.steps_per_run is not None and self.steps_per_run < 1):
             raise DataError("trace_interval, runs and steps_per_run must be "
                             "positive")
+        if self.tau0 is not None and not self.tau0 >= 0.0:
+            raise DataError("tau0 must be a nonnegative temperature")
 
 
 @dataclass

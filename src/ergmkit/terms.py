@@ -22,6 +22,11 @@ arrays that ``changes`` reads are built on its first call, so binding
 a model for the MH chain alone does not pay for them; they are set up
 as None in ``__init__``, because an attribute added to an instance
 later slows every attribute read of the scalar path by about 6 %.
+
+A dyad-independent term's change score does not depend on the rest of
+the network, so its summary is the sum of its block change scores over
+the network's edges (``math.fsum`` per column); only the dyad-dependent
+terms write their own ``summary``.
 """
 
 import math
@@ -85,10 +90,9 @@ def _resolve_levels(levels_arg, level_names, term):
     if levels_arg is None:
         keep = list(range(1, L))
     else:
-        if isinstance(levels_arg, int):
-            levels_arg = (levels_arg,)
-        ints = [x for x in levels_arg]
-        if not all(isinstance(x, int) and x != 0 for x in ints):
+        ints = (levels_arg,) if isinstance(levels_arg, int) else levels_arg
+        if not isinstance(ints, tuple) or \
+                not all(isinstance(x, int) and x != 0 for x in ints):
             raise DataError(f"{term}: levels must be nonzero integers")
         if all(x > 0 for x in ints):
             keep = [x - 1 for x in ints]
@@ -104,15 +108,22 @@ def _resolve_levels(levels_arg, level_names, term):
     return keep
 
 
-class _Edges:
+class _DyadIndependent:
+    """A term whose g(y) sums its change scores over y's edges."""
+
     dyad_independent = True
 
+    def summary(self, net):
+        edges = np.array(net.edges, dtype=np.intp).reshape(-1, 2)
+        block = self.changes(net, edges[:, 0], edges[:, 1],
+                             np.ones(len(edges), dtype=bool))
+        return [math.fsum(col) for col in block.T.tolist()]
+
+
+class _Edges(_DyadIndependent):
     def __init__(self, term, net, attrs):
         self.names = ["edges"]
         self.dim = 1
-
-    def summary(self, net):
-        return [float(net.edge_count)]
 
     def change(self, net, i, j):
         return [1.0]
@@ -148,9 +159,7 @@ class _Triangle:
         return _changes_on_support(self, net, tails, heads)
 
 
-class _Nodematch:
-    dyad_independent = True
-
+class _Nodematch(_DyadIndependent):
     def __init__(self, term, net, attrs):
         attr = term.arg("attr")
         if not isinstance(attr, str):
@@ -166,16 +175,6 @@ class _Nodematch:
         else:
             self.names = [f"nodematch.{attr}"]
             self.dim = 1
-
-    def summary(self, net):
-        lev = self.lev
-        if not self.diff:
-            return [float(sum(1 for i, j in net.edges if lev[i] == lev[j]))]
-        out = [0.0] * self.dim
-        for i, j in net.edges:
-            if lev[i] == lev[j]:
-                out[lev[i]] += 1.0
-        return out
 
     def change(self, net, i, j):
         lev = self.lev
@@ -198,9 +197,7 @@ class _Nodematch:
         return out
 
 
-class _Nodefactor:
-    dyad_independent = True
-
+class _Nodefactor(_DyadIndependent):
     def __init__(self, term, net, attrs):
         attr = term.arg("attr")
         if not isinstance(attr, str):
@@ -213,18 +210,6 @@ class _Nodefactor:
         self._slot = None
         self.names = [f"nodefactor.{attr}.{self.levels[k]}" for k in keep]
         self.dim = len(keep)
-
-    def summary(self, net):
-        out = [0.0] * self.dim
-        lev, slot = self.lev, self.slot
-        for i, j in net.edges:
-            s = slot.get(lev[i])
-            if s is not None:
-                out[s] += 1.0
-            s = slot.get(lev[j])
-            if s is not None:
-                out[s] += 1.0
-        return out
 
     def change(self, net, i, j):
         out = [0.0] * self.dim
@@ -248,22 +233,23 @@ class _Nodefactor:
         return out
 
 
-class _Nodecov:
-    dyad_independent = True
+class _NumericAttribute(_DyadIndependent):
+    """A one-column term of a numeric vertex attribute."""
 
     def __init__(self, term, net, attrs):
         attr = term.arg("attr")
         if attrs is None or attr not in attrs:
             raise DataError(f"network has no attribute {attr!r}")
-        self.x = attrs.numeric(attr)
+        try:
+            self.x = attrs.numeric(attr)
+        except TypeError as exc:
+            raise DataError(f"{term.name}: {exc}") from None
         self._x = None
-        self.names = [f"nodecov.{attr}"]
+        self.names = [f"{term.name}.{attr}"]
         self.dim = 1
 
-    def summary(self, net):
-        x = self.x
-        return [math.fsum(x[i] + x[j] for i, j in net.edges)]
 
+class _Nodecov(_NumericAttribute):
     def change(self, net, i, j):
         return [self.x[i] + self.x[j]]
 
@@ -273,22 +259,7 @@ class _Nodecov:
         return (self._x[tails] + self._x[heads])[:, None]
 
 
-class _Absdiff:
-    dyad_independent = True
-
-    def __init__(self, term, net, attrs):
-        attr = term.arg("attr")
-        if attrs is None or attr not in attrs:
-            raise DataError(f"network has no attribute {attr!r}")
-        self.x = attrs.numeric(attr)
-        self._x = None
-        self.names = [f"absdiff.{attr}"]
-        self.dim = 1
-
-    def summary(self, net):
-        x = self.x
-        return [math.fsum(abs(x[i] - x[j]) for i, j in net.edges)]
-
+class _Absdiff(_NumericAttribute):
     def change(self, net, i, j):
         return [abs(self.x[i] - self.x[j])]
 
@@ -355,7 +326,15 @@ def _fixed_decay(term, name):
     decay = term.arg("decay")
     if decay is None:
         raise DataError(f"{name} needs a decay value")
-    decay = float(decay)
+    try:
+        decay = float(decay)
+    except (TypeError, ValueError):
+        decay = math.nan
+    # the weights 1 - exp(-decay) must lie in [0, 1): above about 36.7
+    # they round to 1 and the term degenerates
+    if not (decay >= 0.0 and 1.0 - math.exp(-decay) < 1.0):
+        raise DataError(f"{name} needs a nonnegative decay below about 36.7, "
+                        f"got {term.arg('decay')!r}")
     if term.arg("fixed", True) is not True:
         raise DataError(f"{name} supports fixed decay only")
     return decay

@@ -70,6 +70,16 @@ class TestMixing:
                              {"plain": parse_constraint_formula(".")},
                              total_proposals=100, trace_interval=interval)
 
+    @pytest.mark.parametrize("total", [0, -5])
+    def test_total_proposals_must_be_positive(self, total):
+        # a benchmark that makes no proposals measures nothing
+        net, attrs = generate_population(PopulationSpec(n=10), seed=3)
+        model = bind("edges", net, attrs)
+        with pytest.raises(DataError):
+            mixing_benchmark(net, attrs, model, [-1.0],
+                             {"plain": parse_constraint_formula(".")},
+                             total_proposals=total)
+
     def test_stratified_reaches_rare_homophily_sooner(self):
         # rare-group homophily is where stratification pays: proposals
         # to rare same-race pairs happen at the stratum weight instead

@@ -5,10 +5,17 @@ import os
 import subprocess
 import sys
 
+import contextlib
+import io
+import warnings
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import ergmkit
 from ergmkit.cli import main
+from ergmkit.formula import CONSTRAINT_ATOMS, TERM_CATALOG
+from ergmkit.terms import bind
 from ergmkit.network import Network, VertexAttributes, read_network, \
     write_network, write_attributes
 
@@ -450,10 +457,36 @@ class TestErrors:
         # degree caps admit no closed-form baseline log-likelihood
         (["loglik", "--network", "{capped}", "--formula", "edges + triangle",
           "--coef=-0.3,0.4", "--constraints", "bd(maxout=2)"], 3),
+        # counts and temperatures out of range
+        (["simulate", "--n", "6", "--formula", "edges", "--coef=-1",
+          "--workers", "0"], 2),
+        (["simulate", "--n", "6", "--formula", "edges", "--coef=-1",
+          "--workers", "-1"], 2),
+        (["bench", "mixing", *BENCH[:-4], "--coef=-1",
+          "--total-proposals", "0"], 2),
+        (["bench", "mixing", *BENCH[:-4], "--coef=-1",
+          "--total-proposals", "-5"], 2),
+        (["bench", "san", *BENCH[:-4], "--targets", "5",
+          "--total-proposals", "0"], 2),
+        (["san", "--n", "10", "--formula", "edges", "--targets", "5",
+          "--tau", "-1"], 3),
+        # term arguments of the wrong kind
+        (["simulate", "--n", "12", "--attrs", "{attrs}", "--formula",
+          'nodecov("grp")', "--coef", "0.1"], 3),
+        (["simulate", "--n", "12", "--attrs", "{attrs}", "--formula",
+          'absdiff("grp")', "--coef", "0.1"], 3),
+        (["simulate", "--n", "12", "--formula", 'gwesp(decay="a")',
+          "--coef", "0.1"], 3),
+        (["simulate", "--n", "12", "--formula", 'gwdegree(decay="a")',
+          "--coef", "0.1"], 3),
     ], ids=["maxit", "fit-interval", "san-steps", "loglik-interval",
             "san-steps-per-run", "san-runs", "race-freqs-value",
             "race-freqs-pair", "race-freqs-nan", "mixing-no-coef",
-            "ess-no-coef", "san-no-targets", "pmat-entry", "loglik-bd"])
+            "ess-no-coef", "san-no-targets", "pmat-entry", "loglik-bd",
+            "workers-0", "workers-neg", "mixing-total-0", "mixing-total-neg",
+            "bench-san-total-0", "san-tau-neg", "nodecov-categorical",
+            "absdiff-categorical", "gwesp-decay-string",
+            "gwdegree-decay-string"])
     def test_bad_input_exit_code(self, observed_net, tmp_path, argv, code):
         attrs = VertexAttributes(12)
         attrs.add("grp", ["X" if v % 3 == 0 else "Y" for v in range(12)])
@@ -479,6 +512,101 @@ class TestErrors:
         out = capsys.readouterr().out
         assert "default 1000" in out  # interval default documented
         assert "default stats" in out
+
+
+# argument values of every kind the formula grammar reads, well formed
+# or not: integers, reals (nan and inf included), bools, quoted strings
+# naming existing and missing attributes or levels, and level sets
+_VALUES = st.one_of(
+    st.integers(-3, 8).map(str), st.integers().map(str), st.floats().map(repr),
+    st.sampled_from(["true", "false", "diag"]),
+    st.sampled_from(["age", "grp", "A", "nope"]).map('"{}"'.format),
+    st.lists(st.one_of(st.integers(-4, 4).map(str), st.just('"A"')),
+             min_size=1, max_size=3).map(lambda xs: "[" + ", ".join(xs) + "]"))
+
+
+# values each argument takes in a well-formed call, so that many drawn
+# formulas get as far as sampling
+_TYPICAL = {
+    "attr": st.sampled_from(['"age"', '"grp"']),
+    "diff": st.sampled_from(["true", "false"]),
+    "levels": st.sampled_from(["1", "-1", "[1, 2]"]),
+    "d": st.integers(0, 3).map(str),
+    "decay": st.floats(0.0, 2.0).map(repr),
+    "fixed": st.just("true"),
+    "maxout": st.integers(0, 3).map(str),
+    "levels2": st.just("diag"),
+    "empirical": st.sampled_from(["true", "false"]),
+}
+
+
+@st.composite
+def _calls(draw, catalog):
+    """One term or atom of `catalog`, with a drawn subset of its named
+    arguments."""
+    name = draw(st.sampled_from(sorted(catalog)))
+    args = []
+    for key in catalog[name]:
+        typical = _TYPICAL.get(key, _VALUES)
+        value = draw(st.one_of(typical, typical, typical, _VALUES, st.none()))
+        if value is not None:
+            args.append(f"{key}={value}")
+    args = ", ".join(args)
+    return f"{name}({args})" if args else name
+
+
+_FORMULAS = st.lists(
+    st.tuples(_calls(TERM_CATALOG), st.integers(0, 3)).map(
+        lambda t: f"offset({t[0]})" if t[1] == 0 else t[0]),
+    min_size=1, max_size=3).map(" + ".join)
+_CONSTRAINTS = st.one_of(st.just("."), st.lists(
+    _calls(CONSTRAINT_ATOMS), min_size=1, max_size=2).map(" + ".join))
+
+
+@pytest.fixture(scope="module")
+def six_vertex_inputs(tmp_path_factory):
+    """A 6-vertex network with one numeric and one categorical attribute."""
+    root = tmp_path_factory.mktemp("six")
+    net = Network(6)
+    for i, j in [(0, 1), (1, 2), (3, 4), (0, 5)]:
+        net.toggle(i, j)
+    attrs = VertexAttributes(6)
+    attrs.add("age", [20.0, 31.5, 18.0, 44.0, 25.0, 60.0])
+    attrs.add("grp", ["A", "B", "A", "B", "A", "B"])
+    write_network(net, root / "net.txt")
+    write_attributes(attrs, root / "attrs.csv")
+    return net, attrs, str(root / "net.txt"), str(root / "attrs.csv")
+
+
+class TestFormulaProperty:
+    @given(formula=_FORMULAS, constraints=_CONSTRAINTS)
+    @example(formula='nodecov("grp")', constraints=".")
+    @example(formula='absdiff(attr="grp")', constraints=".")
+    @example(formula='gwesp(decay="a")', constraints=".")
+    @example(formula='gwdegree(decay="a")', constraints=".")
+    @settings(max_examples=120, deadline=None)
+    def test_simulate_ends_in_documented_exit_code(self, six_vertex_inputs,
+                                                   formula, constraints):
+        net, attrs, net_path, attrs_path = six_vertex_inputs
+        try:
+            model = bind(formula, net, attrs)
+            free, offsets = model.n_free, len(model.offset_index)
+        except Exception:   # the CLI run below reports it
+            free, offsets = 1, 0
+        argv = ["simulate", "--network", net_path, "--attrs", attrs_path,
+                "--formula", formula, "--constraints", constraints,
+                "--coef=" + ",".join(["-0.5"] * free),
+                "--offset-coef=" + ",".join(["-1"] * offsets),
+                "--nsim", "2", "--interval", "1", "--burnin", "0"]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                code = main(argv)
+            except SystemExit as exc:   # argparse usage errors
+                code = exc.code
+        assert code in (0, 2, 3, 4, 5), argv
 
 
 def test_import_leaves_scipy_stats_unloaded():

@@ -547,3 +547,9 @@ class TestMakeProposal:
         assert isinstance(p, BDStratTNT) and c is None
         p, c = make_proposal(net, parse_constraint_formula("tnt + bd(maxout=1)"), attrs)
         assert isinstance(p, TntProposal) and c is not None
+
+    @pytest.mark.parametrize("text", ["bd(maxin=1)", "tnt + bd(maxin=1)"],
+                             ids=["bdstrat", "tnt"])
+    def test_maxin_on_undirected_rejected(self, text):
+        with pytest.raises(DataError, match="maxin"):
+            make_proposal(Network(6), parse_constraint_formula(text))

@@ -321,6 +321,14 @@ class TestRunChain:
                          SamplerConfig(samplesize=40, interval=2, seed=13))
         assert np.array_equal(sm.values[sm.chain_ids == 0], solo.values)
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_must_be_positive(self, workers):
+        net = Network(6)
+        model = bind("edges", net)
+        with pytest.raises(DataError):
+            sample_chains(net, model, [0.2], SamplerConfig(samplesize=4),
+                          workers=workers)
+
 
 class TestExactStationarity:
     """Long-run means vs full enumeration on n=5 (the master oracle)."""

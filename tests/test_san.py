@@ -186,3 +186,10 @@ class TestSanRun:
         # zero used to fall back to the default silently
         with pytest.raises(DataError):
             SanConfig(targets=[1.0], **{field: value})
+
+    @pytest.mark.parametrize("tau0", [-1.0, math.nan])
+    def test_tau0_must_be_a_nonnegative_temperature(self, tau0):
+        # a negative temperature accepts every worsening move
+        with pytest.raises(DataError):
+            SanConfig(targets=[1.0], tau0=tau0)
+        assert SanConfig(targets=[1.0], tau0=0.0).tau0 == 0.0   # san_benchmark's

@@ -183,6 +183,14 @@ class TestBlockChanges:
                              zip(tails.tolist(), heads.tolist())],
                             dtype=float).reshape(block.shape)
             assert np.array_equal(block.view(np.uint64), want.view(np.uint64))
+        # a dyad-independent statistic is the sum of its change scores
+        # over the edges
+        scores = [model.change(net, i, j) for i, j in net.edges]
+        got = model.summary(net)
+        for k, independent in enumerate(model.dyad_independent_mask):
+            if independent:
+                want = math.fsum(row[k] for row in scores)
+                assert got[k].hex() == want.hex(), model.names[k]
 
     def test_nodematch_diff_and_nodefactor_levels(self):
         net = random_net(9, density=0.3, seed=5)
