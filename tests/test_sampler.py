@@ -1,5 +1,6 @@
 """Chain driver: acceptance rule, stationarity, adaptive ESS loop."""
 
+import hashlib
 import math
 import random
 
@@ -257,6 +258,62 @@ class TestBoundStep:
         with pytest.raises(DataError, match="coefficients"):
             mh_step(net, model, [0.1], TntProposal(), [0.0, 0.0],
                     random.Random(0))
+
+
+def bdstrat_chain_digest(net, proposal, draws, rng):
+    """SHA-256 over a BDStratTNT chain's draws (float64 bytes) and every
+    order-bearing piece of state it leaves: the edge list and its
+    position map, the adjacency-set iteration order, the proposal's
+    lists, its canonical snapshot, the active weight's repr and the RNG
+    state."""
+    snap = proposal.snapshot()
+    for key in ("unsat", "cell_edges"):
+        snap[key] = [sorted(x) for x in snap[key]]
+    h = hashlib.sha256(np.ascontiguousarray(draws, dtype=np.float64).tobytes())
+    h.update(repr((list(net.edges), list(net._edge_pos.items()),
+                   [list(a) for a in net.adj], proposal.unsat,
+                   proposal.cell_edges, snap, repr(proposal.active_weight),
+                   rng.getstate())).encode())
+    return h.hexdigest()[:16]
+
+
+class TestBDStratChainPinned:
+    """Seeded BDStratTNT chains keep their bytes.  The digests were
+    recorded with the per-method proposal (the ``_draw_*``/``_move_unsat``
+    /``_add_D`` implementation); the reference step in helpers drives
+    the proposal's own ``propose``/``commit``, so it cannot catch a
+    change to both."""
+
+    @staticmethod
+    def race_attrs(n):
+        attrs = grp_attrs(n)
+        attrs.add("race", [["A", "B", "C"][(v * 5 + v // 3) % 3] for v in range(n)])
+        return attrs
+
+    @pytest.mark.parametrize("n, text, pmat, formula, coefs, seed, want", [
+        (14, 'bd(maxout=1) + blocks(attr="sex", levels2=diag) + strat(attr="race")',
+         [[1.0, 0.5, 0.2], [0.5, 0.8, 0.1], [0.2, 0.1, 0.6]],
+         'edges + nodematch("race")', [-0.4, 0.9], 701, "1ebd58791dd361da"),
+        (16, 'bd(maxout=2) + strat(attr="race")', None,
+         "edges + gwesp(decay=0.5, fixed=true)", [-1.0, 0.4], 702, "ec9391436ecc2694"),
+        # test_proposals' stratum-emptied case: the X-X edge saturates
+        # both X vertices and empties the X-Y stratum, so a D crosses
+        # zero, and often back, inside one commit
+        (6, 'bd(maxout=1) + strat(attr="grp") + blocks(attr="sex", levels2=diag)',
+         [[1.0, 0.6], [0.6, 0.0]], "edges", [0.6], 703, "6bdbf9368e9420df"),
+    ], ids=["bd1-blocks-strat-pmat", "bd2-strat-gwesp", "stratum-emptied"])
+    def test_run_chain_digest(self, n, text, pmat, formula, coefs, seed, want):
+        attrs = self.race_attrs(n)
+        spec = parse_constraint_formula(text)
+        spec.strat_pmat = pmat
+        net = Network(n)
+        model = bind(formula, net, attrs)
+        proposal, checker = make_proposal(net, spec, attrs)
+        assert isinstance(proposal, BDStratTNT) and checker is None
+        rng = random.Random(seed)
+        cfg = SamplerConfig(samplesize=300, burnin=200, interval=7)
+        draws = run_chain(net, model, coefs, proposal, cfg, rng=rng).values
+        assert bdstrat_chain_digest(net, proposal, draws, rng) == want
 
 
 class TestRunChain:
