@@ -74,22 +74,25 @@ def mixing_benchmark(net, attrs, model, coefs, proposals, total_proposals,
     trace holds rows of (proposal_count, stats) every trace_interval
     proposals.
     """
-    if trace_interval < 1 or total_proposals < 1:
-        raise DataError("trace_interval and total_proposals must be positive")
+    _check_trace(total_proposals, trace_interval)
     out = {}
     draws = total_proposals // trace_interval
     for name, spec in proposals.items():
-        rows = []
-        if draws > 0:
-            chain = net.copy()
-            proposal, checker = make_proposal(chain, spec, attrs)
-            cfg = SamplerConfig(samplesize=draws, interval=trace_interval,
-                                seed=seed)
-            sm = run_chain(chain, model, coefs, proposal, cfg, checker)
-            rows = [((s + 1) * trace_interval, list(row))
-                    for s, row in enumerate(sm.values)]
-        out[name] = rows
+        chain = net.copy()
+        proposal, checker = make_proposal(chain, spec, attrs)
+        cfg = SamplerConfig(samplesize=draws, interval=trace_interval,
+                            seed=seed)
+        sm = run_chain(chain, model, coefs, proposal, cfg, checker)
+        out[name] = [((s + 1) * trace_interval, list(row))
+                     for s, row in enumerate(sm.values)]
     return out
+
+
+def _check_trace(total_proposals, trace_interval):
+    """A trace needs at least one row: total_proposals >= trace_interval >= 1."""
+    if trace_interval < 1 or total_proposals < trace_interval:
+        raise DataError("trace_interval must be positive and total_proposals "
+                        "at least trace_interval")
 
 
 def ess_benchmark(net, attrs, model, coefs, proposals, samplesize,
@@ -133,6 +136,7 @@ def san_benchmark(net, attrs, model, targets, proposals, total_proposals,
     proposals so the approach to the targets can be compared.
     """
     from .san import SanConfig, san_run
+    _check_trace(total_proposals, trace_interval)
     out = {}
     targets = np.asarray(targets, dtype=float)
     if invcov is None:

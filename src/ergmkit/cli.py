@@ -401,6 +401,8 @@ def _cmd_bench(args):
     option = "targets" if args.what == "san" else "coef"
     if getattr(args, option) is None:
         raise DataError(f"bench {args.what} needs --{option}")
+    if args.what != "ess" and args.total_proposals < args.trace_interval:
+        args.usage_error("--total-proposals must be at least --trace-interval")
     vector = _parse_vector(getattr(args, option))
     net, attrs = _bench_population(args)
     spec = parse_model_formula(args.formula)
@@ -583,7 +585,7 @@ def build_parser():
                    help="steps between draws for ess (default 100)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_bench)
+    p.set_defaults(func=_cmd_bench, usage_error=p.error)
     return parser
 
 
@@ -598,7 +600,7 @@ def main(argv=None):
     except NumericalError as exc:
         print(f"error: numerical: {exc}", file=sys.stderr)
         return 4
-    except (DataError, OSError) as exc:
+    except (DataError, OSError, UnicodeDecodeError) as exc:
         print(f"error: data: {exc}", file=sys.stderr)
         return 3
     except ErgmError as exc:

@@ -399,6 +399,8 @@ def read_network(path):
                     header[parts[0]] = int(parts[1])
                 except ValueError:
                     raise NetworkFormatError(f"{path}:{lineno}: non-integer header value")
+                if parts[0] == "directed" and header["directed"] not in (0, 1):
+                    raise NetworkFormatError(f"{path}:{lineno}: %directed must be 0 or 1")
                 continue
             parts = line.split()
             if len(parts) != 2:

@@ -18,12 +18,18 @@ Within the drawn stratum the proposal is a 1/2-1/2 TNT mixture over
 the stratum weights, the post-toggle eligibility counts, and the
 renormalization over proposable strata.  Zero-weight strata freeze
 their dyads' edge states, like blocks.
+
+Every proposal's ``bind(net, rng)`` returns ``(draw, commit)``, built
+once per chain: ``draw()`` returns ``(i, j, log_q_ratio)`` and
+``commit(i, j, added)`` updates the proposal's state after the chain
+toggles the dyad.  ``commit`` is None for the stateless uniform and
+TNT proposals.  ``propose(net, rng)`` and ``commit(net, i, j, added)``
+apply the same closures once.
 """
 
 import math
-import random
 from bisect import bisect_right
-from functools import partial
+from itertools import accumulate
 from typing import NamedTuple
 from warnings import warn
 
@@ -49,18 +55,18 @@ class UniformProposal:
     name = "uniform"
 
     def bind(self, net, rng):
-        """draw() -> (i, j, log_q_ratio) for chains on `net` drawing
-        from `rng`."""
+        """(draw, None): draw() -> (i, j, log_q_ratio) for chains on
+        `net` drawing from `rng`; there is no state to commit."""
         randrange, dyad_at, N = rng.randrange, net.dyad_at, net.dyad_count()
 
         def draw():
             i, j = dyad_at(randrange(N))
             return i, j, _ZERO
 
-        return draw
+        return draw, None
 
     def propose(self, net, rng):
-        return Proposal(*self.bind(net, rng)())
+        return Proposal(*self.bind(net, rng)[0]())
 
     def commit(self, net, i, j, added):
         pass
@@ -77,8 +83,8 @@ class TntProposal:
     name = "tnt"
 
     def bind(self, net, rng):
-        """draw() -> (i, j, log_q_ratio) for chains on `net` drawing
-        from `rng`."""
+        """(draw, None): draw() -> (i, j, log_q_ratio) for chains on
+        `net` drawing from `rng`; there is no state to commit."""
         random, randrange, log = rng.random, rng.randrange, math.log
         edges, adj, dyad_at = net.edges, net.adj, net.dyad_at
         N = net.dyad_count()
@@ -100,10 +106,10 @@ class TntProposal:
                 q_rev = 0.5 / (E + 1) + 0.5 / N
             return i, j, log(q_rev / q_fwd)
 
-        return draw
+        return draw, None
 
     def propose(self, net, rng):
-        return Proposal(*self.bind(net, rng)())
+        return Proposal(*self.bind(net, rng)[0]())
 
     def commit(self, net, i, j, added):
         pass
@@ -204,14 +210,19 @@ class BDStratTNT:
     the proposal maintains the current edge list (with O(1) delete) and
     the count of edges whose endpoints are both unsaturated; per class
     it maintains the unsaturated-vertex set; per stratum the total edge
-    and eligible-dyad counts.  All counts are updated incrementally by
-    ``commit`` in time proportional to the affected cells, through one
-    saturation routine, ``_move_unsat``, that moves a vertex reaching
-    its cap out of its class's unsaturated set, or one dropping below
-    it back in; ``propose`` reads the post-toggle counts of the q-ratio
-    in the same time, without writing them.  The degree caps and the
-    blocked level pairs come from a ``ConstraintChecker``, which also
-    validates the start network.
+    and eligible-dyad counts.  The degree caps and the blocked level
+    pairs come from a ``ConstraintChecker``, which also validates the
+    start network.
+
+    ``bind(net, rng)`` binds this state, the network's degrees and
+    adjacency sets and the RNG's methods once per chain, and returns
+    ``(draw, commit)``.  ``commit`` updates every count incrementally,
+    in time proportional to the affected cells, through one saturation
+    routine that moves a vertex reaching its cap out of its class's
+    unsaturated set, or one dropping below it back in.  ``draw`` reads
+    the post-toggle counts of the q-ratio in the same time, without
+    writing them.  ``propose``, ``commit`` and ``_reverse_counts`` apply
+    the same closures once.
 
     Undirected unipartite networks only.
     """
@@ -295,6 +306,7 @@ class BDStratTNT:
 
         # weights over strata
         self.weights = self._stratum_weights(net, constraints, slev, S, strat_lut)
+        self._cum_weights = list(accumulate(self.weights))
 
         # mutable per-class / per-cell / per-stratum state
         caps = self.caps
@@ -321,16 +333,11 @@ class BDStratTNT:
         for k in range(K):
             s = self.cell_stratum[k]
             self.strat_E[s] += len(self.cell_edges[k])
+        eligible = self._bound(net)[3]
         for s in range(S):
-            self.strat_D[s] = sum(self._cell_eligible(k) for k in self.strat_cells[s])
+            self.strat_D[s] = sum(eligible(k) for k in self.strat_cells[s])
         self.active_weight = sum(w for s, w in enumerate(self.weights)
                                  if w > 0.0 and self.strat_D[s] > 0)
-        self._cum_weights = []
-        acc = 0.0
-        for w in self.weights:
-            acc += w
-            self._cum_weights.append(acc)
-        self._total_weight = acc
 
     # -- construction helpers -------------------------------------------
 
@@ -376,87 +383,39 @@ class BDStratTNT:
     def _cell_of_dyad(self, i, j):
         return self.cell_of_pair[self.class_of[i]][self.class_of[j]]
 
-    def _cell_eligible(self, k):
-        """Eligible dyads in cell k: current edges + unsaturated non-edges."""
-        c1, c2 = self.cell_c1[k], self.cell_c2[k]
-        if c1 == c2:
-            u = len(self.unsat[c1])
-            pairs = u * (u - 1) // 2
-        else:
-            pairs = len(self.unsat[c1]) * len(self.unsat[c2])
-        return pairs - self.cell_unsat_edges[k] + len(self.cell_edges[k])
-
-    # -- proposal --------------------------------------------------------
+    # -- the bound proposal ------------------------------------------------
 
     def bind(self, net, rng):
-        """draw() -> (i, j, log_q_ratio) for chains on `net` drawing
-        from `rng`."""
-        return partial(self.propose, net, rng)
+        """(draw, commit) for chains on `net` drawing from `rng`:
+        draw() -> (i, j, log_q_ratio), and commit(i, j, added) for a
+        toggle of (i, j) that the chain has just applied."""
+        return self._bound(net, rng)[:2]
 
     def propose(self, net, rng):
-        if self.active_weight <= 0.0:
-            raise FrozenStateError("no stratum has a proposable dyad")
-        cum = self._cum_weights
-        strat_D = self.strat_D
-        while True:
-            s = bisect_right(cum, rng.random() * self._total_weight)
-            if s < len(strat_D) and strat_D[s] > 0 and self.weights[s] > 0.0:
-                break
-        E_s = self.strat_E[s]
-        D_s = strat_D[s]
-        if E_s and rng.random() < 0.5:
-            dyad = self._draw_stratum_edge(s, rng)
-            is_edge = True
-        else:
-            dyad, is_edge = self._draw_stratum_dyad(s, rng)
-        i, j = dyad
-        if is_edge:
-            q_fwd = 0.5 / E_s + 0.5 / D_s
-        else:
-            q_fwd = (0.5 / D_s) if E_s else (1.0 / D_s)
-        W = self.active_weight
+        return Proposal(*self.bind(net, rng)[0]())
 
-        added = not is_edge
-        E_r, D_r, W_r, moved = self._reverse_counts(net, s, i, j, added)
-        # Leave the network and the lists in the order that toggling
-        # the dyad, committing, and rolling both back would: a removed
-        # edge, or the endpoints an added edge saturates, move to the
-        # end of their lists, and the adjacency sets see the dyad leave
-        # and come back (or come and leave), which can reorder them.
-        # The order decides the dyads later draws pick and the order of
-        # gwesp's sums, and this one keeps seeded runs byte-identical to
-        # versions that read the reverse counts by such a rollback.
-        net.toggle(i, j)
-        net.toggle(i, j)
-        if added:
-            for v in moved:
-                c = self.class_of[v]
-                _swap_remove(self.unsat[c], self.unsat_pos[c], v)
-            for v in moved:
-                c = self.class_of[v]
-                _append(self.unsat[c], self.unsat_pos[c], v)
-        else:
-            k = self._cell_of_dyad(i, j)
-            _swap_remove(self.cell_edges[k], self.cell_edge_pos[k], dyad)
-            _append(self.cell_edges[k], self.cell_edge_pos[k], dyad)
-
-        if is_edge:
-            q_rev = (0.5 / D_r) if E_r else (1.0 / D_r)
-        else:
-            q_rev = 0.5 / E_r + 0.5 / D_r
-        return Proposal(i, j, math.log((q_rev * W) / (q_fwd * W_r)))
+    def commit(self, net, i, j, added):
+        """Update all bookkeeping for a toggle that was just applied."""
+        self._bound(net)[1](i, j, added)
 
     def _reverse_counts(self, net, s, i, j, added):
-        """(E_r, D_r, W_r, moved) after toggling dyad (i, j) of stratum
-        s, which `added` says adds an edge, read off the state before
-        the toggle without writing the network or the proposal.
+        """The reverse-count pass of the draw; see ``_bound``."""
+        return self._bound(net)[2](s, i, j, added)
 
-        E_r and D_r are stratum s's edge and eligible counts and W_r the
-        active weight that ``commit`` would leave.  ``moved`` lists the
-        endpoints that reach their cap (added) or drop below it
-        (removed), in the order commit moves them out of or into the
-        unsaturated sets; the pass applies commit's deltas to D with
-        those moves made virtually, one endpoint after the other.
+    def _bound(self, net, rng=None):
+        """The closures over this state, `net` and `rng`: (draw, commit,
+        reverse_counts, eligible).  Without an rng, draw cannot run.
+
+        reverse_counts(s, i, j, added) -> (E_r, D_r, W_r, moved) are
+        the counts after toggling dyad (i, j) of stratum s, which
+        `added` says adds an edge, read off the state before the toggle
+        without writing the network or the proposal.  E_r and D_r are
+        stratum s's edge and eligible counts and W_r the active weight
+        that commit would leave.  ``moved`` lists the endpoints that
+        reach their cap (added) or drop below it (removed), in the order
+        commit moves them out of or into the unsaturated sets; the pass
+        applies commit's deltas to D with those moves made virtually,
+        one endpoint after the other.
 
         W changes only where a stratum's D crosses zero, and D never
         falls below the stratum's edge count.  An add only takes pairs
@@ -464,178 +423,217 @@ class BDStratTNT:
         s keeps the toggled dyad eligible either way.  So only strata
         other than s that hold no edges can cross, and the pass tracks
         D for s and for those.
+
+        eligible(k) is the count of eligible dyads in cell k: its
+        current edges and its unsaturated non-edges.
         """
-        caps, deg, E, D = self.caps, net.deg, self.strat_E, self.strat_D
-        pre, step = (1, -1) if added else (0, 1)   # add: degrees after it
-        E_r = E[s] - step
-        if deg[i] + pre == caps[i]:
-            moved = (i, j) if deg[j] + pre == caps[j] else (i,)
-        elif deg[j] + pre == caps[j]:
-            moved = (j,)
-        else:
-            # both endpoints keep their saturation: D is unchanged
-            return E_r, D[s], self.active_weight, ()
-        dD = {s: 0 if added else -1}
-        get = dD.get
-        class_of, unsat, unsat_pos = self.class_of, self.unsat, self.unsat_pos
+        deg, adj, toggle, log = net.deg, net.adj, net.toggle, math.log
+        if rng is not None:
+            random, randrange = rng.random, rng.randrange
+        caps, class_of, partners = self.caps, self.class_of, self.partners
         cell_of_pair, cell_stratum = self.cell_of_pair, self.cell_stratum
-        flipped = first = None      # the endpoint moved before v, its class
-        for v in moved:
-            c = class_of[v]
-            # unsaturated pairs through v in every cell touching class c,
-            # counted without v and after the move of `flipped`
-            for t, o in self.partners[c]:
-                if t == s or not E[t]:
+        cell_c1, cell_c2, strat_cells = self.cell_c1, self.cell_c2, self.strat_cells
+        unsat, unsat_pos = self.unsat, self.unsat_pos
+        cell_edges, cell_edge_pos = self.cell_edges, self.cell_edge_pos
+        cell_unsat = self.cell_unsat_edges
+        E, D, weights, cum = self.strat_E, self.strat_D, self.weights, self._cum_weights
+        S, total = len(cum), cum[-1]
+
+        def eligible(k):
+            c1, c2 = cell_c1[k], cell_c2[k]
+            u = len(unsat[c1])
+            pairs = u * (u - 1) // 2 if c1 == c2 else u * len(unsat[c2])
+            return pairs - cell_unsat[k] + len(cell_edges[k])
+
+        def reverse_counts(s, i, j, added):
+            pre, step = (1, -1) if added else (0, 1)   # add: degrees after it
+            E_r = E[s] - step
+            if deg[i] + pre == caps[i]:
+                moved = (i, j) if deg[j] + pre == caps[j] else (i,)
+            elif deg[j] + pre == caps[j]:
+                moved = (j,)
+            else:
+                # both endpoints keep their saturation: D is unchanged
+                return E_r, D[s], self.active_weight, ()
+            # stratum s keeps the toggled dyad eligible, so its D never
+            # crosses zero; other strata that may cross are tracked by dD
+            dS, dD = (0 if added else -1), {}
+            flipped = first = None      # the endpoint moved before v, its class
+            for v in moved:
+                c = class_of[v]
+                # unsaturated pairs through v in every cell touching class
+                # c, counted without v and after the move of `flipped`
+                for t, o in partners[c]:
+                    if t != s and E[t]:
+                        continue
                     u = len(unsat[o])
                     if o == first:
                         u += step
                     if o == c and added:
                         u -= 1
-                    dD[t] = get(t, 0) + step * u
-            # v's edges after the toggle to unsaturated partners leave
-            # (join) the unsaturated-edge counts; other strata they touch
-            # hold edges.  The toggled dyad is one of them on an add,
-            # with a partner unsaturated before it, and none on a removal.
-            other = j if v == i else i
-            for w in net.adj[v]:
-                if w == other:
-                    continue
-                cw = class_of[w]
-                if cell_stratum[cell_of_pair[c][cw]] == s and \
-                        (w in unsat_pos[cw]) != (w == flipped):
-                    dD[s] -= step
-            if added and other != flipped:
-                dD[s] -= step
-            flipped, first = v, c
-        W_r = self.active_weight
-        weights = self.weights
-        for t, delta in dD.items():
-            old = D[t]
-            if (old == 0) != (old + delta == 0) and weights[t] > 0.0:
-                W_r += weights[t] if old == 0 else -weights[t]
-        return E_r, D[s] + dD[s], W_r, moved
+                    if t == s:
+                        dS += step * u
+                    else:
+                        dD[t] = dD.get(t, 0) + step * u
+                # v's edges after the toggle to unsaturated partners leave
+                # (join) the unsaturated-edge counts; other strata they
+                # touch hold edges.  The toggled dyad is one of them on an
+                # add, with a partner unsaturated before it, and none on a
+                # removal.
+                other = j if v == i else i
+                row = cell_of_pair[c]
+                for w in adj[v]:
+                    if w == other:
+                        continue
+                    cw = class_of[w]
+                    if cell_stratum[row[cw]] == s and \
+                            (w in unsat_pos[cw]) != (w == flipped):
+                        dS -= step
+                if added and other != flipped:
+                    dS -= step
+                flipped, first = v, c
+            W_r = self.active_weight
+            for t, delta in dD.items():
+                old = D[t]
+                if (old == 0) != (old + delta == 0) and weights[t] > 0.0:
+                    W_r += weights[t] if old == 0 else -weights[t]
+            return E_r, D[s] + dS, W_r, moved
 
-    def _draw_stratum_edge(self, s, rng):
-        r = rng.randrange(self.strat_E[s])
-        for k in self.strat_cells[s]:
-            m = len(self.cell_edges[k])
-            if r < m:
-                return self.cell_edges[k][r]
-            r -= m
-        raise AssertionError("stratum edge count diverged")
-
-    def _draw_stratum_dyad(self, s, rng):
-        r = rng.randrange(self.strat_D[s])
-        for k in self.strat_cells[s]:
-            m = self._cell_eligible(k)
-            if r < m:
-                edges = self.cell_edges[k]
-                if r < len(edges):
-                    return edges[r], True
-                return self._draw_cell_nonedge(k, rng), False
-            r -= m
-        raise AssertionError("stratum eligible count diverged")
-
-    def _draw_cell_nonedge(self, k, rng):
-        """Uniform unsaturated non-edge in cell k (rejecting current edges)."""
-        c1, c2 = self.cell_c1[k], self.cell_c2[k]
-        u1 = self.unsat[c1]
-        pos = self.cell_edge_pos[k]
-        if c1 == c2:
-            m = len(u1)
+        def draw():
+            W = self.active_weight
+            if W <= 0.0:
+                raise FrozenStateError("no stratum has a proposable dyad")
             while True:
-                a = rng.randrange(m)
-                b = rng.randrange(m - 1)
-                if b >= a:
-                    b += 1
-                i, j = u1[a], u1[b]
-                if j < i:
-                    i, j = j, i
-                if (i, j) not in pos:
-                    return (i, j)
-        u2 = self.unsat[c2]
-        while True:
-            i = u1[rng.randrange(len(u1))]
-            j = u2[rng.randrange(len(u2))]
-            if j < i:
-                i, j = j, i
-            if (i, j) not in pos:
-                return (i, j)
-
-    # -- incremental state maintenance ------------------------------------
-
-    def commit(self, net, i, j, added):
-        """Update all bookkeeping for a toggle that was just applied."""
-        caps, deg = self.caps, net.deg
-        k = self._cell_of_dyad(i, j)
-        s = self.cell_stratum[k]
-        if added:
-            # the new edge joins the cell's lists; both endpoints were
-            # unsaturated before a legal add, so it counts as an
-            # unsaturated edge until the saturation pass below corrects
-            # for endpoints that just reached their cap (the edge and
-            # unsaturated-edge bumps to D cancel exactly)
-            d = (i, j) if i < j else (j, i)
-            _append(self.cell_edges[k], self.cell_edge_pos[k], d)
-            self.strat_E[s] += 1
-            self.cell_unsat_edges[k] += 1
-            if deg[i] == caps[i]:
-                self._move_unsat(net, i, -1)
-            if deg[j] == caps[j]:
-                self._move_unsat(net, j, -1)
-        else:
-            d = (i, j) if i < j else (j, i)
-            _swap_remove(self.cell_edges[k], self.cell_edge_pos[k], d)
-            self.strat_E[s] -= 1
-            # endpoints that were at cap re-enter the unsat sets
-            i_was_sat = deg[i] + 1 == caps[i]
-            j_was_sat = deg[j] + 1 == caps[j]
-            if i_was_sat or j_was_sat:
-                self._add_D(s, -1)
-                if i_was_sat:
-                    self._move_unsat(net, i, 1)
-                if j_was_sat:
-                    self._move_unsat(net, j, 1)
-            else:
-                self.cell_unsat_edges[k] -= 1
-
-    def _move_unsat(self, net, v, step):
-        """Move v out of its class's unsaturated set (step -1: v just
-        reached its cap) or into it (step +1: v just dropped below).
-        Pair counts change, in every cell touching v's class, by v's
-        unsaturated partners there; v's edges to unsaturated partners
-        leave (join) the unsaturated-edge counts, their dyads staying
-        eligible once, as edges."""
-        c = self.class_of[v]
-        unsat, unsat_pos = self.unsat, self.unsat_pos
-        if step < 0:
-            _swap_remove(unsat[c], unsat_pos[c], v)
-        for t, o in self.partners[c]:
-            u = len(unsat[o])
-            if u:
-                self._add_D(t, step * u)
-        if step > 0:
-            _append(unsat[c], unsat_pos[c], v)
-        class_of, cell_stratum = self.class_of, self.cell_stratum
-        cell_unsat = self.cell_unsat_edges
-        for w in net.adj[v]:
-            if w in unsat_pos[class_of[w]]:
-                k = self._cell_of_dyad(v, w)
-                cell_unsat[k] += step
-                self._add_D(cell_stratum[k], -step)
-
-    def _add_D(self, s, delta):
-        D = self.strat_D
-        old = D[s]
-        new = old + delta
-        D[s] = new
-        if (old == 0) != (new == 0):
-            w = self.weights[s]
-            if w > 0.0:
-                if old == 0:
-                    self.active_weight += w
+                s = bisect_right(cum, random() * total)
+                if s < S and D[s] > 0 and weights[s] > 0.0:
+                    break
+            E_s, D_s = E[s], D[s]
+            # a uniform stratum edge, or a uniform eligible dyad: an edge,
+            # or an unsaturated non-edge found by rejecting current edges
+            if E_s and random() < 0.5:
+                r = randrange(E_s)
+                for k in strat_cells[s]:
+                    edges = cell_edges[k]
+                    if r < len(edges):
+                        break
+                    r -= len(edges)
                 else:
-                    self.active_weight -= w
+                    raise AssertionError("stratum edge count diverged")
+                is_edge = True
+            else:
+                r = randrange(D_s)
+                for k in strat_cells[s]:
+                    m = eligible(k)
+                    if r < m:
+                        break
+                    r -= m
+                else:
+                    raise AssertionError("stratum eligible count diverged")
+                edges = cell_edges[k]
+                is_edge = r < len(edges)
+            if is_edge:
+                i, j = edges[r]
+                q_fwd = 0.5 / E_s + 0.5 / D_s
+            else:
+                c1, c2 = cell_c1[k], cell_c2[k]
+                u1, u2, pos = unsat[c1], unsat[c2], cell_edge_pos[k]
+                m1 = len(u1)
+                m2 = m1 - 1 if c1 == c2 else len(u2)
+                while True:
+                    a, b = randrange(m1), randrange(m2)
+                    if c1 == c2 and b >= a:
+                        b += 1
+                    i, j = u1[a], u2[b]
+                    if j < i:
+                        i, j = j, i
+                    if (i, j) not in pos:
+                        break
+                q_fwd = (0.5 / D_s) if E_s else (1.0 / D_s)
+
+            added = not is_edge
+            E_r, D_r, W_r, moved = reverse_counts(s, i, j, added)
+            # Leave the network and the lists in the order that toggling
+            # the dyad, committing, and rolling both back would: a removed
+            # edge, or the endpoints an added edge saturates, move to the
+            # end of their lists, and the adjacency sets see the dyad leave
+            # and come back (or come and leave), which can reorder them.
+            # The order decides the dyads later draws pick and the order of
+            # gwesp's sums, and this one keeps seeded runs byte-identical to
+            # versions that read the reverse counts by such a rollback.
+            toggle(i, j)
+            toggle(i, j)
+            if added:
+                for v in moved:
+                    c = class_of[v]
+                    _swap_remove(unsat[c], unsat_pos[c], v)
+                for v in moved:
+                    c = class_of[v]
+                    _append(unsat[c], unsat_pos[c], v)
+                q_rev = 0.5 / E_r + 0.5 / D_r
+            else:
+                _swap_remove(edges, cell_edge_pos[k], (i, j))
+                _append(edges, cell_edge_pos[k], (i, j))
+                q_rev = (0.5 / D_r) if E_r else (1.0 / D_r)
+            return i, j, log((q_rev * W) / (q_fwd * W_r))
+
+        def add_D(t, delta):
+            old = D[t]
+            new = D[t] = old + delta
+            if (old == 0) != (new == 0) and weights[t] > 0.0:
+                self.active_weight += weights[t] if old == 0 else -weights[t]
+
+        def commit(i, j, added):
+            k = cell_of_pair[class_of[i]][class_of[j]]
+            s = cell_stratum[k]
+            d = (i, j) if i < j else (j, i)
+            if added:
+                # the new edge joins the cell's lists; both endpoints were
+                # unsaturated before a legal add, so it counts as an
+                # unsaturated edge until the saturation pass below corrects
+                # for endpoints that just reached their cap (the edge and
+                # unsaturated-edge bumps to D cancel exactly)
+                _append(cell_edges[k], cell_edge_pos[k], d)
+                E[s] += 1
+                cell_unsat[k] += 1
+                step, pre = -1, 0
+            else:
+                _swap_remove(cell_edges[k], cell_edge_pos[k], d)
+                E[s] -= 1
+                # endpoints that were at cap re-enter the unsat sets
+                if deg[i] + 1 != caps[i] and deg[j] + 1 != caps[j]:
+                    cell_unsat[k] -= 1
+                    return
+                step, pre = 1, 1
+                add_D(s, -1)
+            # The saturation routine moves an endpoint that just reached
+            # its cap (step -1) out of its class's unsaturated set, or one
+            # that just dropped below it (step +1) in.  Pair counts change,
+            # in every cell touching its class, by its unsaturated partners
+            # there; its edges to unsaturated partners leave (join) the
+            # unsaturated-edge counts, their dyads staying eligible once,
+            # as edges.  The active weight follows every zero crossing of
+            # D, also one that a later delta undoes.
+            for v in (i, j):
+                if deg[v] + pre != caps[v]:
+                    continue
+                c = class_of[v]
+                if added:
+                    _swap_remove(unsat[c], unsat_pos[c], v)
+                for t, o in partners[c]:
+                    u = len(unsat[o])
+                    if u:
+                        add_D(t, step * u)
+                if not added:
+                    _append(unsat[c], unsat_pos[c], v)
+                row = cell_of_pair[c]
+                for w in adj[v]:
+                    cw = class_of[w]
+                    if w in unsat_pos[cw]:
+                        kw = row[cw]
+                        cell_unsat[kw] += step
+                        add_D(cell_stratum[kw], -step)
+
+        return draw, commit, reverse_counts, eligible
 
     # -- test support ------------------------------------------------------
 

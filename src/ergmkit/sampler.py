@@ -138,8 +138,9 @@ def _mh_stepper(net, model, coefs, proposal, checker, rng):
     constraint-violating proposals into certain rejections, which is
     how plain proposals honor bd/blocks constraints.
 
-    Everything a step looks up is bound here: the proposal's draw, its
-    commit, the checker, each term's change function and the RNG.  The
+    Everything a step looks up is bound here: the proposal's draw and
+    commit (from its bind; commit is None when it keeps no state), the
+    checker, each term's change function and the RNG.  The
     tilt goes through _log_tilt, the one 0 * inf rule.
     """
     if len(coefs) != model.p:
@@ -147,8 +148,7 @@ def _mh_stepper(net, model, coefs, proposal, checker, rng):
     coefs = [float(c) for c in coefs]
     if any(math.isnan(c) for c in coefs):
         raise DataError("coefficients must not be NaN")
-    draw = proposal.bind(net, rng)
-    commit = proposal.commit
+    draw, commit = proposal.bind(net, rng)
     allowed = checker.allowed if checker is not None else None
     changes = model.change_functions()
     adj, toggle = net.adj, net.toggle
@@ -165,7 +165,8 @@ def _mh_stepper(net, model, coefs, proposal, checker, rng):
         log_ar = _log_tilt(coefs, delta, 1 if adding else -1) + log_q
         if log_ar >= 0.0 or (log_ar > -_INF and random() < exp(log_ar)):
             toggle(i, j)
-            commit(net, i, j, adding)
+            if commit is not None:
+                commit(i, j, adding)
             if adding:
                 return list(map(add, stats, delta))
             return list(map(sub, stats, delta))

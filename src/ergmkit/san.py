@@ -89,7 +89,7 @@ def san_run(net, model, config, constraints=None, attrs=None, rng=None):
     if rng is None:
         rng = random.Random(config.seed)
     proposal, checker = make_proposal(net, constraints, attrs)
-    draw = proposal.bind(net, rng)
+    draw, commit = proposal.bind(net, rng)
 
     free = model.free_index
     offs = model.offset_index
@@ -165,7 +165,8 @@ def san_run(net, model, config, constraints=None, attrs=None, rng=None):
                 log_alpha = _INF if bias == _INF else (-dE / T + bias)
             if log_alpha >= 0.0 or rng.random() < math.exp(log_alpha):
                 net.toggle(i, j)
-                proposal.commit(net, i, j, adding)
+                if commit is not None:
+                    commit(i, j, adding)
                 for k in range(model.p):
                     stats[k] += sign * delta[k]
                 dev = new_dev

@@ -167,3 +167,17 @@ class TestSanBench:
                                seed=15)
         for trace in traces.values():
             assert trace.exited_early or trace.rows[-1][1][0] > 0
+
+
+@pytest.mark.parametrize("run", [
+    lambda net, attrs, model, props: mixing_benchmark(
+        net, attrs, model, [-1.0], props, total_proposals=999),
+    lambda net, attrs, model, props: san_benchmark(
+        net, attrs, model, [5.0], props, total_proposals=100)],
+    ids=["mixing", "san"])
+def test_total_below_trace_interval_rejected(run):
+    # fewer proposals than one trace interval would print no trace row
+    net, attrs = generate_population(PopulationSpec(n=10), seed=3)
+    model = bind("edges", net, attrs)
+    with pytest.raises(DataError, match="trace_interval"):
+        run(net, attrs, model, {"plain": parse_constraint_formula(".")})

@@ -467,6 +467,11 @@ class TestErrors:
           "--total-proposals", "-5"], 2),
         (["bench", "san", *BENCH[:-4], "--targets", "5",
           "--total-proposals", "0"], 2),
+        # fewer proposals than one trace interval print no trace row
+        (["bench", "mixing", *BENCH[:-4], "--coef=-1",
+          "--total-proposals", "999"], 2),
+        (["bench", "san", *BENCH[:-4], "--targets=-5",
+          "--total-proposals", "100"], 2),
         (["san", "--n", "10", "--formula", "edges", "--targets", "5",
           "--tau", "-1"], 3),
         # term arguments of the wrong kind
@@ -483,7 +488,8 @@ class TestErrors:
             "race-freqs-pair", "race-freqs-nan", "mixing-no-coef",
             "ess-no-coef", "san-no-targets", "pmat-entry", "loglik-bd",
             "workers-0", "workers-neg", "mixing-total-0", "mixing-total-neg",
-            "bench-san-total-0", "san-tau-neg", "nodecov-categorical",
+            "bench-san-total-0", "mixing-total-below-trace",
+            "san-total-below-trace", "san-tau-neg", "nodecov-categorical",
             "absdiff-categorical", "gwesp-decay-string",
             "gwdegree-decay-string"])
     def test_bad_input_exit_code(self, observed_net, tmp_path, argv, code):
@@ -616,3 +622,89 @@ def test_import_leaves_scipy_stats_unloaded():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# well-formed input files, line by line, for the malformed-file property
+_NET_LINES = [b"%n 6", b"%directed 0", b"%bipartite 0", b"1 2", b"2 3",
+              b"4 5", b"1 6"]
+_ATTR_LINES = [b"vertex,age,grp", b"1,20,A", b"2,31.5,B", b"3,18,A",
+               b"4,44,B", b"5,25,A", b"6,60,B"]
+_STATS_LINES = [b"edges\ttriangle"] + [
+    b"%d\t%d" % (3 + (k * 7) % 5, (k * 3) % 2) for k in range(12)]
+# field values: out of range, duplicate-prone, non-integer, non-finite,
+# empty, and bytes that are not UTF-8
+_FIELDS = st.sampled_from([b"0", b"-1", b"1", b"7", b"99", b"x", b"1.5",
+                           b"", b"nan", b"inf", b"\xff", b"caf\xe9"])
+_BAD_LINES = st.sampled_from([b"%n", b"%n 6 6", b"%n x", b"%n -2",
+                              b"%directed 2", b"%bipartite 9", b"%vertices 6",
+                              b"vertex", b"\xff\xfe", b"1 2 3"])
+
+
+@st.composite
+def _mutated_file(draw, lines, sep):
+    """The lines of a valid file, each kept, dropped, doubled, or with a
+    field replaced, added or removed, plus possibly an inserted bad line;
+    the empty file is one of the outcomes."""
+    out = []
+    for line in lines:
+        action = draw(st.sampled_from(
+            ["keep"] * 4 + ["drop", "double", "field", "extra", "short"]))
+        fields = line.split(sep)
+        if action == "drop":
+            continue
+        if action == "double":
+            out += [line, line]
+            continue
+        if action == "field":
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(_FIELDS)
+        elif action == "extra":
+            fields.append(draw(_FIELDS))
+        elif action == "short":
+            fields.pop()
+        out.append(sep.join(fields))
+    if draw(st.booleans()):
+        out.insert(draw(st.integers(0, len(out))), draw(_BAD_LINES))
+    return b"\n".join(out) + b"\n" if out else b""
+
+
+_INPUT_FILES = st.one_of(
+    st.tuples(st.just("network"), _mutated_file(_NET_LINES, b" ")),
+    st.tuples(st.just("attrs"), _mutated_file(_ATTR_LINES, b",")),
+    st.tuples(st.just("stats"), _mutated_file(_STATS_LINES, b"\t")))
+
+
+class TestInputFileProperty:
+    """Malformed network, attribute and stats files end in a documented
+    exit code (0, 2 or 3), never in an escaping exception."""
+
+    @given(case=_INPUT_FILES)
+    @example(case=("network", b"%n 6\n1 2\n3 \xff\n"))
+    @example(case=("attrs", b"vertex,grp\n1,caf\xe9\n"))
+    @example(case=("stats", b"edges\n\xff\n"))
+    @example(case=("network", b"%n 6\n%directed 2\n1 2\n"))
+    @settings(max_examples=60, deadline=None)
+    def test_cli_ends_in_documented_exit_code(self, tmp_path_factory, case):
+        kind, data = case
+        root = tmp_path_factory.mktemp("input")
+        files = {"network": b"\n".join(_NET_LINES) + b"\n",
+                 "attrs": b"\n".join(_ATTR_LINES) + b"\n",
+                 "stats": b"\n".join(_STATS_LINES) + b"\n", kind: data}
+        for name, content in files.items():
+            (root / name).write_bytes(content)
+        if kind == "stats":
+            argv = ["ess", "--stats", str(root / "stats")]
+        else:
+            argv = ["simulate", "--network", str(root / "network"),
+                    "--attrs", str(root / "attrs"),
+                    "--formula", 'edges + nodematch("grp")',
+                    "--coef=-0.5,0.2", "--nsim", "2", "--interval", "1",
+                    "--burnin", "0"]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                code = main(argv)
+            except SystemExit as exc:   # argparse usage errors
+                code = exc.code
+        assert code in (0, 2, 3), (kind, data)

@@ -251,7 +251,8 @@ class TestFileIO:
 
     @pytest.mark.parametrize("header", ["%n 0", "%n -3",
                                         "%n 4\n%bipartite 9",
-                                        "%n 4\n%directed 1\n%bipartite 2"])
+                                        "%n 4\n%directed 1\n%bipartite 2",
+                                        "%n 4\n%directed 2"])
     def test_bad_shape_rejected(self, tmp_path, header):
         path = tmp_path / "bad.txt"
         path.write_text(header + "\n")

@@ -218,10 +218,7 @@ class TestBoundStep:
 
         class Fixed:
             def bind(self, net, rng):
-                return lambda: (0, 1, log_q)
-
-            def commit(self, net, i, j, added):
-                pass
+                return (lambda: (0, 1, log_q)), None
 
         seen = []
 
