@@ -276,10 +276,10 @@ def bdstrat_chain_digest(net, proposal, draws, rng):
 
 class TestBDStratChainPinned:
     """Seeded BDStratTNT chains keep their bytes.  The digests were
-    recorded with the per-method proposal (the ``_draw_*``/``_move_unsat``
-    /``_add_D`` implementation); the reference step in helpers drives
-    the proposal's own ``propose``/``commit``, so it cannot catch a
-    change to both."""
+    recorded with an earlier implementation of the proposal, one method
+    per piece.  The reference step in helpers drives ``propose`` and
+    ``commit``, which wrap the closures the chain runs, so it cannot
+    catch a change to both."""
 
     @staticmethod
     def race_attrs(n):
