@@ -345,6 +345,8 @@ def _cmd_ess(args):
             except ValueError:
                 raise DataError(f"{args.stats}:{lineno}: non-numeric field") \
                     from None
+            if not all(map(math.isfinite, row)):
+                raise DataError(f"{args.stats}:{lineno}: non-finite field")
             if len(row) != len(header):
                 raise DataError(f"{args.stats}:{lineno}: {len(row)} fields, "
                                 f"the header names {len(header)}")

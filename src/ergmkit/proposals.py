@@ -20,11 +20,14 @@ renormalization over proposable strata.  Zero-weight strata freeze
 their dyads' edge states, like blocks.
 
 Every proposal's ``bind(net, rng)`` returns ``(draw, commit)``, built
-once per chain: ``draw()`` returns ``(i, j, log_q_ratio)`` and
-``commit(i, j, added)`` updates the proposal's state after the chain
-toggles the dyad.  ``commit`` is None for the stateless uniform and
-TNT proposals.  ``propose(net, rng)`` and ``commit(net, i, j, added)``
-apply the same closures once.
+once per chain: ``draw()`` returns ``(i, j, log_q_ratio)`` and writes
+nothing, to the network or to the proposal, and ``commit(i, j, added)``
+updates the proposal's state after the chain toggles the dyad.
+``commit`` is None for the stateless uniform and TNT proposals.
+``propose(net, rng)`` and ``commit(net, i, j, added)`` apply the same
+closures once.  Binding to a network with no free dyad is a data error.
+Integer draws go through ``_below``, which consumes the RNG stream
+exactly as ``Random.randrange`` does.
 """
 
 import math
@@ -49,6 +52,35 @@ class Proposal(NamedTuple):
 _ZERO = 0.0
 
 
+def _below(rng):
+    """below(n) -> a uniform integer in [0, n) for n > 0, drawn from
+    `rng` with the same getrandbits calls, and so the same values and
+    the same final state, as ``rng.randrange(n)``: CPython's randrange
+    rejects getrandbits(n.bit_length()) draws until one is below n.
+    One call instead of randrange's three."""
+    getrandbits = rng.getrandbits
+
+    def below(n):
+        if n <= 0:
+            raise ValueError(f"below({n}): empty range")
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    return below
+
+
+def _free_dyads(net):
+    """The network's free-dyad count; a data error when there is none,
+    since no proposal can draw from an empty dyad space."""
+    N = net.dyad_count()
+    if N == 0:
+        raise DataError("the network has no dyad to propose")
+    return N
+
+
 class UniformProposal:
     """Uniformly random free dyad; symmetric."""
 
@@ -57,10 +89,10 @@ class UniformProposal:
     def bind(self, net, rng):
         """(draw, None): draw() -> (i, j, log_q_ratio) for chains on
         `net` drawing from `rng`; there is no state to commit."""
-        randrange, dyad_at, N = rng.randrange, net.dyad_at, net.dyad_count()
+        below, dyad_at, N = _below(rng), net.dyad_at, _free_dyads(net)
 
         def draw():
-            i, j = dyad_at(randrange(N))
+            i, j = dyad_at(below(N))
             return i, j, _ZERO
 
         return draw, None
@@ -85,17 +117,17 @@ class TntProposal:
     def bind(self, net, rng):
         """(draw, None): draw() -> (i, j, log_q_ratio) for chains on
         `net` drawing from `rng`; there is no state to commit."""
-        random, randrange, log = rng.random, rng.randrange, math.log
+        random, below, log = rng.random, _below(rng), math.log
         edges, adj, dyad_at = net.edges, net.adj, net.dyad_at
-        N = net.dyad_count()
+        N = _free_dyads(net)
 
         def draw():
             E = len(edges)
             if E and random() < 0.5:
-                i, j = edges[randrange(E)]
+                i, j = edges[below(E)]
                 is_edge = True
             else:
-                i, j = dyad_at(randrange(N))
+                i, j = dyad_at(below(N))
                 is_edge = j in adj[i]
             if is_edge:
                 q_fwd = 0.5 / E + 0.5 / N
@@ -219,10 +251,10 @@ class BDStratTNT:
     ``(draw, commit)``.  ``commit`` updates every count incrementally,
     in time proportional to the affected cells, through one saturation
     routine that moves a vertex reaching its cap out of its class's
-    unsaturated set, or one dropping below it back in.  ``draw`` reads
-    the post-toggle counts of the q-ratio in the same time, without
-    writing them.  ``propose``, ``commit`` and ``_reverse_counts`` apply
-    the same closures once.
+    unsaturated set, or one dropping below it back in.  ``draw`` writes
+    nothing: it reads the post-toggle counts of the q-ratio off the
+    current state, in the same time.  ``propose``, ``commit`` and
+    ``_reverse_counts`` apply the same closures once.
 
     Undirected unipartite networks only.
     """
@@ -389,6 +421,7 @@ class BDStratTNT:
         """(draw, commit) for chains on `net` drawing from `rng`:
         draw() -> (i, j, log_q_ratio), and commit(i, j, added) for a
         toggle of (i, j) that the chain has just applied."""
+        _free_dyads(net)
         return self._bound(net, rng)[:2]
 
     def propose(self, net, rng):
@@ -406,16 +439,17 @@ class BDStratTNT:
         """The closures over this state, `net` and `rng`: (draw, commit,
         reverse_counts, eligible).  Without an rng, draw cannot run.
 
-        reverse_counts(s, i, j, added) -> (E_r, D_r, W_r, moved) are
-        the counts after toggling dyad (i, j) of stratum s, which
-        `added` says adds an edge, read off the state before the toggle
-        without writing the network or the proposal.  E_r and D_r are
-        stratum s's edge and eligible counts and W_r the active weight
-        that commit would leave.  ``moved`` lists the endpoints that
-        reach their cap (added) or drop below it (removed), in the order
-        commit moves them out of or into the unsaturated sets; the pass
-        applies commit's deltas to D with those moves made virtually,
-        one endpoint after the other.
+        reverse_counts(s, i, j, added) -> (E_r, D_r, W_r) are the
+        counts after toggling dyad (i, j) of stratum s, which `added`
+        says adds an edge, read off the state before the toggle without
+        writing the network or the proposal.  E_r and D_r are stratum
+        s's edge and eligible counts and W_r the active weight that
+        commit would leave.  The pass takes the endpoints that reach
+        their cap (added) or drop below it (removed) in the order commit
+        moves them out of or into the unsaturated sets, and applies
+        commit's deltas to D with those moves made virtually, one
+        endpoint after the other.  draw, like reverse_counts, writes
+        nothing.
 
         W changes only where a stratum's D crosses zero, and D never
         falls below the stratum's edge count.  An add only takes pairs
@@ -427,9 +461,9 @@ class BDStratTNT:
         eligible(k) is the count of eligible dyads in cell k: its
         current edges and its unsaturated non-edges.
         """
-        deg, adj, toggle, log = net.deg, net.adj, net.toggle, math.log
+        deg, adj, log = net.deg, net.adj, math.log
         if rng is not None:
-            random, randrange = rng.random, rng.randrange
+            random, below = rng.random, _below(rng)
         caps, class_of, partners = self.caps, self.class_of, self.partners
         cell_of_pair, cell_stratum = self.cell_of_pair, self.cell_stratum
         cell_c1, cell_c2, strat_cells = self.cell_c1, self.cell_c2, self.strat_cells
@@ -454,7 +488,7 @@ class BDStratTNT:
                 moved = (j,)
             else:
                 # both endpoints keep their saturation: D is unchanged
-                return E_r, D[s], self.active_weight, ()
+                return E_r, D[s], self.active_weight
             # stratum s keeps the toggled dyad eligible, so its D never
             # crosses zero; other strata that may cross are tracked by dD
             dS, dD = (0 if added else -1), {}
@@ -497,7 +531,7 @@ class BDStratTNT:
                 old = D[t]
                 if (old == 0) != (old + delta == 0) and weights[t] > 0.0:
                     W_r += weights[t] if old == 0 else -weights[t]
-            return E_r, D[s] + dS, W_r, moved
+            return E_r, D[s] + dS, W_r
 
         def draw():
             W = self.active_weight
@@ -511,7 +545,7 @@ class BDStratTNT:
             # a uniform stratum edge, or a uniform eligible dyad: an edge,
             # or an unsaturated non-edge found by rejecting current edges
             if E_s and random() < 0.5:
-                r = randrange(E_s)
+                r = below(E_s)
                 for k in strat_cells[s]:
                     edges = cell_edges[k]
                     if r < len(edges):
@@ -521,7 +555,7 @@ class BDStratTNT:
                     raise AssertionError("stratum edge count diverged")
                 is_edge = True
             else:
-                r = randrange(D_s)
+                r = below(D_s)
                 for k in strat_cells[s]:
                     m = eligible(k)
                     if r < m:
@@ -540,7 +574,7 @@ class BDStratTNT:
                 m1 = len(u1)
                 m2 = m1 - 1 if c1 == c2 else len(u2)
                 while True:
-                    a, b = randrange(m1), randrange(m2)
+                    a, b = below(m1), below(m2)
                     if c1 == c2 and b >= a:
                         b += 1
                     i, j = u1[a], u2[b]
@@ -550,30 +584,11 @@ class BDStratTNT:
                         break
                 q_fwd = (0.5 / D_s) if E_s else (1.0 / D_s)
 
-            added = not is_edge
-            E_r, D_r, W_r, moved = reverse_counts(s, i, j, added)
-            # Leave the network and the lists in the order that toggling
-            # the dyad, committing, and rolling both back would: a removed
-            # edge, or the endpoints an added edge saturates, move to the
-            # end of their lists, and the adjacency sets see the dyad leave
-            # and come back (or come and leave), which can reorder them.
-            # The order decides the dyads later draws pick and the order of
-            # gwesp's sums, and this one keeps seeded runs byte-identical to
-            # versions that read the reverse counts by such a rollback.
-            toggle(i, j)
-            toggle(i, j)
-            if added:
-                for v in moved:
-                    c = class_of[v]
-                    _swap_remove(unsat[c], unsat_pos[c], v)
-                for v in moved:
-                    c = class_of[v]
-                    _append(unsat[c], unsat_pos[c], v)
-                q_rev = 0.5 / E_r + 0.5 / D_r
-            else:
-                _swap_remove(edges, cell_edge_pos[k], (i, j))
-                _append(edges, cell_edge_pos[k], (i, j))
+            E_r, D_r, W_r = reverse_counts(s, i, j, not is_edge)
+            if is_edge:
                 q_rev = (0.5 / D_r) if E_r else (1.0 / D_r)
+            else:
+                q_rev = 0.5 / E_r + 0.5 / D_r
             return i, j, log((q_rev * W) / (q_fwd * W_r))
 
         def add_D(t, delta):

@@ -483,6 +483,14 @@ class TestErrors:
           "--coef", "0.1"], 3),
         (["simulate", "--n", "12", "--formula", 'gwdegree(decay="a")',
           "--coef", "0.1"], 3),
+        # a single vertex has no dyad to propose
+        (["simulate", "--n", "1", "--formula", "edges", "--coef=-1",
+          "--nsim", "2", "--interval", "1"], 3),
+        (["simulate", "--network", "{one}", "--formula", "edges", "--coef=-1",
+          "--nsim", "2", "--interval", "1"], 3),
+        # draws must be finite
+        (["ess", "--stats", "{stats-nan}"], 3),
+        (["ess", "--stats", "{stats-inf}"], 3),
     ], ids=["maxit", "fit-interval", "san-steps", "loglik-interval",
             "san-steps-per-run", "san-runs", "race-freqs-value",
             "race-freqs-pair", "race-freqs-nan", "mixing-no-coef",
@@ -491,7 +499,8 @@ class TestErrors:
             "bench-san-total-0", "mixing-total-below-trace",
             "san-total-below-trace", "san-tau-neg", "nodecov-categorical",
             "absdiff-categorical", "gwesp-decay-string",
-            "gwdegree-decay-string"])
+            "gwdegree-decay-string", "one-vertex-n", "one-vertex-network",
+            "ess-stats-nan", "ess-stats-inf"])
     def test_bad_input_exit_code(self, observed_net, tmp_path, argv, code):
         attrs = VertexAttributes(12)
         attrs.add("grp", ["X" if v % 3 == 0 else "Y" for v in range(12)])
@@ -501,10 +510,21 @@ class TestErrors:
         for i, j in [(0, 1), (2, 3), (0, 5), (1, 4)]:
             capped.toggle(i, j)
         write_network(capped, tmp_path / "capped.txt")
-        argv = [a.replace("{obs}", observed_net)
-                 .replace("{capped}", str(tmp_path / "capped.txt"))
-                 .replace("{attrs}", str(tmp_path / "attrs.csv"))
-                 .replace("{pmat}", str(tmp_path / "pm.tsv")) for a in argv]
+        write_network(Network(1), tmp_path / "one.txt")
+        rows = [f"{v % 7}\t{v % 5}" for v in range(40)]
+        for bad in ("nan", "inf"):
+            rows[20] = f"3\t{bad}"
+            (tmp_path / f"stats-{bad}.tsv").write_text(
+                "\n".join(["edges\ttriangle"] + rows) + "\n")
+        files = {"{obs}": observed_net,
+                 "{capped}": str(tmp_path / "capped.txt"),
+                 "{attrs}": str(tmp_path / "attrs.csv"),
+                 "{pmat}": str(tmp_path / "pm.tsv"),
+                 "{one}": str(tmp_path / "one.txt"),
+                 "{stats-nan}": str(tmp_path / "stats-nan.tsv"),
+                 "{stats-inf}": str(tmp_path / "stats-inf.tsv")}
+        for key, path in files.items():
+            argv = [a.replace(key, path) for a in argv]
         proc = run_process(*argv)
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr

@@ -12,7 +12,7 @@ from ergmkit.errors import ConstraintError, DataError, FrozenStateError
 from ergmkit.formula import ConstraintSpec, parse_constraint_formula
 from ergmkit.network import Network, VertexAttributes
 from ergmkit.proposals import (BDStratTNT, ConstraintChecker, TntProposal,
-                               UniformProposal, make_proposal)
+                               UniformProposal, _below, make_proposal)
 
 
 def alternating_sex(n):
@@ -24,6 +24,25 @@ def alternating_sex(n):
 
 def hetero_monogamy():
     return parse_constraint_formula('bd(maxout=1) + blocks(attr="sex", levels2=diag)')
+
+
+class TestBelow:
+    def test_same_stream_as_randrange(self):
+        # the proposals' integer draws must reproduce randrange on this
+        # interpreter: same values, same final generator state
+        sizes = {1, 2, 3, 7, 1999000}
+        sizes.update(2 ** k + d for k in range(1, 41) for d in (-1, 0, 1))
+        for n in sorted(sizes):
+            ours, ref = random.Random(n), random.Random(n)
+            below = _below(ours)
+            assert [below(n) for _ in range(3000)] == \
+                [ref.randrange(n) for _ in range(3000)], n
+            assert ours.getstate() == ref.getstate(), n
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_empty_range_rejected(self, n):
+        with pytest.raises(ValueError):
+            _below(random.Random(0))(n)
 
 
 class TestUniform:
@@ -365,8 +384,7 @@ def check_reverse_counts(state, net, i, j):
     s = state.cell_stratum[state._cell_of_dyad(i, j)]
     D_before, W = list(state.strat_D), state.active_weight
     edges_before = list(net.edges)
-    E_r, D_r, W_r, _ = state._reverse_counts(net, s, i, j,
-                                             not net.has_edge(i, j))
+    E_r, D_r, W_r = state._reverse_counts(net, s, i, j, not net.has_edge(i, j))
     assert state.strat_D == D_before and state.active_weight == W
     assert net.edges == edges_before
     want_E, want_D, want_W = provisional_reverse_counts(state, net, s, i, j)
@@ -453,30 +471,32 @@ class TestBDStratReverseCounts:
             assert state.snapshot() == fresh.snapshot()
 
     @given(n=st.integers(6, 16), cap=st.integers(1, 3), blocks=st.booleans(),
+           zero=st.sampled_from([(0, 0), (0, 1), (1, 1)]),
            seed=st.integers(0, 2 ** 16))
     @settings(max_examples=30, deadline=None)
-    def test_propose_leaves_network_as_a_rollback(self, n, cap, blocks, seed):
-        # propose must leave the edge list and the adjacency sets in the
-        # order that toggling the dyad and toggling it back leaves them:
-        # a set can reorder when an item leaves and comes back, or when
-        # an insertion resizes it.  The mirror network is built by the
-        # same toggles, not copied, since a copied set is laid out afresh.
-        net, attrs, spec, state = self.build(n, cap, blocks, (0, 0))
-        mirror = Network(n)
+    def test_draw_is_read_only(self, n, cap, blocks, zero, seed):
+        # the bound draw writes nothing: not the network's lists, maps and
+        # set orders (a set can reorder when an item leaves and comes
+        # back), not the proposal's lists, counts or active weight
+        net, attrs, spec, state = self.build(n, cap, blocks, zero)
         rng = random.Random(seed)
+        draw, commit = state.bind(net, rng)
 
-        def layout(nw):
-            return (list(nw.edges), list(nw._edge_pos.items()),
-                    [list(a) for a in nw.adj], list(nw.deg))
+        def layout():
+            return (list(net.edges), list(net._edge_pos.items()),
+                    [list(a) for a in net.adj], list(net.deg),
+                    [list(u) for u in state.unsat],
+                    [list(p.items()) for p in state.unsat_pos],
+                    [list(e) for e in state.cell_edges],
+                    [list(p.items()) for p in state.cell_edge_pos],
+                    state.snapshot(), repr(state.active_weight))
 
         for _ in range(200):
-            i, j, _ = state.propose(net, rng)
-            mirror.toggle(i, j)
-            mirror.toggle(i, j)
-            assert layout(net) == layout(mirror)
+            before = layout()
+            i, j, _ = draw()
+            assert layout() == before
             if rng.random() < 0.5:
-                state.commit(net, i, j, net.toggle(i, j))
-                mirror.toggle(i, j)
+                commit(i, j, net.toggle(i, j))
 
 
 class TestErgodicity:
