@@ -9,8 +9,7 @@ certain rejection.
 
 import math
 
-from ergmkit import Network, SanConfig, VertexAttributes, bind, san_run, \
-    summary_stats
+from ergmkit import Network, SanConfig, VertexAttributes, bind, san_run
 
 n = 100
 attrs = VertexAttributes(n)
@@ -24,7 +23,7 @@ config = SanConfig(targets=[30.0], offset_coefs=(-math.inf, -math.inf),
 final, trace = san_run(net, model, config, attrs=attrs)
 
 check = bind('edges + nodematch("sex") + concurrent', final, attrs)
-print("summary after annealing:", summary_stats(final, check))
+print("summary after annealing:", check.summary(final))
 print("proposals used:", trace.proposals)
 print("energy hit zero:", trace.exited_early)
 

@@ -4,8 +4,7 @@ from .network import Network, VertexAttributes, read_network, write_network, \
     read_attributes, write_attributes
 from .formula import parse_model_formula, parse_constraint_formula, \
     ModelSpec, TermSpec, ConstraintSpec
-from .terms import BoundModel, bind, summary_stats, change_stats, \
-    apply_toggle_stats
+from .terms import BoundModel, bind
 from .proposals import Proposal, UniformProposal, TntProposal, BDStratTNT, \
     ConstraintChecker, make_proposal
 from .sampler import SamplerConfig, SampleMatrix, mh_step, run_chain, \

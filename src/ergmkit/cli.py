@@ -121,6 +121,25 @@ def _offset_coefs(args, model):
     return coefs
 
 
+def _full_coefs(model, coefs, offsets):
+    """The full coefficient vector from free (or all p) coefficients."""
+    full = model.assemble_coefs(coefs, offsets) if len(coefs) == model.n_free \
+        else list(coefs)
+    if len(full) != model.p:
+        raise DataError(f"need {model.n_free} coefficients (or {model.p} "
+                        "including offsets)")
+    return full
+
+
+def _check_targets(model, achieved, targets, hint):
+    """Raise unless annealing hit every non-offset target exactly."""
+    for slot, k in enumerate(model.free_index):
+        if achieved[k] != targets[slot]:
+            raise NonconvergenceError(
+                f"annealing missed target {model.names[k]}: {achieved[k]} vs "
+                f"{targets[slot]} ({hint})")
+
+
 def _write_stats(out, sample, chains):
     if chains > 1:
         out.line("chain", *sample.names)
@@ -168,13 +187,8 @@ def _write_loglik(out, res):
 
 def _cmd_simulate(args):
     net, attrs, model, constraints = _load_inputs(args)
-    coefs = _parse_vector(args.coef)
-    offsets = _offset_coefs(args, model)
-    full = model.assemble_coefs(coefs, offsets) if len(coefs) == model.n_free \
-        else list(coefs)
-    if len(full) != model.p:
-        raise DataError(f"need {model.n_free} coefficients (or {model.p} "
-                        "including offsets)")
+    full = _full_coefs(model, _parse_vector(args.coef),
+                       _offset_coefs(args, model))
     if args.target_ess is not None and args.chains > 1:
         raise DataError("adaptive sampling (--target-ess) runs a single chain")
     cfg = SamplerConfig(samplesize=args.nsim, interval=args.interval,
@@ -227,12 +241,9 @@ def _cmd_san(args):
                        trace_interval=args.trace_interval)
     final, trace = san_run(net, model, config, constraints=constraints,
                            attrs=attrs)
-    achieved = model.summary(final)
-    for slot, k in enumerate(model.free_index):
-        if achieved[k] != targets[slot] and not args.allow_inexact:
-            raise NonconvergenceError(
-                f"annealing missed target {model.names[k]}: {achieved[k]} vs "
-                f"{targets[slot]} (pass --allow-inexact to accept)")
+    if not args.allow_inexact:
+        _check_targets(model, model.summary(final), targets,
+                       "pass --allow-inexact to accept")
     out = _Out(args.out)
     try:
         out.fh.write(network_text(final))
@@ -275,11 +286,9 @@ def _cmd_fit(args):
         net, _trace = san_run(net, model, config, constraints=constraints,
                               attrs=attrs)
         achieved = model.summary(net)
-        for slot, k in enumerate(model.free_index):
-            if achieved[k] != targets[slot] and not args.allow_inexact_targets:
-                raise NonconvergenceError(
-                    f"annealing missed target {model.names[k]}: {achieved[k]} "
-                    f"vs {targets[slot]} (pass --allow-inexact-targets)")
+        if not args.allow_inexact_targets:
+            _check_targets(model, achieved, targets,
+                           "pass --allow-inexact-targets")
         # interleave the requested targets with the achieved offset stats
         g_obs = model.assemble_coefs(targets,
                                      [achieved[k] for k in model.offset_index])
@@ -314,12 +323,7 @@ def _cmd_fit(args):
 def _cmd_loglik(args):
     net, attrs, model, constraints = _load_inputs(args)
     offsets = _offset_coefs(args, model)
-    coefs = _parse_vector(args.coef)
-    full = model.assemble_coefs(coefs, offsets) if len(coefs) == model.n_free \
-        else list(coefs)
-    if len(full) != model.p:
-        raise DataError(f"need {model.n_free} coefficients (or {model.p} "
-                        "including offsets)")
+    full = _full_coefs(model, _parse_vector(args.coef), offsets)
     plan = BridgePlan(J=args.bridge_j, K=args.bridge_k,
                       target_se=args.target_se, interval=args.interval,
                       seed=args.seed)

@@ -61,21 +61,19 @@ def _drop_degenerate(x):
     return x[:, keep], keep
 
 
-def batch_means_cov(sample, batch_size=None):
+def batch_means_cov(sample):
     """Batch-means estimate of the asymptotic covariance Sigma.
 
-    For a chain mean xbar, Cov(xbar) ~ Sigma / S.  Batch size defaults
-    to floor(sqrt(S)); the leading remainder draws are discarded so all
-    batches are complete.
+    For a chain mean xbar, Cov(xbar) ~ Sigma / S.  The batch size is
+    floor(sqrt(S)), so S >= 8 draws give at least two batches; the
+    leading remainder draws are discarded so all batches are complete.
     """
     x = _as_matrix(sample)
     S = x.shape[0]
     if S < 8:
         raise DataError("batch-means covariance needs at least 8 draws")
-    b = int(math.isqrt(S)) if batch_size is None else int(batch_size)
+    b = int(math.isqrt(S))
     a = S // b
-    if a < 2:
-        raise DataError("too few batches; reduce the batch size")
     x = x[S - a * b:]
     means = x.reshape(a, b, x.shape[1]).mean(axis=1)
     centered = means - x.mean(axis=0)
@@ -97,7 +95,7 @@ def multivariate_ess(sample):
     if p == 0:
         raise DataError("all statistic columns are constant")
     b = int(math.isqrt(S))
-    sigma = batch_means_cov(x, b)
+    sigma = batch_means_cov(x)
     lam = np.cov(x, rowvar=False).reshape(p, p)
 
     # reduce to the subspace where Lambda is numerically nonsingular
@@ -129,28 +127,38 @@ def univariate_ess(series):
     S = x.size
     if x.max() - x.min() <= _DEGENERATE_REL_TOL * max(abs(x).max(), 1.0):
         return float(S)
-    b = int(math.isqrt(S))
-    sigma = batch_means_cov(x[:, None], b)[0, 0]
+    sigma = batch_means_cov(x[:, None])[0, 0]
     lam = x.var(ddof=1)
     if sigma <= 0:
         return float(S)
     return float(S * lam / sigma)
 
 
-def geweke_test(sample, frac_first=0.1, frac_last=0.5):
+def _hotelling_pvalue(t2, p, nu):
+    """Upper-tail p-value of a Hotelling T^2 on p dimensions with nu
+    degrees of freedom: F reference, or chi-square when nu is too small."""
+    from scipy.special import chdtrc, fdtrc
+    if nu - p + 1 <= 0:
+        return float(chdtrc(p, t2))
+    return float(fdtrc(p, nu - p + 1, t2 * (nu - p + 1) / (nu * p)))
+
+
+_GEWEKE_FIRST = 0.1
+_GEWEKE_LAST = 0.5
+
+
+def geweke_test(sample):
     """Two-window convergence diagnostic, multivariate.
 
-    Compares the mean of the first `frac_first` of the chain with the
-    mean of the last `frac_last` via a Hotelling-type statistic whose
-    window covariances come from batch means.  Returns the p-value; the
-    F reference uses the pooled batch count as its degrees of freedom.
+    Compares the mean of the first tenth of the chain with the mean of
+    the last half via a Hotelling-type statistic whose window
+    covariances come from batch means.  Returns the p-value; the F
+    reference uses the pooled batch count as its degrees of freedom.
     """
     x = _as_matrix(sample)
     S = x.shape[0]
-    if frac_first + frac_last > 1.0:
-        raise DataError("Geweke windows must not overlap")
-    n1 = int(S * frac_first)
-    n2 = int(S * frac_last)
+    n1 = int(S * _GEWEKE_FIRST)
+    n2 = int(S * _GEWEKE_LAST)
     if n1 < 8 or n2 < 8:
         raise DataError("Geweke windows too small")
     first, last = x[:n1], x[S - n2:]
@@ -175,11 +183,7 @@ def geweke_test(sample, frac_first=0.1, frac_last=0.5):
     a2 = n2 // int(math.isqrt(n2))
     q1, q2 = 1.0 / n1, 1.0 / n2
     nu = (q1 + q2) ** 2 / (q1 * q1 / (a1 - 1) + q2 * q2 / (a2 - 1))
-    from scipy.special import chdtrc, fdtrc
-    if nu - p + 1 <= 0:
-        return float(chdtrc(p, t2))
-    f_stat = t2 * (nu - p + 1) / (nu * p)
-    return float(fdtrc(p, nu - p + 1, f_stat))
+    return _hotelling_pvalue(t2, p, nu)
 
 
 def _decay_sse(x, s_index, s0):

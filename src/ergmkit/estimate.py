@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import batch_means_cov
+from .diagnostics import _hotelling_pvalue, batch_means_cov
 from .errors import DataError, SeparationError, SingularityError
-from .hull import boundary_multiplier, scale_into_hull
+from .hull import _DEPTH, boundary_multiplier, scale_into_hull
 from .proposals import blocks_rule, make_proposal
 # mh_step is not called here, but stays a module attribute: perfbench
 # traces it by name
@@ -176,8 +176,11 @@ def mple_rows(net, model, mode="compressed"):
                     offset_names=offset_names)
 
 
-def logistic_fit(predictor, response, weights=None, shift=None, tol=1e-10,
-                 max_iter=100):
+_LOGISTIC_TOL = 1e-10
+_LOGISTIC_MAX_ITER = 100
+
+
+def logistic_fit(predictor, response, weights=None, shift=None):
     """Weighted logistic regression by Newton-Raphson.
 
     Returns (coefs, J) with J the negative Hessian at the optimum.
@@ -211,11 +214,11 @@ def logistic_fit(predictor, response, weights=None, shift=None, tol=1e-10,
             f"design matrix is column-rank deficient; null direction {null}")
 
     beta = np.zeros(X.shape[1])
-    for _ in range(max_iter):
+    for _ in range(_LOGISTIC_MAX_ITER):
         eta = X @ beta + o
         p = 1.0 / (1.0 + np.exp(-np.clip(eta, -700, 700)))
         grad = X.T @ (w * (y - p))
-        if np.abs(grad).max() < tol:
+        if np.abs(grad).max() < _LOGISTIC_TOL:
             break
         wt = w * p * (1.0 - p)
         H = (X * wt[:, None]).T @ X
@@ -358,11 +361,6 @@ class McmleControl:
     target_ess: float = None       # adaptive sampling when set
     maxit: int = 60
     termination: str = "confidence"
-    hotelling_alpha: float = 0.5
-    confidence_alpha: float = 0.05
-    confidence_delta: float = 0.25
-    hull_depth: float = 0.95
-    newton_tol: float = 1e-8
     seed: int = 0
 
 
@@ -386,7 +384,11 @@ def _reduce_support(sample):
     return mean, vt[keep].T   # p_free x r
 
 
-def mcmle_step(theta_t, sample, g_obs, depth=0.95, tol=1e-8, max_iter=200):
+_MCMLE_TOL = 1e-8
+_MCMLE_MAX_ITER = 200
+
+
+def mcmle_step(theta_t, sample, g_obs):
     """One Monte-Carlo MLE update from a sample drawn at theta_t.
 
     Maximizes <theta - theta_t, g_obs> - log mean exp<theta - theta_t,
@@ -405,7 +407,7 @@ def mcmle_step(theta_t, sample, g_obs, depth=0.95, tol=1e-8, max_iter=200):
         raise SingularityError("observed statistic is not spanned by the "
                                "simulated sample")
     gamma = boundary_multiplier(sample, g_obs)
-    g_work = scale_into_hull(sample, g_obs, depth=depth)
+    g_work = scale_into_hull(sample, g_obs)
 
     Z = (sample - mean) @ basis
     z_obs = (g_work - mean) @ basis
@@ -418,14 +420,14 @@ def mcmle_step(theta_t, sample, g_obs, depth=0.95, tol=1e-8, max_iter=200):
 
     f_cur = objective(delta)
     f0 = f_cur
-    for _ in range(max_iter):
+    for _ in range(_MCMLE_MAX_ITER):
         t = Z @ delta
         t -= t.max()
         w = np.exp(t)
         w /= w.sum()
         g_mean = w @ Z
         grad = z_obs - g_mean
-        if np.abs(grad).max() < tol * max(1.0, np.abs(z_obs).max()):
+        if np.abs(grad).max() < _MCMLE_TOL * max(1.0, np.abs(z_obs).max()):
             break
         centered = Z - g_mean
         H = (centered * w[:, None]).T @ centered
@@ -458,14 +460,20 @@ def mcmle_step(theta_t, sample, g_obs, depth=0.95, tol=1e-8, max_iter=200):
     return theta_next, info
 
 
-def check_termination(kind, history, control=None):
+# hotelling stops once its p-value exceeds _HOTELLING_ALPHA, confidence
+# once its upper (1 - _CONFIDENCE_ALPHA) bound is below _CONFIDENCE_DELTA
+_HOTELLING_ALPHA = 0.5
+_CONFIDENCE_ALPHA = 0.05
+_CONFIDENCE_DELTA = 0.25
+
+
+def check_termination(kind, history):
     """Evaluate a stopping rule on the iteration history.
 
     Returns (stop, statistic) where the statistic is the p-value for
     hotelling, the hull multiplier for hummel, and the Mahalanobis
     upper confidence bound for confidence.
     """
-    control = control or McmleControl()
     if kind not in ("hotelling", "hummel", "confidence"):
         raise DataError(f"unknown termination rule {kind!r}")
     if not history:
@@ -478,11 +486,11 @@ def check_termination(kind, history, control=None):
     if kind == "hummel":
         if len(history) < 2:
             return False, rec.gamma
-        need = 1.0 / control.hull_depth
+        need = 1.0 / _DEPTH
         ok = history[-1].gamma >= need and history[-2].gamma >= need
         return ok, rec.gamma
 
-    from scipy.special import chdtrc, fdtrc, ndtri
+    from scipy.special import ndtri
     mean, basis = _reduce_support(sample)
     u_r = basis.T @ U
     resid = U - basis @ u_r
@@ -498,12 +506,8 @@ def check_termination(kind, history, control=None):
             t2 = float(u_r @ np.linalg.solve(cov_mean, u_r))
         except np.linalg.LinAlgError:
             t2 = float(u_r @ np.linalg.pinv(cov_mean) @ u_r)
-        nu = S // int(math.isqrt(S)) - 1
-        if nu - p + 1 <= 0:
-            pval = float(chdtrc(p, t2))
-        else:
-            pval = float(fdtrc(p, nu - p + 1, t2 * (nu - p + 1) / (nu * p)))
-        return pval > control.hotelling_alpha, pval
+        pval = _hotelling_pvalue(t2, p, S // int(math.isqrt(S)) - 1)
+        return pval > _HOTELLING_ALPHA, pval
 
     # confidence: equivalence test on the Mahalanobis distance bound
     lam = np.cov(Z, rowvar=False).reshape(p, p)
@@ -516,9 +520,9 @@ def check_termination(kind, history, control=None):
     inner = lam_inv @ sigma
     var_d2 = float(4.0 * u_r @ lam_inv @ sigma @ lam_inv @ u_r
                    + 2.0 * np.trace(inner @ inner))
-    z = ndtri(1.0 - control.confidence_alpha)
+    z = ndtri(1.0 - _CONFIDENCE_ALPHA)
     ucb = math.sqrt(max(d2, 0.0) + z * math.sqrt(max(var_d2, 0.0)))
-    return ucb < control.confidence_delta, ucb
+    return ucb < _CONFIDENCE_DELTA, ucb
 
 
 def _default_interval(net):
@@ -592,13 +596,11 @@ def mcmle_fit(net, model, g_obs=None, offset_coefs=(), constraints=None,
         gamma = boundary_multiplier(sample_free, obs_free)
         history.append(_IterationRecord(theta=theta.copy(), sample=sample_free,
                                         g_obs=obs_free, gamma=gamma))
-        stop, stat = check_termination(control.termination, history, control)
+        stop, stat = check_termination(control.termination, history)
         if stop:
             converged = True
             break
-        theta, info = mcmle_step(theta, sample_free, obs_free,
-                                 depth=control.hull_depth,
-                                 tol=control.newton_tol)
+        theta, info = mcmle_step(theta, sample_free, obs_free)
 
     rec = history[-1]
     if info.get("tilted_cov") is None or converged:

@@ -320,10 +320,6 @@ class ConstraintSpec:
         self.strat_empirical = strat_empirical
         self.force_proposal = force_proposal   # None | "uniform" | "tnt"
 
-    def is_trivial(self):
-        return (self.bd_maxout is None and self.bd_maxin is None
-                and self.blocks_attr is None and self.strat_attr is None)
-
     def degree_capped(self):
         return self.bd_maxout is not None or self.bd_maxin is not None
 

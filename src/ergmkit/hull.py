@@ -231,17 +231,20 @@ def in_hull(points, x, center=None):
     return boundary_multiplier(points, x, center) >= 1.0 - _BOUNDARY_BAND
 
 
-def scale_into_hull(points, x, center=None, depth=0.95):
-    """Pull x toward the cloud center until it sits depth-deep inside.
+# depth of the likelihood update's target inside the hull, as a fraction
+# of the boundary distance; the hummel stopping rule reads it too
+_DEPTH = 0.95
 
-    Points with multiplier at least 1/depth are returned unchanged;
-    otherwise the scaled point lands exactly at depth of the boundary
+
+def scale_into_hull(points, x, center=None):
+    """Pull x toward the cloud center until it sits _DEPTH-deep inside.
+
+    Points with multiplier at least 1/_DEPTH are returned unchanged;
+    otherwise the scaled point lands exactly at _DEPTH of the boundary
     distance, strictly inside the hull.  Idempotent.
     """
-    if not (0.0 < depth <= 1.0):
-        raise DataError("depth must lie in (0, 1]")
     points, x, center = _prepare_cloud(points, x, center)
     gamma = boundary_multiplier(points, x, center)
-    if gamma >= (1.0 / depth) * (1.0 - 1e-9):
+    if gamma >= (1.0 / _DEPTH) * (1.0 - 1e-9):
         return x.copy()
-    return center + depth * gamma * (x - center)
+    return center + _DEPTH * gamma * (x - center)

@@ -131,12 +131,6 @@ class Network:
 
     # -- sampling helpers ----------------------------------------------
 
-    def random_edge(self, rng):
-        """A uniformly random current edge; rng is a random.Random."""
-        if not self.edges:
-            raise ValueError("network has no edges")
-        return self.edges[rng.randrange(len(self.edges))]
-
     def dyad_at(self, k):
         """Decode index k in [0, dyad_count) to a canonical free dyad."""
         n = self.n

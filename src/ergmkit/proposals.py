@@ -685,14 +685,17 @@ def make_proposal(net, constraints=None, attrs=None):
     No constraint spec means the unconstrained default.  The checker is
     None when the proposal itself respects the constraints (BDStratTNT);
     otherwise the sampler must reject toggles the checker disallows.
+    BDStratTNT serves undirected unipartite networks only, so without
+    `strat` other networks fall back to TNT with a checker.
     """
     if constraints is None:
         constraints = ConstraintSpec()
     forced = constraints.force_proposal
     if forced == "uniform":
         proposal = UniformProposal()
-    elif forced is None and (constraints.strat_attr is not None
-                             or constraints.constrained()):
+    elif forced is None and (constraints.strat_attr is not None or (
+            constraints.constrained()
+            and not (net.directed or net.bipartite))):
         return BDStratTNT(net, constraints, attrs), None
     else:
         proposal = TntProposal()

@@ -40,7 +40,6 @@ class SamplerConfig:
     seed: int = 0
     target_ess: float | None = None
     max_rounds: int = 100
-    geweke_alpha: float = 0.05
 
     def __post_init__(self):
         if self.samplesize < 1 or self.interval < 1 or self.chains < 1:
@@ -290,6 +289,10 @@ def _direction_for(model, coefs):
     return d / norm
 
 
+# a two-window p-value below this sends the adaptive loop to another round
+_GEWEKE_ALPHA = 0.05
+
+
 def adaptive_run(net, model, coefs, proposal, config, checker=None, rng=None):
     """Grow the chain until the multivariate ESS reaches target_ess.
 
@@ -349,7 +352,7 @@ def adaptive_run(net, model, coefs, proposal, config, checker=None, rng=None):
             continue
         pval = geweke_test(kept)
         diag.geweke_p = pval
-        if pval < config.geweke_alpha:
+        if pval < _GEWEKE_ALPHA:
             pending = config.samplesize
             diag.history.append(("nonconverged", pval))
             continue

@@ -25,6 +25,8 @@ from .sampler import _log_tilt
 __all__ = ["SanConfig", "SanTrace", "energy", "san_weight_update", "san_run"]
 
 _INF = math.inf
+# the reservoir of proposed statistic differences behind the weight update
+_MAX_STORED_DIFFS = 100_000
 
 
 @dataclass
@@ -36,7 +38,6 @@ class SanConfig:
     offset_coefs: tuple = ()
     invcov_override: object = None   # fixed W, never updated
     trace_interval: int = 1000
-    max_stored_diffs: int = 100_000
     seed: int = 0
 
     def __post_init__(self):
@@ -44,8 +45,8 @@ class SanConfig:
                 self.steps_per_run is not None and self.steps_per_run < 1):
             raise DataError("trace_interval, runs and steps_per_run must be "
                             "positive")
-        if self.tau0 is not None and not self.tau0 >= 0.0:
-            raise DataError("tau0 must be a nonnegative temperature")
+        if self.tau0 is not None and not 0.0 <= self.tau0 < _INF:
+            raise DataError("tau0 must be a finite nonnegative temperature")
 
 
 @dataclass
@@ -145,11 +146,11 @@ def san_run(net, model, config, constraints=None, attrs=None, rng=None):
 
             # reservoir subsample of the proposed differences
             seen += 1
-            if len(stored) < config.max_stored_diffs:
+            if len(stored) < _MAX_STORED_DIFFS:
                 stored.append(dfree)
             else:
                 slot = rng.randrange(seen)
-                if slot < config.max_stored_diffs:
+                if slot < _MAX_STORED_DIFFS:
                     stored[slot] = dfree
 
             new_dev = dev + dfree

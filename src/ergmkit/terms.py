@@ -36,8 +36,7 @@ import numpy as np
 from .errors import DataError
 from .formula import parse_model_formula
 
-__all__ = ["BoundModel", "bind", "summary_stats", "change_stats",
-           "apply_toggle_stats"]
+__all__ = ["BoundModel", "bind"]
 
 
 def _require_undirected(net, name):
@@ -519,18 +518,3 @@ class BoundModel:
 
 def bind(spec, net, attrs=None):
     return BoundModel(spec, net, attrs)
-
-
-def summary_stats(net, model):
-    return model.summary(net)
-
-
-def change_stats(net, model, i, j):
-    return model.change(net, i, j)
-
-
-def apply_toggle_stats(current, delta, adding):
-    """Update a statistic vector for a toggle with change score `delta`."""
-    if adding:
-        return [c + d for c, d in zip(current, delta)]
-    return [c - d for c, d in zip(current, delta)]

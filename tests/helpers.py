@@ -21,7 +21,7 @@ def all_networks(n, directed=False, bipartite=0):
         yield net
 
 
-def exact_moments(n, formula, attrs, theta, keep=None):
+def exact_moments(n, formula, attrs, theta, keep=None, directed=False):
     """Exact E[g(Y)] under the model by full enumeration.
 
     `keep` filters the sample space (constraint oracle); returns the
@@ -31,7 +31,7 @@ def exact_moments(n, formula, attrs, theta, keep=None):
     stats = []
     count = 0
     model = None
-    for net in all_networks(n):
+    for net in all_networks(n, directed=directed):
         if keep is not None and not keep(net):
             continue
         if model is None:

@@ -28,7 +28,7 @@ from ergmkit.proposals import (BDStratTNT, ConstraintChecker, TntProposal,
                                UniformProposal)
 from ergmkit.san import SanConfig, san_run
 from ergmkit.sampler import SamplerConfig, mh_step, run_chain
-from ergmkit.terms import bind, summary_stats
+from ergmkit.terms import bind
 
 
 @contextmanager
@@ -225,7 +225,7 @@ def test_criterion_06_san_example():
             if check_model is None:
                 check_model = bind('edges + nodematch("sex") + concurrent',
                                    out, attrs)
-            if summary_stats(out, check_model) == [30.0, 0.0, 0.0]:
+            if check_model.summary(out) == [30.0, 0.0, 0.0]:
                 hits += 1
         assert hits >= 99, f"only {hits}/100 seeds reached the targets"
         assert worst < 5.0, f"slowest run took {worst:.2f}s"

@@ -128,6 +128,18 @@ class TestSimulate:
         assert code == 0
         assert lines[0] == "tail\thead"
 
+    def test_directed_degree_cap_falls_back_to_tnt(self, capsys):
+        # BDStratTNT is undirected only; a directed bd() run samples with
+        # TNT and rejection instead of stopping with a data error
+        code, out, _ = run(capsys, "simulate", "--n", "6", "--directed",
+                           "--formula", "edges", "--coef", "1",
+                           "--constraints", "bd(maxin=1)", "--nsim", "3",
+                           "--interval", "10", "--burnin", "10",
+                           "--output", "edgelist", "--seed", "6")
+        assert code == 0
+        heads = [line.split("\t")[1] for line in out.strip().split("\n")[1:]]
+        assert heads and len(heads) == len(set(heads))
+
     def test_network_output_round_trips(self, capsys, net10, tmp_path):
         out_path = tmp_path / "final.txt"
         code, _, _ = run(capsys, "simulate", "--network", net10,
@@ -474,6 +486,8 @@ class TestErrors:
           "--total-proposals", "100"], 2),
         (["san", "--n", "10", "--formula", "edges", "--targets", "5",
           "--tau", "-1"], 3),
+        (["san", "--n", "10", "--formula", "edges", "--targets", "5",
+          "--tau", "inf"], 3),
         # term arguments of the wrong kind
         (["simulate", "--n", "12", "--attrs", "{attrs}", "--formula",
           'nodecov("grp")', "--coef", "0.1"], 3),
@@ -497,7 +511,8 @@ class TestErrors:
             "ess-no-coef", "san-no-targets", "pmat-entry", "loglik-bd",
             "workers-0", "workers-neg", "mixing-total-0", "mixing-total-neg",
             "bench-san-total-0", "mixing-total-below-trace",
-            "san-total-below-trace", "san-tau-neg", "nodecov-categorical",
+            "san-total-below-trace", "san-tau-neg", "san-tau-inf",
+            "nodecov-categorical",
             "absdiff-categorical", "gwesp-decay-string",
             "gwdegree-decay-string", "one-vertex-n", "one-vertex-network",
             "ess-stats-nan", "ess-stats-inf"])

@@ -129,10 +129,6 @@ class TestGeweke:
             [[1.0, 0.3, 0.0], [0.0, 1.0, 0.5], [0.0, 0.0, 1.0]])
         assert abs(geweke_test(x) - geweke_test(x[:, [2, 0, 1]])) < 1e-9
 
-    def test_overlapping_windows_rejected(self):
-        with pytest.raises(DataError):
-            geweke_test(np.zeros((100, 1)), frac_first=0.6, frac_last=0.5)
-
 
 class TestBurnin:
     def test_planted_decay(self):

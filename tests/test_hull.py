@@ -183,7 +183,7 @@ class TestScaleIntoHull:
         points = rng.normal(size=(25, 3))
         center = points.mean(axis=0)
         x = center + 50.0 * rng.normal(size=3)
-        out = scale_into_hull(points, x, depth=0.95)
+        out = scale_into_hull(points, x)
         gamma = boundary_multiplier(points, out, center)
         assert gamma >= 1.0  # strictly inside (multiplier 1/depth up to fp)
         assert abs(gamma - 1.0 / 0.95) < 1e-6

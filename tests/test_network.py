@@ -164,15 +164,17 @@ class TestToggle:
 
 
 class TestRandomEdge:
+    # the edge list holds every current edge once, so an index drawn
+    # uniformly into it (as TNT does) is a uniformly random edge
     def test_single_edge(self):
         net = Network(4)
         net.toggle(1, 3)
         rng = random.Random(0)
-        assert all(net.random_edge(rng) == (1, 3) for _ in range(20))
+        assert all(rng.choice(net.edges) == (1, 3) for _ in range(20))
 
     def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            Network(4).random_edge(random.Random(0))
+        with pytest.raises(IndexError):
+            random.Random(0).choice(Network(4).edges)
 
     def test_three_edges_uniform(self):
         net = Network(5)
@@ -182,7 +184,7 @@ class TestRandomEdge:
         draws = 300_000
         counts = {d: 0 for d in net.edges}
         for _ in range(draws):
-            counts[net.random_edge(rng)] += 1
+            counts[rng.choice(net.edges)] += 1
         # each frequency within 4 sigma of 1/3
         sigma = (draws * (1 / 3) * (2 / 3)) ** 0.5
         for c in counts.values():
@@ -194,16 +196,17 @@ class TestRandomEdge:
             net.toggle(*d)
         net.toggle(1, 2)
         rng = random.Random(3)
-        assert all(net.random_edge(rng) != (1, 2) for _ in range(200))
+        assert all(rng.choice(net.edges) != (1, 2) for _ in range(200))
 
     def test_chi_square_uniformity(self):
         net = random_net(12, density=0.4, seed=5)
         edges = list(net.edges)
+        assert len(set(edges)) == len(edges) == sum(net.deg) // 2
         rng = random.Random(11)
         draws = 100_000
         counts = {d: 0 for d in edges}
         for _ in range(draws):
-            counts[net.random_edge(rng)] += 1
+            counts[rng.choice(net.edges)] += 1
         observed = np.array([counts[d] for d in edges])
         chi2 = ((observed - draws / len(edges)) ** 2 / (draws / len(edges))).sum()
         pval = stats.chi2.sf(chi2, len(edges) - 1)

@@ -568,6 +568,21 @@ class TestMakeProposal:
         p, c = make_proposal(net, parse_constraint_formula("tnt + bd(maxout=1)"), attrs)
         assert isinstance(p, TntProposal) and c is not None
 
+    @pytest.mark.parametrize("net, text", [
+        (Network(6, directed=True), "bd(maxin=1)"),
+        (Network(6, bipartite=3), "bd(maxout=1)"),
+    ], ids=["directed-maxin", "bipartite-maxout"])
+    def test_constrained_non_unipartite_falls_back_to_tnt(self, net, text):
+        # BDStratTNT serves undirected unipartite networks only
+        p, c = make_proposal(net, parse_constraint_formula(text))
+        assert isinstance(p, TntProposal) and isinstance(c, ConstraintChecker)
+
+    def test_strat_on_directed_rejected(self):
+        with pytest.raises(DataError, match="undirected unipartite"):
+            make_proposal(Network(6, directed=True),
+                          parse_constraint_formula('strat(attr="grp")'),
+                          alternating_sex(6))
+
     @pytest.mark.parametrize("text", ["bd(maxin=1)", "tnt + bd(maxin=1)"],
                              ids=["bdstrat", "tnt"])
     def test_maxin_on_undirected_rejected(self, text):

@@ -466,6 +466,32 @@ class TestConstrainedStationarity:
         se = batch_means_se(sm.values[:, 0])
         assert abs(sm.values[:, 0].mean() - exact[0]) < 3 * se
 
+    def test_directed_maxin_through_make_proposal(self):
+        # BDStratTNT is undirected only: make_proposal falls back to TNT
+        # with a checker, which must target the constrained law
+        n = 4
+        attrs = grp_attrs(n)
+        spec = parse_constraint_formula("bd(maxin=1)")
+        theta = (0.4, -0.3)
+        formula = 'edges + nodematch("grp")'
+
+        def keep(net):
+            return max(net.in_deg) <= 1
+
+        exact, count = exact_moments(n, formula, attrs, theta, keep=keep,
+                                     directed=True)
+        assert count == 4 ** 4
+        net = Network(n, directed=True)
+        model = bind(formula, net, attrs)
+        prop, checker = make_proposal(net, spec, attrs)
+        assert isinstance(prop, TntProposal) and checker is not None
+        cfg = SamplerConfig(samplesize=150_000, burnin=1000, interval=1, seed=24)
+        sm = run_chain(net, model, list(theta), prop, cfg, checker=checker)
+        assert max(net.in_deg) <= 1
+        for k in range(2):
+            se = batch_means_se(sm.values[:, k])
+            assert abs(sm.values[:, k].mean() - exact[k]) < 3 * se
+
 
 class TestAdaptive:
     def test_fast_mixing_terminates(self):

@@ -10,7 +10,7 @@ from ergmkit.errors import DataError
 from ergmkit.formula import parse_constraint_formula
 from ergmkit.network import Network, VertexAttributes
 from ergmkit.san import SanConfig, energy, san_run, san_weight_update
-from ergmkit.terms import bind, summary_stats
+from ergmkit.terms import bind
 
 
 def sex_attrs(n):
@@ -75,7 +75,7 @@ class TestSanRun:
                            seed=5)
         out, trace = san_run(net, model, config, attrs=attrs)
         check = bind('edges + nodematch("sex") + concurrent', out, attrs)
-        assert summary_stats(out, check) == [30.0, 0.0, 0.0]
+        assert check.summary(out) == [30.0, 0.0, 0.0]
         assert trace.exited_early
 
     def test_immediate_exit_when_on_target(self):
@@ -112,7 +112,7 @@ class TestSanRun:
         match_stats = [row[1][1] for row in trace.rows]
         assert all(v <= 0.0 for v in match_stats)
         check = bind('nodematch("sex")', out, attrs)
-        assert summary_stats(out, check) == [0.0]
+        assert check.summary(out) == [0.0]
 
     def test_plus_inf_offset_never_decreases(self):
         # start with same-sex matches present: a +inf offset forbids
@@ -187,9 +187,10 @@ class TestSanRun:
         with pytest.raises(DataError):
             SanConfig(targets=[1.0], **{field: value})
 
-    @pytest.mark.parametrize("tau0", [-1.0, math.nan])
+    @pytest.mark.parametrize("tau0", [-1.0, math.nan, math.inf])
     def test_tau0_must_be_a_nonnegative_temperature(self, tau0):
-        # a negative temperature accepts every worsening move
+        # a negative temperature accepts every worsening move; an
+        # infinite one makes the last run's temperature inf * 0 = nan
         with pytest.raises(DataError):
             SanConfig(targets=[1.0], tau0=tau0)
         # zero stays legal: san_benchmark anneals at temperature zero

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from ergmkit.errors import DataError
 from ergmkit.network import Network, VertexAttributes
-from ergmkit.terms import bind, summary_stats, change_stats, apply_toggle_stats
+from ergmkit.terms import bind
 
 UNDIRECTED_FORMULA = ('edges + triangle + nodematch("grp") + nodematch("grp", diff=true)'
                       ' + nodefactor("grp") + nodecov("age") + absdiff("age")'
@@ -59,14 +59,14 @@ class TestSummaries:
     def test_empty(self):
         net = Network(6)
         model = bind("edges + triangle", net)
-        assert summary_stats(net, model) == [0.0, 0.0]
+        assert model.summary(net) == [0.0, 0.0]
 
     def test_complete_k4(self):
         net = Network(4)
         for k in range(6):
             net.toggle(*net.dyad_at(k))
         model = bind("edges + triangle", net)
-        assert summary_stats(net, model) == [6.0, 4.0]
+        assert model.summary(net) == [6.0, 4.0]
 
     def test_monogamous_heterosexual_summary(self):
         # Constructed 100-node network: 30 disjoint cross-sex edges.
@@ -75,19 +75,19 @@ class TestSummaries:
         for k in range(30):
             net.toggle(2 * k, 2 * k + 1)  # even ids are M, odd are F
         model = bind('edges + nodematch("sex") + concurrent', net, attrs)
-        assert summary_stats(net, model) == [30.0, 0.0, 0.0]
+        assert model.summary(net) == [30.0, 0.0, 0.0]
 
     def test_k4_minus_edge_triangles(self):
         net = Network(4)
         for k in range(6):
             net.toggle(*net.dyad_at(k))
         model = bind("edges + triangle", net)
-        delta = change_stats(net, model, 0, 1)
+        delta = model.change(net, 0, 1)
         assert delta == [1.0, 2.0]
-        stats = apply_toggle_stats([6.0, 4.0], delta, adding=False)
+        stats = [c - d for c, d in zip([6.0, 4.0], delta)]
         assert stats == [5.0, 2.0]
         net.toggle(0, 1)
-        assert summary_stats(net, model) == stats
+        assert model.summary(net) == stats
 
 
 class TestChangeScores:
@@ -95,7 +95,7 @@ class TestChangeScores:
         net = random_net(6, seed=3)
         model = bind("edges", net)
         for k in range(net.dyad_count()):
-            assert change_stats(net, model, *net.dyad_at(k)) == [1.0]
+            assert model.change(net, *net.dyad_at(k)) == [1.0]
 
     def test_triangle_is_common_neighbors(self):
         net = random_net(7, seed=4)
@@ -103,7 +103,7 @@ class TestChangeScores:
         for k in range(net.dyad_count()):
             i, j = net.dyad_at(k)
             cn = len(net.adj[i] & net.adj[j])
-            assert change_stats(net, model, i, j) == [float(cn)]
+            assert model.change(net, i, j) == [float(cn)]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_brute_force_undirected(self, seed):
@@ -114,7 +114,7 @@ class TestChangeScores:
                     for name in model.names]
         for k in range(net.dyad_count()):
             i, j = net.dyad_at(k)
-            fast = change_stats(net, model, i, j)
+            fast = model.change(net, i, j)
             slow = brute_force_change(net, model, i, j)
             for f, s, is_int in zip(fast, slow, int_mask):
                 if is_int:
@@ -129,7 +129,7 @@ class TestChangeScores:
         model = bind(DIRECTED_FORMULA, net, make_attrs(n, seed))
         for k in range(net.dyad_count()):
             i, j = net.dyad_at(k)
-            fast = change_stats(net, model, i, j)
+            fast = model.change(net, i, j)
             slow = brute_force_change(net, model, i, j)
             assert all(abs(f - s) < 1e-12 for f, s in zip(fast, slow))
 
@@ -142,7 +142,7 @@ class TestChangeScores:
         model = bind(UNDIRECTED_FORMULA, net, make_attrs(n, seed))
         for k in range(net.dyad_count()):
             i, j = net.dyad_at(k)
-            fast = change_stats(net, model, i, j)
+            fast = model.change(net, i, j)
             slow = brute_force_change(net, model, i, j)
             assert all(abs(f - s) < 1e-12 for f, s in zip(fast, slow))
 
@@ -150,9 +150,9 @@ class TestChangeScores:
         net = random_net(6, seed=8)
         model = bind(UNDIRECTED_FORMULA, net, make_attrs(6, 8))
         i, j = 1, 4
-        before = change_stats(net, model, i, j)
+        before = model.change(net, i, j)
         net.toggle(i, j)
-        after = change_stats(net, model, i, j)
+        after = model.change(net, i, j)
         assert all(abs(a - b) < 1e-12 for a, b in zip(before, after))
 
 
@@ -202,9 +202,6 @@ class TestBlockChanges:
 
 
 class TestIncremental:
-    def test_apply_toggle(self):
-        assert apply_toggle_stats([0.0, 0.0], [1.0, 0.0], adding=True) == [1.0, 0.0]
-
     def test_replay_long_run(self):
         # Random toggles with incremental updates stay exact for integer
         # terms and within 1e-9 drift for real ones.
@@ -214,13 +211,13 @@ class TestIncremental:
         model = bind(UNDIRECTED_FORMULA, net, make_attrs(n, 17))
         int_mask = [not name.startswith(("gwdegree", "gwesp", "nodecov", "absdiff"))
                     for name in model.names]
-        stats = summary_stats(net, model)
+        stats = model.summary(net)
         for _ in range(100_000):
             i, j = net.random_dyad(rng)
-            delta = change_stats(net, model, i, j)
+            delta = model.change(net, i, j)
             adding = net.toggle(i, j)
-            stats = apply_toggle_stats(stats, delta, adding)
-        exact = summary_stats(net, model)
+            stats = [c + d if adding else c - d for c, d in zip(stats, delta)]
+        exact = model.summary(net)
         for got, want, is_int in zip(stats, exact, int_mask):
             if is_int:
                 assert got == want
