@@ -139,8 +139,15 @@ def _mh_stepper(net, model, coefs, proposal, checker, rng):
 
     Everything a step looks up is bound here: the proposal's draw and
     commit (from its bind; commit is None when it keeps no state), the
-    checker, each term's change function and the RNG.  The
-    tilt goes through _log_tilt, the one 0 * inf rule.
+    checker, each term's change closure (``BoundModel.change_functions``,
+    called with the dyad's state the step has already read), the RNG
+    and ``net.toggle``.  When every coefficient is finite the step sums
+    the tilt itself, c * d over the nonzero d in _log_tilt's order
+    (c * -d on a removal), which is bit-identical to _log_tilt because
+    IEEE rounding is sign-symmetric; the loop is explicit because
+    builtin sum() of floats is compensated from Python 3.12 on.  With an
+    infinite coefficient the tilt goes through _log_tilt, the one
+    0 * inf rule.
     """
     if len(coefs) != model.p:
         raise DataError(f"need {model.p} coefficients, got {len(coefs)}")
@@ -149,7 +156,8 @@ def _mh_stepper(net, model, coefs, proposal, checker, rng):
         raise DataError("coefficients must not be NaN")
     draw, commit = proposal.bind(net, rng)
     allowed = checker.allowed if checker is not None else None
-    changes = model.change_functions()
+    changes = model.change_functions(net)
+    finite = all(map(math.isfinite, coefs))
     adj, toggle = net.adj, net.toggle
     random, exp = rng.random, math.exp
 
@@ -157,18 +165,30 @@ def _mh_stepper(net, model, coefs, proposal, checker, rng):
         i, j, log_q = draw()
         if allowed is not None and not allowed(net, i, j):
             return stats
-        adding = j not in adj[i]
+        present = j in adj[i]
         delta = []
         for f in changes:
-            delta += f(net, i, j)
-        log_ar = _log_tilt(coefs, delta, 1 if adding else -1) + log_q
+            delta += f(i, j, present)
+        if not finite:
+            log_ar = _log_tilt(coefs, delta, -1 if present else 1) + log_q
+        else:
+            tilt = 0.0
+            if present:
+                for c, d in zip(coefs, delta):
+                    if d:
+                        tilt += c * -d
+            else:
+                for c, d in zip(coefs, delta):
+                    if d:
+                        tilt += c * d
+            log_ar = tilt + log_q
         if log_ar >= 0.0 or (log_ar > -_INF and random() < exp(log_ar)):
             toggle(i, j)
             if commit is not None:
-                commit(i, j, adding)
-            if adding:
-                return list(map(add, stats, delta))
-            return list(map(sub, stats, delta))
+                commit(i, j, not present)
+            if present:
+                return list(map(sub, stats, delta))
+            return list(map(add, stats, delta))
         return stats
 
     return step

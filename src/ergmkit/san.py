@@ -91,6 +91,7 @@ def san_run(net, model, config, constraints=None, attrs=None, rng=None):
         rng = random.Random(config.seed)
     proposal, checker = make_proposal(net, constraints, attrs)
     draw, commit = proposal.bind(net, rng)
+    changes = model.change_functions(net)
 
     free = model.free_index
     offs = model.offset_index
@@ -139,9 +140,12 @@ def san_run(net, model, config, constraints=None, attrs=None, rng=None):
                                    float(dev @ W @ dev)))
             if checker is not None and not checker.allowed(net, i, j):
                 continue
-            adding = not net.has_edge(i, j)
+            present = net.has_edge(i, j)
+            adding = not present
             sign = 1.0 if adding else -1.0
-            delta = model.change(net, i, j)
+            delta = []
+            for f in changes:
+                delta += f(i, j, present)
             dfree = np.array([delta[k] for k in free]) * sign
 
             # reservoir subsample of the proposed differences

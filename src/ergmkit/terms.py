@@ -13,6 +13,19 @@ levels); nodecov(attr); absdiff(attr); concurrent; degree(d);
 gwdegree(decay, fixed=true); gwesp(decay, fixed=true).  The
 geometrically weighted terms support fixed decay only.
 
+For the MH chain and SAN, each term binds its change score to one
+network once per chain (``change_function``): a closure
+``f(i, j, present) -> list`` over the network's live ``adj``, ``in_adj``
+and ``deg`` and the term's constants.  ``present`` is the dyad's state
+before the toggle, which the step already knows, and the closure's
+list holds the same floats as ``change(net, i, j)``.  A closure may
+return one shared constant list (edges, nodematch without diff),
+because its callers only copy the elements out
+(``delta += f(i, j, present)``) and never keep or mutate the list.
+Binding does no O(n) work: the power table of the geometrically
+weighted terms is built on their first bind or block sweep and reused
+by every later one.
+
 Each term also scores a block of dyads at once (``changes``), for the
 full-dyad sweeps of the pseudo-likelihood.  Block rows are bit-identical
 to the scalar ``change``: attribute and degree terms do the same float
@@ -127,6 +140,10 @@ class _Edges(_DyadIndependent):
     def change(self, net, i, j):
         return [1.0]
 
+    def change_function(self, net):
+        one = [1.0]
+        return lambda i, j, present: one
+
     def changes(self, net, tails, heads, present):
         return np.ones((len(tails), 1))
 
@@ -153,6 +170,15 @@ class _Triangle:
             c = len(out[i] & out[j]) + len(inn[i] & inn[j]) + len(out[i] & inn[j])
             return [float(c)]
         return [float(len(net.adj[i] & net.adj[j]))]
+
+    def change_function(self, net):
+        out = net.adj
+        if net.directed:
+            inn = net.in_adj
+            return lambda i, j, present: [float(
+                len(out[i] & out[j]) + len(inn[i] & inn[j])
+                + len(out[i] & inn[j]))]
+        return lambda i, j, present: [float(len(out[i] & out[j]))]
 
     def changes(self, net, tails, heads, present):
         return _changes_on_support(self, net, tails, heads)
@@ -183,6 +209,21 @@ class _Nodematch(_DyadIndependent):
         if lev[i] == lev[j]:
             out[lev[i]] = 1.0
         return out
+
+    def change_function(self, net):
+        lev = self.lev
+        if not self.diff:
+            match, other = [1.0], [0.0]
+            return lambda i, j, present: match if lev[i] == lev[j] else other
+        dim = self.dim
+
+        def change(i, j, present):
+            out = [0.0] * dim
+            if lev[i] == lev[j]:
+                out[lev[i]] = 1.0
+            return out
+
+        return change
 
     def changes(self, net, tails, heads, present):
         if self._lev is None:
@@ -220,6 +261,21 @@ class _Nodefactor(_DyadIndependent):
             out[s] += 1.0
         return out
 
+    def change_function(self, net):
+        slot, lev, dim = self.slot.get, self.lev, self.dim
+
+        def change(i, j, present):
+            out = [0.0] * dim
+            s = slot(lev[i])
+            if s is not None:
+                out[s] += 1.0
+            s = slot(lev[j])
+            if s is not None:
+                out[s] += 1.0
+            return out
+
+        return change
+
     def changes(self, net, tails, heads, present):
         if self._slot is None:   # per vertex: its level's slot, or -1
             self._slot = np.array([self.slot.get(l, -1) for l in self.lev])
@@ -252,6 +308,10 @@ class _Nodecov(_NumericAttribute):
     def change(self, net, i, j):
         return [self.x[i] + self.x[j]]
 
+    def change_function(self, net):
+        x = self.x
+        return lambda i, j, present: [x[i] + x[j]]
+
     def changes(self, net, tails, heads, present):
         if self._x is None:
             self._x = np.asarray(self.x, dtype=float)
@@ -261,6 +321,10 @@ class _Nodecov(_NumericAttribute):
 class _Absdiff(_NumericAttribute):
     def change(self, net, i, j):
         return [abs(self.x[i] - self.x[j])]
+
+    def change_function(self, net):
+        x = self.x
+        return lambda i, j, present: [abs(x[i] - x[j])]
 
     def changes(self, net, tails, heads, present):
         if self._x is None:
@@ -284,6 +348,11 @@ class _Concurrent:
         di = net.deg[i] - present
         dj = net.deg[j] - present
         return [float((di == 1) + (dj == 1))]
+
+    def change_function(self, net):
+        deg = net.deg
+        return lambda i, j, present: [
+            float((deg[i] - present == 1) + (deg[j] - present == 1))]
 
     def changes(self, net, tails, heads, present):
         di, dj = _free_degrees(net, tails, heads, present)
@@ -313,6 +382,16 @@ class _Degree:
         dj = net.deg[j] - present
         return [float((di + 1 == d) - (di == d) + (dj + 1 == d) - (dj == d))]
 
+    def change_function(self, net):
+        d, deg = self.d, net.deg
+
+        def change(i, j, present):
+            di = deg[i] - present
+            dj = deg[j] - present
+            return [float((di + 1 == d) - (di == d) + (dj + 1 == d) - (dj == d))]
+
+        return change
+
     def changes(self, net, tails, heads, present):
         d = self.d
         di, dj = _free_degrees(net, tails, heads, present)
@@ -339,19 +418,35 @@ def _fixed_decay(term, name):
     return decay
 
 
-class _Gwdegree:
+class _GeometricallyWeighted:
+    """A fixed-decay term weighted by powers of u = 1 - exp(-decay)."""
+
     dyad_independent = False
 
     def __init__(self, term, net, attrs):
-        _require_undirected(net, "gwdegree")
-        self.decay = _fixed_decay(term, "gwdegree")
+        _require_undirected(net, self.kind)
+        self.decay = _fixed_decay(term, self.kind)
         self.u = 1.0 - math.exp(-self.decay)
+        self.scale = math.exp(self.decay)
         self._pow = None
-        self.names = [f"gwdegree.fixed.{self.decay:g}"]
+        self.names = [f"{self.kind}.fixed.{self.decay:g}"]
         self.dim = 1
 
+    def _powers(self, n):
+        """u ** k for every degree or shared-partner count k < n, by
+        Python's float power, which np.power need not match bit for bit;
+        built on first use and kept."""
+        if self._pow is None:
+            u = self.u
+            self._pow = [u ** k for k in range(n)]
+        return self._pow
+
+
+class _Gwdegree(_GeometricallyWeighted):
+    kind = "gwdegree"
+
     def summary(self, net):
-        u, scale = self.u, math.exp(self.decay)
+        u, scale = self.u, self.scale
         return [math.fsum(scale * (1.0 - u ** d) for d in net.deg if d > 0)]
 
     def change(self, net, i, j):
@@ -361,27 +456,21 @@ class _Gwdegree:
         dj = net.deg[j] - present
         return [u ** di + u ** dj]
 
+    def change_function(self, net):
+        pw, deg = self._powers(net.n), net.deg
+        return lambda i, j, present: [pw[deg[i] - present] + pw[deg[j] - present]]
+
     def changes(self, net, tails, heads, present):
-        if self._pow is None:
-            # u ** k for every possible degree k, by Python's float
-            # power, which np.power need not match bit for bit
-            self._pow = np.array([self.u ** k for k in range(net.n)])
+        pw = np.array(self._powers(net.n))
         di, dj = _free_degrees(net, tails, heads, present)
-        return (self._pow[di] + self._pow[dj])[:, None]
+        return (pw[di] + pw[dj])[:, None]
 
 
-class _Gwesp:
-    dyad_independent = False
-
-    def __init__(self, term, net, attrs):
-        _require_undirected(net, "gwesp")
-        self.decay = _fixed_decay(term, "gwesp")
-        self.u = 1.0 - math.exp(-self.decay)
-        self.names = [f"gwesp.fixed.{self.decay:g}"]
-        self.dim = 1
+class _Gwesp(_GeometricallyWeighted):
+    kind = "gwesp"
 
     def summary(self, net):
-        u, scale = self.u, math.exp(self.decay)
+        u, scale = self.u, self.scale
         adj = net.adj
         return [math.fsum(scale * (1.0 - u ** len(adj[i] & adj[j]))
                           for i, j in net.edges)]
@@ -391,12 +480,28 @@ class _Gwesp:
         ai, aj = adj[i], adj[j]
         common = ai & aj
         present = j in ai          # discount the toggled dyad itself
-        total = math.exp(self.decay) * (1.0 - u ** len(common))
+        total = self.scale * (1.0 - u ** len(common))
         for k in common:
             eik = len(ai & adj[k]) - present
             ejk = len(aj & adj[k]) - present
             total += u ** eik + u ** ejk
         return [total]
+
+    def change_function(self, net):
+        # with the dyad present, j lies in ai & adj[k] and i in
+        # aj & adj[k] for every common partner k: no exponent is < 0
+        pw, scale, adj = self._powers(net.n), self.scale, net.adj
+
+        def change(i, j, present):
+            ai, aj = adj[i], adj[j]
+            common = ai & aj
+            total = scale * (1.0 - pw[len(common)])
+            for k in common:
+                ak = adj[k]
+                total += pw[len(ai & ak) - present] + pw[len(aj & ak) - present]
+            return [total]
+
+        return change
 
     def changes(self, net, tails, heads, present):
         return _changes_on_support(self, net, tails, heads)
@@ -481,11 +586,13 @@ class BoundModel:
             out.extend(t.change(net, i, j))
         return out
 
-    def change_functions(self):
-        """Each term's change function, in order: `change` returns
-        their results concatenated.  The MH step binds these once per
-        chain."""
-        return [t.change for t in self._terms]
+    def change_functions(self, net):
+        """Each term's change score bound to `net`, in order: closures
+        f(i, j, present) -> list whose results, concatenated, equal
+        ``change(net, i, j)`` when `present` is the dyad's state.  The
+        MH step and SAN bind these once per chain; they are not kept on
+        the model, which multi-process chains pickle."""
+        return [t.change_function(net) for t in self._terms]
 
     def changes(self, net, tails, heads, present):
         """Change scores of a block of dyads as a (len(tails), p) array.

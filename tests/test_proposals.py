@@ -429,7 +429,8 @@ class TestBDStratReverseCounts:
     @pytest.mark.parametrize("text, want", [
         ('bd(maxout=2) + blocks(attr="sex", levels2=diag) + strat(attr="grp")',
          "ce08f0ff1c9a3e8d"),
-        ("bd(maxout=1)", "97ebfff9b96ad207")])
+        ("bd(maxout=1)", "97ebfff9b96ad207")],
+        ids=["bd2-blocks-strat", "bd1"])
     def test_seeded_proposals_pinned(self, text, want):
         # the digests pin the seeded proposal sequence, dyads and log
         # q-ratios, which the RNG stream and the order of the edge and

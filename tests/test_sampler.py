@@ -198,23 +198,26 @@ class TestBoundStep:
     @given(coefs=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=5),
            delta=st.lists(st.one_of(st.just(0.0), st.floats(-50.0, 50.0)),
                           min_size=5, max_size=5),
-           log_q=st.sampled_from([0.0, -0.25, 0.7]))
+           log_q=st.sampled_from([0.0, -0.25, 0.7]),
+           infinite=st.one_of(st.none(), st.tuples(
+               st.integers(0, 4), st.sampled_from([math.inf, -math.inf]))))
     @settings(max_examples=300, deadline=None)
-    def test_finite_tilt_is_log_tilt(self, coefs, delta, log_q):
-        """With finite coefficients the step's log acceptance ratio is
-        _log_tilt's plus log_q, bit for bit, adding and removing.  The
-        step's exp sees it whenever the move is not accepted outright."""
+    def test_finite_tilt_is_log_tilt(self, coefs, delta, log_q, infinite):
+        """The step's log acceptance ratio is _log_tilt's plus log_q, bit
+        for bit, adding and removing: summed by the step itself when
+        every coefficient is finite, by _log_tilt when one is infinite.
+        The step's exp sees it whenever the move is neither accepted
+        outright nor certainly rejected."""
         delta = delta[:len(coefs)]
-
-        class Term:
-            def change(self, net, i, j):
-                return delta
+        if infinite is not None:
+            k, c = infinite
+            coefs[k % len(coefs)] = c
 
         class Model:
             p = len(coefs)
 
-            def change_functions(self):
-                return [Term().change]
+            def change_functions(self, net):
+                return [lambda i, j, present: delta]
 
         class Fixed:
             def bind(self, net, rng):
@@ -242,6 +245,8 @@ class TestBoundStep:
             want = _log_tilt(coefs, delta, -1 if present else 1) + log_q
             if want >= 0.0:
                 assert result is not stats and not seen
+            elif want == -math.inf:
+                assert result is stats and not seen
             else:
                 assert result is stats
                 assert [x.hex() for x in seen] == [want.hex()]

@@ -157,7 +157,8 @@ class TestChangeScores:
 
 
 class TestBlockChanges:
-    """Block change scores against the scalar path, bit for bit."""
+    """Block change scores and the change closures bound per chain
+    against the scalar path, bit for bit."""
 
     @given(kind=st.sampled_from(["undirected", "directed", "bipartite"]),
            n=st.integers(2, 12), density=st.floats(0.0, 0.8),
@@ -174,15 +175,34 @@ class TestBlockChanges:
         attrs.add("age", [rng.choice([-0.5, 0.1, 0.2, 18.3, 1e9])
                           for _ in range(n)])
         model = bind(formula, net, attrs)
+        bound = model.change_functions(net)
         rows = {"undirected": n - 1, "directed": n, "bipartite": net.bipartite}[kind]
         bounds = [0] + sorted(c for c in cuts if c < rows) + [rows]
-        for r0, r1 in zip(bounds, bounds[1:]):
-            tails, heads = net.dyad_rows(r0, r1)
-            block = model.changes(net, tails, heads, net.edge_mask(tails, heads))
-            want = np.array([model.change(net, i, j) for i, j in
-                             zip(tails.tolist(), heads.tolist())],
-                            dtype=float).reshape(block.shape)
-            assert np.array_equal(block.view(np.uint64), want.view(np.uint64))
+        for sweep in range(2):
+            if sweep:   # the closures read the live network they were bound to
+                for _ in range(rng.randint(1, 2 * n)):
+                    net.toggle(*net.dyad_at(rng.randrange(net.dyad_count())))
+            for r0, r1 in zip(bounds, bounds[1:]):
+                tails, heads = net.dyad_rows(r0, r1)
+                block = model.changes(net, tails, heads,
+                                      net.edge_mask(tails, heads))
+                want = np.array([model.change(net, i, j) for i, j in
+                                 zip(tails.tolist(), heads.tolist())],
+                                dtype=float).reshape(block.shape)
+                assert np.array_equal(block.view(np.uint64),
+                                      want.view(np.uint64))
+                for i, j, row in zip(tails.tolist(), heads.tolist(),
+                                     want.tolist()):
+                    for _ in range(2):      # the dyad absent and present
+                        present = net.has_edge(i, j)
+                        got = []
+                        for f in bound:
+                            got += f(i, j, present)
+                        assert all(type(x) is float for x in got)
+                        assert [x.hex() for x in got] == \
+                            [x.hex() for x in model.change(net, i, j)] == \
+                            [x.hex() for x in row]
+                        net.toggle(i, j)
         # a dyad-independent statistic is the sum of its change scores
         # over the edges
         scores = [model.change(net, i, j) for i, j in net.edges]
