@@ -579,17 +579,14 @@ def mcmle_fit(net, model, g_obs=None, offset_coefs=(), constraints=None,
     stat = float("nan")
     for it in range(1, control.maxit + 1):
         coefs = model.assemble_coefs(theta, list(offset_coefs))
+        cfg = SamplerConfig(samplesize=control.samplesize, interval=interval,
+                            burnin=burnin if it == 1 else interval,
+                            seed=control.seed + it,
+                            target_ess=control.target_ess)
         if control.target_ess is not None:
-            cfg = SamplerConfig(samplesize=control.samplesize, interval=interval,
-                                burnin=burnin if it == 1 else interval,
-                                seed=control.seed + it,
-                                target_ess=control.target_ess)
             sm, _adiag = adaptive_run(sim_net, model, coefs, proposal, cfg,
                                       checker=checker, rng=rng)
         else:
-            cfg = SamplerConfig(samplesize=control.samplesize, interval=interval,
-                                burnin=burnin if it == 1 else interval,
-                                seed=control.seed + it)
             sm = run_chain(sim_net, model, coefs, proposal, cfg,
                            checker=checker, rng=rng)
         sample_free = sm.values[:, free]
@@ -641,6 +638,8 @@ def cd_fit(net, model, offset_coefs=(), k=8, rounds=160, minibatch=24,
     value where the pseudo-likelihood is unavailable, e.g. under
     dyad-dependent sample-space constraints.
     """
+    if k < 1 or rounds < 1 or minibatch < 2:
+        raise DataError("cd_fit needs k >= 1, rounds >= 1 and minibatch >= 2")
     g_obs = np.asarray(model.summary(net), dtype=float)
     free = model.free_index
     obs_free = g_obs[free]

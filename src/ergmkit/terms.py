@@ -17,24 +17,24 @@ For the MH chain and SAN, each term binds its change score to one
 network once per chain (``change_function``): a closure
 ``f(i, j, present) -> list`` over the network's live ``adj``, ``in_adj``
 and ``deg`` and the term's constants.  ``present`` is the dyad's state
-before the toggle, which the step already knows, and the closure's
-list holds the same floats as ``change(net, i, j)``.  A closure may
-return one shared constant list (edges, nodematch without diff),
-because its callers only copy the elements out
-(``delta += f(i, j, present)``) and never keep or mutate the list.
-Binding does no O(n) work: the power table of the geometrically
-weighted terms is built on their first bind or block sweep and reused
-by every later one.
+before the toggle, which the step already knows.  The closure is each
+term's one scalar change score: ``BoundModel.change`` binds the closures
+for a single dyad, and the block sweep of the shared-partner terms calls
+them on its support.  A closure may return one shared constant list
+(edges, nodematch without diff), because its callers only copy the
+elements out (``delta += f(i, j, present)``) and never keep or mutate
+the list.  Binding does no O(n) work: the power table of the
+geometrically weighted terms is built on their first bind or block sweep
+and reused by every later one.
 
 Each term also scores a block of dyads at once (``changes``), for the
-full-dyad sweeps of the pseudo-likelihood.  Block rows are bit-identical
-to the scalar ``change``: attribute and degree terms do the same float
-operations elementwise, and the shared-partner terms are exactly 0.0
-off the dyads with a shared partner and call ``change`` on them.  The
-arrays that ``changes`` reads are built on its first call, so binding
-a model for the MH chain alone does not pay for them; they are set up
-as None in ``__init__``, because an attribute added to an instance
-later slows every attribute read of the scalar path by about 6 %.
+full-dyad sweeps of the pseudo-likelihood.  Closures and block rows are
+the two paths, and they agree bit for bit: the attribute and degree
+terms do in numpy the float operations their closures do, elementwise,
+and the shared-partner terms are exactly 0.0 off the dyads with a
+shared partner and call their closure on them.  The arrays that
+``changes`` reads are built on its first call, so binding a model for
+the MH chain alone does not pay for them.
 
 A dyad-independent term's change score does not depend on the rest of
 the network, so its summary is the sum of its block change scores over
@@ -76,13 +76,15 @@ def _support_mask(net, tails, heads):
     return net.dyad_mask(tails, heads, pair_tails, pair_heads)
 
 
-def _changes_on_support(term, net, tails, heads):
-    """A one-column shared-partner term: 0.0 off the support, the scalar
-    change on it."""
+def _changes_on_support(term, net, tails, heads, present):
+    """A one-column shared-partner term: 0.0 off the support, its bound
+    change closure on it."""
     out = np.zeros((len(tails), 1))
     on = np.flatnonzero(_support_mask(net, tails, heads))
-    out[on, 0] = [term.change(net, i, j)[0]
-                  for i, j in zip(tails[on].tolist(), heads[on].tolist())]
+    f = term.change_function(net)
+    out[on, 0] = [f(i, j, p)[0] for i, j, p in
+                  zip(tails[on].tolist(), heads[on].tolist(),
+                      present[on].tolist())]
     return out
 
 
@@ -137,9 +139,6 @@ class _Edges(_DyadIndependent):
         self.names = ["edges"]
         self.dim = 1
 
-    def change(self, net, i, j):
-        return [1.0]
-
     def change_function(self, net):
         one = [1.0]
         return lambda i, j, present: one
@@ -164,13 +163,6 @@ class _Triangle:
         total = sum(len(adj[i] & adj[j]) for i, j in net.edges)
         return [total / 3.0]
 
-    def change(self, net, i, j):
-        if net.directed:
-            out, inn = net.adj, net.in_adj
-            c = len(out[i] & out[j]) + len(inn[i] & inn[j]) + len(out[i] & inn[j])
-            return [float(c)]
-        return [float(len(net.adj[i] & net.adj[j]))]
-
     def change_function(self, net):
         out = net.adj
         if net.directed:
@@ -181,7 +173,7 @@ class _Triangle:
         return lambda i, j, present: [float(len(out[i] & out[j]))]
 
     def changes(self, net, tails, heads, present):
-        return _changes_on_support(self, net, tails, heads)
+        return _changes_on_support(self, net, tails, heads, present)
 
 
 class _Nodematch(_DyadIndependent):
@@ -200,15 +192,6 @@ class _Nodematch(_DyadIndependent):
         else:
             self.names = [f"nodematch.{attr}"]
             self.dim = 1
-
-    def change(self, net, i, j):
-        lev = self.lev
-        if not self.diff:
-            return [1.0 if lev[i] == lev[j] else 0.0]
-        out = [0.0] * self.dim
-        if lev[i] == lev[j]:
-            out[lev[i]] = 1.0
-        return out
 
     def change_function(self, net):
         lev = self.lev
@@ -250,16 +233,6 @@ class _Nodefactor(_DyadIndependent):
         self._slot = None
         self.names = [f"nodefactor.{attr}.{self.levels[k]}" for k in keep]
         self.dim = len(keep)
-
-    def change(self, net, i, j):
-        out = [0.0] * self.dim
-        s = self.slot.get(self.lev[i])
-        if s is not None:
-            out[s] += 1.0
-        s = self.slot.get(self.lev[j])
-        if s is not None:
-            out[s] += 1.0
-        return out
 
     def change_function(self, net):
         slot, lev, dim = self.slot.get, self.lev, self.dim
@@ -305,9 +278,6 @@ class _NumericAttribute(_DyadIndependent):
 
 
 class _Nodecov(_NumericAttribute):
-    def change(self, net, i, j):
-        return [self.x[i] + self.x[j]]
-
     def change_function(self, net):
         x = self.x
         return lambda i, j, present: [x[i] + x[j]]
@@ -319,9 +289,6 @@ class _Nodecov(_NumericAttribute):
 
 
 class _Absdiff(_NumericAttribute):
-    def change(self, net, i, j):
-        return [abs(self.x[i] - self.x[j])]
-
     def change_function(self, net):
         x = self.x
         return lambda i, j, present: [abs(x[i] - x[j])]
@@ -342,12 +309,6 @@ class _Concurrent:
 
     def summary(self, net):
         return [float(sum(1 for d in net.deg if d >= 2))]
-
-    def change(self, net, i, j):
-        present = j in net.adj[i]
-        di = net.deg[i] - present
-        dj = net.deg[j] - present
-        return [float((di == 1) + (dj == 1))]
 
     def change_function(self, net):
         deg = net.deg
@@ -374,13 +335,6 @@ class _Degree:
     def summary(self, net):
         d = self.d
         return [float(sum(1 for k in net.deg if k == d))]
-
-    def change(self, net, i, j):
-        d = self.d
-        present = j in net.adj[i]
-        di = net.deg[i] - present
-        dj = net.deg[j] - present
-        return [float((di + 1 == d) - (di == d) + (dj + 1 == d) - (dj == d))]
 
     def change_function(self, net):
         d, deg = self.d, net.deg
@@ -449,13 +403,6 @@ class _Gwdegree(_GeometricallyWeighted):
         u, scale = self.u, self.scale
         return [math.fsum(scale * (1.0 - u ** d) for d in net.deg if d > 0)]
 
-    def change(self, net, i, j):
-        u = self.u
-        present = j in net.adj[i]
-        di = net.deg[i] - present
-        dj = net.deg[j] - present
-        return [u ** di + u ** dj]
-
     def change_function(self, net):
         pw, deg = self._powers(net.n), net.deg
         return lambda i, j, present: [pw[deg[i] - present] + pw[deg[j] - present]]
@@ -475,18 +422,6 @@ class _Gwesp(_GeometricallyWeighted):
         return [math.fsum(scale * (1.0 - u ** len(adj[i] & adj[j]))
                           for i, j in net.edges)]
 
-    def change(self, net, i, j):
-        u, adj = self.u, net.adj
-        ai, aj = adj[i], adj[j]
-        common = ai & aj
-        present = j in ai          # discount the toggled dyad itself
-        total = self.scale * (1.0 - u ** len(common))
-        for k in common:
-            eik = len(ai & adj[k]) - present
-            ejk = len(aj & adj[k]) - present
-            total += u ** eik + u ** ejk
-        return [total]
-
     def change_function(self, net):
         # with the dyad present, j lies in ai & adj[k] and i in
         # aj & adj[k] for every common partner k: no exponent is < 0
@@ -504,7 +439,7 @@ class _Gwesp(_GeometricallyWeighted):
         return change
 
     def changes(self, net, tails, heads, present):
-        return _changes_on_support(self, net, tails, heads)
+        return _changes_on_support(self, net, tails, heads, present)
 
 
 _TERM_CLASSES = {
@@ -580,16 +515,18 @@ class BoundModel:
         return out
 
     def change(self, net, i, j):
-        """Change score for dyad (i, j), independent of its state."""
+        """Change score for dyad (i, j), independent of its state: the
+        closures of ``change_functions`` bound for this one call."""
+        present = j in net.adj[i]
         out = []
         for t in self._terms:
-            out.extend(t.change(net, i, j))
+            out += t.change_function(net)(i, j, present)
         return out
 
     def change_functions(self, net):
         """Each term's change score bound to `net`, in order: closures
-        f(i, j, present) -> list whose results, concatenated, equal
-        ``change(net, i, j)`` when `present` is the dyad's state.  The
+        f(i, j, present) -> list whose results, concatenated, are the
+        change score of dyad (i, j) when `present` is its state.  The
         MH step and SAN bind these once per chain; they are not kept on
         the model, which multi-process chains pickle."""
         return [t.change_function(net) for t in self._terms]

@@ -107,12 +107,17 @@ def test_criterion_02_constrained_stationarity():
         total_steps = 10_000_000
         retain_every = 10
         values = np.empty((total_steps // retain_every, 2))
+        changes = model.change_functions(net)   # bound once, as a chain does
+        adj = net.adj
         for step in range(1, total_steps + 1):
             i, j, logq = prop.propose(net, rng)
             # constraint safety: the proposal itself must be legal
             assert checker.allowed(net, i, j)
-            adding = not net.has_edge(i, j)
-            delta = model.change(net, i, j)
+            present = j in adj[i]
+            adding = not present
+            delta = []
+            for f in changes:
+                delta += f(i, j, present)
             log_ar = logq + (1 if adding else -1) * sum(
                 c * d for c, d in zip(coefs, delta))
             if log_ar >= 0 or rng.random() < math.exp(log_ar):

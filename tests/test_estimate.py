@@ -573,3 +573,12 @@ class TestCdFit:
         est = cd_fit(net, model, k=6, rounds=60, minibatch=16,
                      constraints=spec, attrs=attrs, seed=3)
         assert np.isfinite(est).all()
+
+    @pytest.mark.parametrize("bad", [{"k": 0}, {"rounds": 0}, {"minibatch": 1}],
+                             ids=["k0", "rounds0", "minibatch1"])
+    def test_degenerate_arguments_rejected(self, bad):
+        # one chain per round has no covariance; no steps or no rounds
+        # estimate nothing
+        net = random_net(6, 0.4, 52)
+        with pytest.raises(DataError, match="cd_fit needs"):
+            cd_fit(net, bind("edges", net), **bad)

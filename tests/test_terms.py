@@ -8,7 +8,6 @@ exactly for integer-valued terms and to 1e-12 for real-valued ones.
 import math
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -157,8 +156,9 @@ class TestChangeScores:
 
 
 class TestBlockChanges:
-    """Block change scores and the change closures bound per chain
-    against the scalar path, bit for bit."""
+    """The change closures bound per chain against the block rows, bit
+    for bit, and against the brute-force oracle where they are the
+    block path too."""
 
     @given(kind=st.sampled_from(["undirected", "directed", "bipartite"]),
            n=st.integers(2, 12), density=st.floats(0.0, 0.8),
@@ -176,13 +176,24 @@ class TestBlockChanges:
                           for _ in range(n)])
         model = bind(formula, net, attrs)
         bound = model.change_functions(net)
+        # the shared-partner terms' block rows call their closures, so
+        # the brute-force summary difference is their oracle instead
+        shared = [name.startswith(("triangle", "gwesp")) for name in model.names]
+        for t in model._terms:
+            if hasattr(t, "_powers"):   # Python float power, not np.power
+                assert [x.hex() for x in t._powers(n)] == \
+                    [(t.u ** k).hex() for k in range(n)]
 
-        def closure_hex(i, j):
+        def closure(i, j):
             got = []
             for f in bound:
                 got += f(i, j, net.has_edge(i, j))
             assert all(type(x) is float for x in got)
-            return [x.hex() for x in got]
+            return got
+
+        def block_rows(tails, heads):
+            return model.changes(net, tails, heads,
+                                 net.edge_mask(tails, heads)).tolist()
 
         rows = {"undirected": n - 1, "directed": n, "bipartite": net.bipartite}[kind]
         bounds = [0] + sorted(c for c in cuts if c < rows) + [rows]
@@ -192,22 +203,24 @@ class TestBlockChanges:
                     net.toggle(*net.dyad_at(rng.randrange(net.dyad_count())))
             for r0, r1 in zip(bounds, bounds[1:]):
                 tails, heads = net.dyad_rows(r0, r1)
-                block = model.changes(net, tails, heads,
-                                      net.edge_mask(tails, heads))
                 pairs = list(zip(tails.tolist(), heads.tolist()))
-                want = np.array([model.change(net, i, j) for i, j in pairs],
-                                dtype=float).reshape(block.shape)
-                assert np.array_equal(block.view(np.uint64),
-                                      want.view(np.uint64))
-                for (i, j), row in zip(pairs, want.tolist()):
-                    assert closure_hex(i, j) == [x.hex() for x in row]
-                # the dyad in its other state; the shared-partner sums
-                # may then add in another order, so the scalar change
-                # is the oracle there
-                for i, j in pairs:
+                for (i, j), row in zip(pairs, block_rows(tails, heads)):
+                    assert [x.hex() for x in closure(i, j)] == \
+                        [x.hex() for x in row]
+                # the dyad in its other state: the block row recomputed
+                # there, exact brute force for triangle, 1e-12 for gwesp
+                for k, (i, j) in enumerate(pairs):
                     net.toggle(i, j)
-                    assert closure_hex(i, j) == \
-                        [x.hex() for x in model.change(net, i, j)]
+                    got = closure(i, j)
+                    row = block_rows(tails, heads)[k]
+                    slow = brute_force_change(net, model, i, j)
+                    for c, name in enumerate(model.names):
+                        if not shared[c]:
+                            assert got[c].hex() == row[c].hex(), name
+                        elif name == "triangle":
+                            assert got[c] == slow[c]
+                        else:
+                            assert abs(got[c] - slow[c]) < 1e-12
                     net.toggle(i, j)
         # a dyad-independent statistic is the sum of its change scores
         # over the edges
