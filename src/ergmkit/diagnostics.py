@@ -6,6 +6,11 @@ convergence test of the Geweke type (realized as a Hotelling T^2 with
 batch-means window covariances), and the geometric-decay burn-in fit
 x_s ~ b0 + b1 * 2^(-s/s0).
 
+The Hotelling p-values take the F and chi-square upper tails from
+pure-Python continued fractions on `math` (the regularized incomplete
+beta and upper incomplete gamma), so numpy is the only numerical
+dependency.
+
 Constant (degenerate) columns are dropped before any determinant is
 taken; offsets with infinite coefficients routinely freeze statistics
 exactly, and the determinant ratio is then computed on the non-
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericalError
 
 __all__ = ["EssReport", "BurninFit", "batch_means_cov", "multivariate_ess",
            "univariate_ess", "geweke_test", "estimate_burnin"]
@@ -134,13 +139,121 @@ def univariate_ess(series):
     return float(S * lam / sigma)
 
 
+# a continued fraction stops once a step changes it by less than
+# _TAIL_EPS relative; _TAIL_TINY keeps Lentz's denominators off zero
+_TAIL_EPS = 1e-15
+_TAIL_TINY = 1e-300
+_TAIL_MAXIT = 100000
+
+
+def _lentz(terms):
+    """Modified Lentz evaluation of the continued fraction
+    1 / (1 + a1 / (1 + a2 / (1 + ...))) from an iterator of the a_m."""
+    c = 1.0 / _TAIL_TINY
+    d = 1.0
+    h = 1.0
+    for aa in terms:
+        d = 1.0 + aa * d
+        d = 1.0 / (d if abs(d) >= _TAIL_TINY else _TAIL_TINY)
+        c = 1.0 + aa / c
+        c = c if abs(c) >= _TAIL_TINY else _TAIL_TINY
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) < _TAIL_EPS:
+            return h
+    raise NumericalError("tail continued fraction did not converge")
+
+
+def _lgamma_shift(b, a):
+    """lgamma(b + a) - lgamma(b).  For large b the two lgammas agree to
+    ~1e-11 relative, so Stirling's series is differenced instead."""
+    if b < 10.0:
+        return math.lgamma(b + a) - math.lgamma(b)
+
+    def tail(z):
+        # lgamma(z) - ((z - 1/2) log z - z + log(2 pi) / 2), z >= 10
+        u = 1.0 / (z * z)
+        return (1.0 / 12.0 - u * (1.0 / 360.0 - u * (1.0 / 1260.0 - u * (
+            1.0 / 1680.0 - u / 1188.0)))) / z
+
+    return ((b - 0.5) * math.log1p(a / b) + a * math.log(b + a) - a
+            + tail(b + a) - tail(b))
+
+
+def _beta_cf_terms(a, b, x):
+    # the coefficients d_1, d_2, ... of the continued fraction for
+    # I_x(a, b) = x^a (1-x)^b / (a B(a, b)) / (1 + d_1 / (1 + d_2 / ...))
+    # (DLMF 8.17.22)
+    yield -(a + b) * x / (a + 1.0)
+    for m in range(1, _TAIL_MAXIT):
+        yield m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m))
+        yield -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))
+
+
+def _f_tail(d1, d2, x):
+    """P(F > x) for an F(d1, d2) variable: the regularized incomplete
+    beta I_w(d2/2, d1/2) at w = d2 / (d2 + d1 x).
+
+    Whichever of I_w(d2/2, d1/2) and its complement I_{1-w}(d1/2, d2/2)
+    sits below the distribution's bulk is evaluated by its continued
+    fraction; that one is the small tail whenever the p-value is small,
+    so tiny p-values keep their relative accuracy.
+    """
+    if math.isnan(x):
+        return math.nan
+    if x <= 0.0:
+        return 1.0
+    a, b = 0.5 * d1, 0.5 * d2
+    r = d1 * x / d2                          # w = 1/(1+r), 1-w = r/(1+r)
+    if math.isinf(r):                        # x = inf, or near the float max
+        log_w, log_1mw = math.log(d2) - math.log(d1) - math.log(x), 0.0
+    else:
+        log_w = -math.log1p(r)
+        log_1mw = math.log(r) + log_w
+    front = math.exp(_lgamma_shift(b, a) - math.lgamma(a)
+                     + b * log_w + a * log_1mw)
+    if r > (a + 1.0) / (b + 1.0):
+        # w below the switch point of I_w(b, a): that is the small side
+        return front * _lentz(_beta_cf_terms(b, a, 1.0 / (1.0 + r))) / b
+    return 1.0 - front * _lentz(_beta_cf_terms(a, b, r / (1.0 + r))) / a
+
+
+def _chi2_tail(k, x):
+    """P(X > x) for a chi-square variable on k degrees of freedom: the
+    regularized upper incomplete gamma Q(k/2, x/2).
+
+    Below x/2 = k/2 + 1 the lower tail's power series gives 1 - P;
+    above, the continued fraction gives Q itself, the small tail.
+    """
+    if math.isnan(x):
+        return math.nan
+    if x <= 0.0:
+        return 1.0
+    if math.isinf(x):
+        return 0.0
+    a, y = 0.5 * k, 0.5 * x
+    front = math.exp(a * math.log(y) - y - math.lgamma(a))
+    if y < a + 1.0:
+        term = total = 1.0 / a
+        n = a
+        while abs(term) >= abs(total) * _TAIL_EPS:
+            n += 1.0
+            term *= y / n
+            total += term
+        return 1.0 - front * total
+    # Q = front / (y + 1 - a - 1(1-a) / (y + 3 - a - 2(2-a) / ...))
+    c = y + 1.0 - a
+    return front / c * _lentz(
+        -m * (m - a) / ((c + 2 * m - 2) * (c + 2 * m))
+        for m in range(1, _TAIL_MAXIT))
+
+
 def _hotelling_pvalue(t2, p, nu):
     """Upper-tail p-value of a Hotelling T^2 on p dimensions with nu
     degrees of freedom: F reference, or chi-square when nu is too small."""
-    from scipy.special import chdtrc, fdtrc
     if nu - p + 1 <= 0:
-        return float(chdtrc(p, t2))
-    return float(fdtrc(p, nu - p + 1, t2 * (nu - p + 1) / (nu * p)))
+        return _chi2_tail(p, t2)
+    return _f_tail(p, nu - p + 1, t2 * (nu - p + 1) / (nu * p))
 
 
 _GEWEKE_FIRST = 0.1

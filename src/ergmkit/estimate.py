@@ -461,9 +461,12 @@ def mcmle_step(theta_t, sample, g_obs):
 
 
 # hotelling stops once its p-value exceeds _HOTELLING_ALPHA, confidence
-# once its upper (1 - _CONFIDENCE_ALPHA) bound is below _CONFIDENCE_DELTA
+# once its upper (1 - _CONFIDENCE_ALPHA) bound is below _CONFIDENCE_DELTA;
+# _CONFIDENCE_Z is the standard normal (1 - _CONFIDENCE_ALPHA) quantile,
+# correctly rounded (0x1.a515209676abbp+0)
 _HOTELLING_ALPHA = 0.5
 _CONFIDENCE_ALPHA = 0.05
+_CONFIDENCE_Z = 1.6448536269514722
 _CONFIDENCE_DELTA = 0.25
 
 
@@ -472,7 +475,9 @@ def check_termination(kind, history):
 
     Returns (stop, statistic) where the statistic is the p-value for
     hotelling, the hull multiplier for hummel, and the Mahalanobis
-    upper confidence bound for confidence.
+    upper confidence bound for confidence.  The p-value comes from the
+    pure-Python F and chi-square tails of `diagnostics`, and the bound's
+    normal quantile is the literal `_CONFIDENCE_Z`.
     """
     if kind not in ("hotelling", "hummel", "confidence"):
         raise DataError(f"unknown termination rule {kind!r}")
@@ -490,7 +495,6 @@ def check_termination(kind, history):
         ok = history[-1].gamma >= need and history[-2].gamma >= need
         return ok, rec.gamma
 
-    from scipy.special import ndtri
     mean, basis = _reduce_support(sample)
     u_r = basis.T @ U
     resid = U - basis @ u_r
@@ -520,8 +524,8 @@ def check_termination(kind, history):
     inner = lam_inv @ sigma
     var_d2 = float(4.0 * u_r @ lam_inv @ sigma @ lam_inv @ u_r
                    + 2.0 * np.trace(inner @ inner))
-    z = ndtri(1.0 - _CONFIDENCE_ALPHA)
-    ucb = math.sqrt(max(d2, 0.0) + z * math.sqrt(max(var_d2, 0.0)))
+    ucb = math.sqrt(max(d2, 0.0)
+                    + _CONFIDENCE_Z * math.sqrt(max(var_d2, 0.0)))
     return ucb < _CONFIDENCE_DELTA, ucb
 
 

@@ -17,6 +17,7 @@ from ergmkit.formula import CONSTRAINT_ATOMS, TERM_CATALOG
 from ergmkit.network import Network, VertexAttributes, read_network, \
     write_network, write_attributes
 from ergmkit.terms import bind
+from test_cli_corpus import CASES as CORPUS
 
 
 @pytest.fixture
@@ -648,8 +649,8 @@ class TestFormulaProperty:
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about a second at start-up; the few special
-    # functions the stopping rules need come from scipy.special, late
+    # scipy.stats costs about a second at start-up; the package needs no
+    # scipy at all (see test_run_leaves_scipy_unloaded)
     src = os.path.dirname(os.path.dirname(os.path.abspath(ergmkit.__file__)))
     code = "import sys, ergmkit; print('scipy.stats' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -657,6 +658,37 @@ def test_import_leaves_scipy_stats_unloaded():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# the runs that reach a stopping rule's quantile or a Hotelling p-value:
+# the README fit (confidence rule), an ESS-targeted simulate (Geweke
+# test) and a fit under the hotelling rule
+_STOPPING_RUNS = {
+    "fit-readme": ["fit", "--n", "10", "--formula", "edges",
+                   "--target-stats", "30", "--samplesize", "512",
+                   "--interval", "20", "--eval-loglik"],
+    "simulate-target-ess": CORPUS["simulate-target-ess"][0],
+    "fit-hotelling": ["fit", "--n", "10", "--formula", "edges",
+                      "--target-stats", "30", "--samplesize", "512",
+                      "--interval", "20", "--termination", "hotelling",
+                      "--seed", "2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STOPPING_RUNS))
+def test_run_leaves_scipy_unloaded(name, tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ergmkit.__file__)))
+    code = ("import contextlib, io, sys\n"
+            "from ergmkit.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main({_STOPPING_RUNS[name]!r})\n"
+            "print(code, sorted(m for m in sys.modules "
+            "if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          cwd=tmp_path, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"
 
 
 # well-formed input files, line by line, for the malformed-file property

@@ -9,9 +9,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy import signal, stats
+from hypothesis import given, settings, strategies as st
+from scipy import signal, special, stats
 
-from ergmkit.diagnostics import (batch_means_cov, estimate_burnin, geweke_test,
+from ergmkit.diagnostics import (_chi2_tail, _f_tail, _hotelling_pvalue,
+                                 batch_means_cov, estimate_burnin, geweke_test,
                                  multivariate_ess, univariate_ess)
 from ergmkit.errors import DataError
 
@@ -128,6 +130,93 @@ class TestGeweke:
         x = rng.standard_normal((4000, 3)) @ np.array(
             [[1.0, 0.3, 0.0], [0.0, 1.0, 0.5], [0.0, 0.0, 1.0]])
         assert abs(geweke_test(x) - geweke_test(x[:, [2, 0, 1]])) < 1e-9
+
+
+def assert_tail_close(ours, ref):
+    # absolute error 1e-11 everywhere, relative 1e-9 down to 1e-250
+    assert isinstance(ours, float)
+    assert abs(ours - ref) <= 1e-11, (ours, ref)
+    if ref >= 1e-250:
+        assert abs(ours - ref) <= 1e-9 * ref, (ours, ref)
+
+
+_TAIL_DF2 = (0.5, 0.75, 1.5, 3.3, 10.5, 99.5, 1000.5, 5000.3, 9999.9)
+_TAIL_X = [10.0 ** (k / 4) for k in range(-32, 17)]      # 1e-8 .. 1e4
+
+
+class TestTails:
+    """The F and chi-square upper tails against scipy.special."""
+
+    @pytest.mark.parametrize("p", range(1, 31))
+    def test_grid(self, p):
+        for x in _TAIL_X:
+            assert_tail_close(_chi2_tail(p, x), float(special.chdtrc(p, x)))
+            for df2 in _TAIL_DF2:
+                assert_tail_close(_f_tail(p, df2, x),
+                                  float(special.fdtrc(p, df2, x)))
+
+    @given(p=st.integers(1, 30),
+           df2=st.floats(0.5, 1e4).filter(lambda v: v != int(v)),
+           log_x=st.floats(-8.0, 4.0))
+    @settings(max_examples=300, deadline=None)
+    def test_property(self, p, df2, log_x):
+        x = 10.0 ** log_x
+        assert_tail_close(_f_tail(p, df2, x), float(special.fdtrc(p, df2, x)))
+        assert_tail_close(_chi2_tail(p, x), float(special.chdtrc(p, x)))
+
+    def test_tiny_tails_keep_relative_accuracy(self):
+        # far tails, where 1 - (lower tail) would round to 0
+        for p, df2, x in ((1, 20.5, 1e4), (3, 10.5, 1e4), (30, 9999.9, 30.0),
+                          (2, 1000.5, 200.0)):
+            ref = float(special.fdtrc(p, df2, x))
+            assert 1e-250 < ref < 1e-15
+            assert_tail_close(_f_tail(p, df2, x), ref)
+        for p, x in ((1, 1000.0), (30, 1000.0), (5, 300.0)):
+            ref = float(special.chdtrc(p, x))
+            assert 1e-250 < ref < 1e-15
+            assert_tail_close(_chi2_tail(p, x), ref)
+
+    @pytest.mark.parametrize("df2", [3e4, 1e5])
+    def test_large_df2(self, df2):
+        # chains of 1e9-1e10 draws give the F reference these denominator
+        # degrees of freedom, where lgamma(a + b) - lgamma(b) loses ~1e-10
+        for p in (1, 2, 7, 30):
+            for x in (0.5, 1.0, 1.5, 3.0):
+                assert_tail_close(_f_tail(p, df2, x),
+                                  float(special.fdtrc(p, df2, x)))
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, -1.0, -math.inf])
+    def test_nonpositive_gives_one(self, x):
+        assert _f_tail(3, 7.5, x) == 1.0
+        assert _chi2_tail(3, x) == 1.0
+
+    def test_ratio_overflow(self):
+        # d1 x / d2 overflows near the float maximum; P(F(2, d2) > x) is
+        # (1 + 2x/d2)^(-d2/2) in closed form
+        assert_tail_close(_f_tail(2, 1.0, 1e308), math.sqrt(0.5) * 1e-154)
+        assert_tail_close(_f_tail(1, 0.5, 1.7e308),
+                          float(special.fdtrc(1, 0.5, 1.7e308)))
+
+    def test_infinite_gives_zero_and_nan_gives_nan(self):
+        assert _f_tail(3, 7.5, math.inf) == 0.0
+        assert _chi2_tail(3, math.inf) == 0.0
+        assert math.isnan(_f_tail(3, 7.5, math.nan))
+        assert math.isnan(_chi2_tail(3, math.nan))
+
+    @pytest.mark.parametrize("t2, p, nu", [(4.2, 3, 2), (0.3, 5, 4),
+                                           (50.0, 8, 1), (7.0, 2, 1)])
+    def test_hotelling_chi_square_branch(self, t2, p, nu):
+        # nu - p + 1 <= 0 leaves the F reference undefined
+        assert nu - p + 1 <= 0
+        assert_tail_close(_hotelling_pvalue(t2, p, nu),
+                          float(special.chdtrc(p, t2)))
+
+    @pytest.mark.parametrize("t2, p, nu", [(4.2, 3, 40), (0.3, 1, 1),
+                                           (50.0, 8, 31), (7.0, 2, 2)])
+    def test_hotelling_f_branch(self, t2, p, nu):
+        d2 = nu - p + 1
+        assert_tail_close(_hotelling_pvalue(t2, p, nu),
+                          float(special.fdtrc(p, d2, t2 * d2 / (nu * p))))
 
 
 class TestBurnin:

@@ -465,6 +465,11 @@ class TestTermination:
         assert not check_termination("hummel", hist)[0]
         assert not check_termination("confidence", hist)[0]
 
+    def test_confidence_z_is_the_normal_quantile(self):
+        from scipy.special import ndtri
+        z = float(ndtri(1.0 - estimate._CONFIDENCE_ALPHA))
+        assert estimate._CONFIDENCE_Z.hex() == z.hex()
+
     def test_hummel_needs_two(self):
         rng = np.random.default_rng(11)
         hist = [self.make_record(rng)]

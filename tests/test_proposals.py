@@ -354,6 +354,74 @@ class TestBDStratDynamics:
             state2.propose(net2, random.Random(0))
 
 
+class _CountingRandom(random.Random):
+    """A Random that counts its getrandbits calls."""
+
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+
+class TestBDStratRejectionWorstCase:
+    """The non-edge draw's rejection loop at a hit rate of 1/11.
+
+    BDStratTNT draws an unsaturated non-edge by drawing ordered pairs
+    (a, b) of unsaturated vertices, one below(m1) and one below(m2),
+    until the pair is not one of the cell's edges.  On K12 minus a
+    perfect matching under bd(maxout=11), all 12 vertices are
+    unsaturated at degree 10 and the only non-edges are the 6 matching
+    pairs: 12 of the 132 ordered pairs hit.  A non-edge draw then takes
+    11 pairs on average.  Each pair is below(12) and below(11), both
+    rejecting getrandbits(4) draws, 16/12 + 16/11 calls on average, so
+    a non-edge draw costs 11 * (16/12 + 16/11) = 30.67 getrandbits
+    calls, plus 128/66 = 1.94 for the below(66) that chose it (32.53
+    measured over 4000 non-edge draws at seed 22).  There is no
+    fallback to enumerating the non-edges yet.
+    """
+
+    N = 12
+
+    def build(self):
+        net = Network(self.N)
+        for i in range(self.N):
+            for j in range(i + 1, self.N):
+                if not (i % 2 == 0 and j == i + 1):
+                    net.toggle(i, j)
+        spec = parse_constraint_formula(f"bd(maxout={self.N - 1})")
+        return net, BDStratTNT(net, spec, None)
+
+    def test_frequencies_match_forward_q(self):
+        from scipy import stats
+        net, state = self.build()
+        E, D = net.edge_count, net.dyad_count()     # all 66 are eligible
+        assert (E, D, state.strat_D) == (60, 66, [66])
+        draw, _ = state.bind(net, random.Random(21))
+        draws = 66_000
+        counts = Counter(draw()[:2] for _ in range(draws))
+        assert set(counts) == set(net.dyads())
+        chi2 = 0.0
+        for d in net.dyads():
+            q = (0.5 / E + 0.5 / D) if net.has_edge(*d) else 0.5 / D
+            chi2 += (counts[d] - draws * q) ** 2 / (draws * q)
+        assert stats.chi2.sf(chi2, D - 1) > 0.001
+
+    def test_getrandbits_per_non_edge_draw(self):
+        net, state = self.build()
+        rng = _CountingRandom(22)
+        draw, _ = state.bind(net, rng)
+        calls = []
+        while len(calls) < 4000:
+            before = rng.calls
+            i, j, _ = draw()
+            if not net.has_edge(i, j):
+                calls.append(rng.calls - before)
+        want = 11 * (16 / 12 + 16 / 11) + 128 / 66
+        # a draw's count has standard deviation about 30
+        assert abs(sum(calls) / len(calls) - want) < 4 * 30 / math.sqrt(4000)
+
+
 def provisional_reverse_counts(state, net, s, i, j):
     """Reference reverse-state counts: commit the toggle, read stratum
     s's counts and the active weight, then roll the toggle back."""
