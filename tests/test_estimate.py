@@ -465,6 +465,19 @@ class TestTermination:
         assert not check_termination("hummel", hist)[0]
         assert not check_termination("confidence", hist)[0]
 
+    def test_hotelling_negative_t2_does_not_stop(self, monkeypatch):
+        # a T^2 below zero (a covariance gone indefinite by rounding) has
+        # a NaN p-value, so the rule keeps iterating
+        rng = np.random.default_rng(9)
+        rec = self.make_record(rng, offset=0.01)
+        hist = [rec, rec]
+        assert check_termination("hotelling", hist)[0]
+        cov = estimate.batch_means_cov
+        monkeypatch.setattr(estimate, "batch_means_cov", lambda z: -cov(z))
+        stop, pval = check_termination("hotelling", hist)
+        assert not stop
+        assert math.isnan(pval)
+
     def test_confidence_z_is_the_normal_quantile(self):
         from scipy.special import ndtri
         z = float(ndtri(1.0 - estimate._CONFIDENCE_ALPHA))
