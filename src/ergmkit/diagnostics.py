@@ -199,7 +199,7 @@ def _f_tail(d1, d2, x):
     sits below the distribution's bulk is evaluated by its continued
     fraction; that one is the small tail whenever the p-value is small,
     so tiny p-values keep their relative accuracy.  A negative x gives
-    NaN, as scipy's fdtrc does.
+    NaN: no F variable lies below zero.
     """
     if math.isnan(x) or x < 0.0:
         return math.nan
@@ -226,7 +226,7 @@ def _chi2_tail(k, x):
 
     Below x/2 = k/2 + 1 the lower tail's power series gives 1 - P;
     above, the continued fraction gives Q itself, the small tail.  A
-    negative x gives NaN, as scipy's chdtrc does.
+    negative x gives NaN.
     """
     if math.isnan(x) or x < 0.0:
         return math.nan
