@@ -253,8 +253,8 @@ class BDStratTNT:
     routine that moves a vertex reaching its cap out of its class's
     unsaturated set, or one dropping below it back in.  ``draw`` writes
     nothing: it reads the post-toggle counts of the q-ratio off the
-    current state, in the same time.  ``propose``, ``commit`` and
-    ``_reverse_counts`` apply the same closures once.
+    current state, in the same time.  ``propose`` and ``commit`` apply
+    the same closures once.
 
     Undirected unipartite networks only.
     """
@@ -430,10 +430,6 @@ class BDStratTNT:
     def commit(self, net, i, j, added):
         """Update all bookkeeping for a toggle that was just applied."""
         self._bound(net)[1](i, j, added)
-
-    def _reverse_counts(self, net, s, i, j, added):
-        """The reverse-count pass of the draw; see ``_bound``."""
-        return self._bound(net)[2](s, i, j, added)
 
     def _bound(self, net, rng=None):
         """The closures over this state, `net` and `rng`: (draw, commit,

@@ -21,6 +21,13 @@ def all_networks(n, directed=False, bipartite=0):
         yield net
 
 
+def random_dyad(net, rng):
+    """A uniformly random free dyad of `net`: one ``rng.randrange`` draw
+    over the dyad indices, the stream the proposals' integer draws
+    reproduce."""
+    return net.dyad_at(rng.randrange(net.dyad_count()))
+
+
 def exact_moments(n, formula, attrs, theta, keep=None, directed=False):
     """Exact E[g(Y)] under the model by full enumeration.
 
@@ -72,21 +79,64 @@ def batch_means_se(series):
     return math.sqrt(var_sigma / (a * b))
 
 
+def change_score(model, net):
+    """change(i, j) -> the change score of dyad (i, j) of `net` in its
+    current state, from the term closures of ``model.change_functions``
+    bound once."""
+    changes, adj = model.change_functions(net), net.adj
+
+    def change(i, j):
+        present = j in adj[i]
+        delta = []
+        for f in changes:
+            delta += f(i, j, present)
+        return delta
+
+    return change
+
+
+class CheckedProposal:
+    """`proposal` with every draw asserted legal under `checker`.
+
+    ``bind(net, rng)`` returns the wrapped proposal's bound ``draw``,
+    which asserts ``checker.allowed`` on each dyad it proposes before
+    the step sees it, and its bound ``commit``."""
+
+    def __init__(self, proposal, checker):
+        self.proposal, self.checker = proposal, checker
+
+    def bind(self, net, rng):
+        draw, commit = self.proposal.bind(net, rng)
+        allowed = self.checker.allowed
+
+        def checked():
+            i, j, log_q = draw()
+            assert allowed(net, i, j), f"proposed dyad ({i}, {j}) is illegal"
+            return i, j, log_q
+
+        return checked, commit
+
+
 def reference_mh_step(net, model, coefs, proposal, current_stats, rng,
                       checker=None):
     """A frozen copy of the one-call Metropolis-Hastings step that the
-    bound chain step replaced: it looks everything up on every call.
+    bound chain step replaced: it binds the proposal and the terms and
+    looks everything up on every call, and tilts through _log_tilt.
     Returns (accepted, stats) like sampler.mh_step."""
     from ergmkit.sampler import _log_tilt
-    i, j, log_q = proposal.propose(net, rng)
+    draw, commit = proposal.bind(net, rng)
+    i, j, log_q = draw()
     if checker is not None and not checker.allowed(net, i, j):
         return False, current_stats
     adding = not net.has_edge(i, j)
-    delta = model.change(net, i, j)
+    delta = []
+    for f in model.change_functions(net):
+        delta += f(i, j, not adding)
     log_ar = _log_tilt(coefs, delta, 1 if adding else -1) + log_q
     if log_ar >= 0.0 or (log_ar > -math.inf and rng.random() < math.exp(log_ar)):
         net.toggle(i, j)
-        proposal.commit(net, i, j, adding)
+        if commit is not None:
+            commit(i, j, adding)
         if adding:
             return True, [c + d for c, d in zip(current_stats, delta)]
         return True, [c - d for c, d in zip(current_stats, delta)]

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 from scipy import signal
 
-from helpers import all_networks, batch_means_se, exact_log_normalizer, \
-    exact_moments
+from helpers import CheckedProposal, all_networks, batch_means_se, \
+    exact_log_normalizer, exact_moments, random_dyad
 from ergmkit.bench import PopulationSpec, ess_benchmark, generate_population
 from ergmkit.diagnostics import estimate_burnin, geweke_test, multivariate_ess
 from ergmkit.estimate import (McmleControl, check_termination, logistic_fit,
@@ -27,7 +27,7 @@ from ergmkit.network import Network, VertexAttributes
 from ergmkit.proposals import (BDStratTNT, ConstraintChecker, TntProposal,
                                UniformProposal)
 from ergmkit.san import SanConfig, san_run
-from ergmkit.sampler import SamplerConfig, mh_step, run_chain
+from ergmkit.sampler import SamplerConfig, run_chain
 from ergmkit.terms import bind
 
 
@@ -98,37 +98,22 @@ def test_criterion_02_constrained_stationarity():
         exact, count = exact_moments(n, formula, attrs, theta, keep=admissible)
         assert count == 34
 
+        # the production chain, 1e7 steps retained every 10th, in ten
+        # chunks on one RNG; every proposal is asserted legal, and the
+        # network is validated after each chunk of 1e6 steps
         net = Network(n)
         model = bind(formula, net, attrs)
-        prop = BDStratTNT(net, spec, attrs)
+        prop = CheckedProposal(BDStratTNT(net, spec, attrs), checker)
         rng = random.Random(202)
-        coefs = list(theta)
-        stats = model.summary(net)
-        total_steps = 10_000_000
-        retain_every = 10
-        values = np.empty((total_steps // retain_every, 2))
-        changes = model.change_functions(net)   # bound once, as a chain does
-        adj = net.adj
-        for step in range(1, total_steps + 1):
-            i, j, logq = prop.propose(net, rng)
-            # constraint safety: the proposal itself must be legal
-            assert checker.allowed(net, i, j)
-            present = j in adj[i]
-            adding = not present
-            delta = []
-            for f in changes:
-                delta += f(i, j, present)
-            log_ar = logq + (1 if adding else -1) * sum(
-                c * d for c, d in zip(coefs, delta))
-            if log_ar >= 0 or rng.random() < math.exp(log_ar):
-                net.toggle(i, j)
-                prop.commit(net, i, j, adding)
-                sgn = 1.0 if adding else -1.0
-                stats = [s + sgn * d for s, d in zip(stats, delta)]
-            if step % retain_every == 0:
-                values[step // retain_every - 1] = stats
-            if step % 1_000_000 == 0:
-                checker.validate_network(net)
+        chunk_steps, retain_every = 1_000_000, 10
+        cfg = SamplerConfig(samplesize=chunk_steps // retain_every,
+                            interval=retain_every)
+        chunks = []
+        for _ in range(10):
+            chunks.append(run_chain(net, model, list(theta), prop, cfg,
+                                    rng=rng).values)
+            checker.validate_network(net)
+        values = np.concatenate(chunks)
         for k in range(2):
             se = batch_means_se(values[:, k])
             err = abs(values[:, k].mean() - exact[k])
@@ -150,7 +135,7 @@ def test_criterion_03_mple_identities():
         # edges-only MPLE equals logit(density) exactly
         net = Network(10)
         while net.edge_count < 30:
-            i, j = net.random_dyad(rng)
+            i, j = random_dyad(net, rng)
             if not net.has_edge(i, j):
                 net.toggle(i, j)
         fit = mple(net, bind("edges", net))

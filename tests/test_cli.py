@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import ergmkit
+from helpers import random_dyad
 from ergmkit.cli import main
 from ergmkit.formula import CONSTRAINT_ATOMS, TERM_CATALOG
 from ergmkit.network import Network, VertexAttributes, read_network, \
@@ -33,7 +34,7 @@ def observed_net(tmp_path):
     rng = random.Random(3)
     net = Network(10)
     while net.edge_count < 30:
-        i, j = net.random_dyad(rng)
+        i, j = random_dyad(net, rng)
         if not net.has_edge(i, j):
             net.toggle(i, j)
     path = tmp_path / "obs.txt"

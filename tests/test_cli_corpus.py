@@ -22,6 +22,7 @@ import tempfile
 
 import pytest
 
+from helpers import random_dyad
 from ergmkit.cli import main
 from ergmkit.network import Network, VertexAttributes, write_attributes, \
     write_network
@@ -49,7 +50,7 @@ def _write_inputs(root):
     rng = random.Random(3)
     obs = Network(12)
     while obs.edge_count < 24:
-        i, j = obs.random_dyad(rng)
+        i, j = random_dyad(obs, rng)
         if not obs.has_edge(i, j):
             obs.toggle(i, j)
     write_network(obs, os.path.join(root, "obs.txt"))
@@ -61,11 +62,11 @@ def _write_inputs(root):
             if not clustered.has_edge(i, j):
                 clustered.toggle(i, j)
     while clustered.edge_count < 24:
-        i, j = clustered.random_dyad(rng)
+        i, j = random_dyad(clustered, rng)
         if not clustered.has_edge(i, j):
             clustered.toggle(i, j)
     while crosssex.edge_count < 30:
-        i, j = crosssex.random_dyad(rng)
+        i, j = random_dyad(crosssex, rng)
         if (i + j) % 2 == 1 and not crosssex.has_edge(i, j):
             crosssex.toggle(i, j)
     write_network(clustered, os.path.join(root, "clustered.txt"))

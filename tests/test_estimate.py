@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import exact_moments
+from helpers import change_score, exact_moments, random_dyad
 from ergmkit import estimate
 from ergmkit.errors import DataError, SeparationError, SingularityError
 from ergmkit.estimate import (McmleControl, cd_fit, check_termination,
@@ -75,16 +75,17 @@ def random_net(n, density, seed, directed=False, bipartite=0):
 def loop_rows(net, model, mode):
     """mple_rows dyad by dyad through the scalar change score."""
     free, off = model.free_index, model.offset_index
+    change = change_score(model, net)
     if mode == "array":
         cube = np.full((net.n, net.n, model.p), np.nan)
         for i, j in net.dyads():
-            cube[i, j, :] = model.change(net, i, j)
+            cube[i, j, :] = change(i, j)
             if not net.directed:
-                cube[j, i, :] = model.change(net, i, j)
+                cube[j, i, :] = change(i, j)
         return cube
     rows, listed, dyads = {}, [], []
     for i, j in net.dyads():
-        delta = model.change(net, i, j)
+        delta = change(i, j)
         key = (1.0 if net.has_edge(i, j) else 0.0,
                *(delta[c] for c in free), *(delta[c] for c in off))
         rows[key] = rows.get(key, 0) + 1
@@ -101,11 +102,12 @@ def loop_rows(net, model, mode):
 def loop_score(net, model, coefs, frozen=lambda i, j: False):
     """The sandwich estimating function dyad by dyad, skipping frozen dyads."""
     free = model.free_index
+    change = change_score(model, net)
     u = np.zeros(len(free))
     for i, j in net.dyads():
         if frozen(i, j):
             continue
-        delta = model.change(net, i, j)
+        delta = change(i, j)
         eta = _log_tilt(coefs, delta, 1)
         if eta == math.inf:
             p = 1.0
@@ -208,7 +210,7 @@ class TestMpleRows:
             rng = random.Random(n)
             net = Network(n)
             while net.edge_count < n:
-                i, j = net.random_dyad(rng)
+                i, j = random_dyad(net, rng)
                 if not net.has_edge(i, j):
                     net.toggle(i, j)
             model = bind("edges + concurrent + gwesp(0.5, fixed=true)", net)
@@ -301,7 +303,7 @@ class TestMple:
             net = Network(24)
             rng = random.Random(8)
             while net.edge_count < 30:
-                i, j = net.random_dyad(rng)
+                i, j = random_dyad(net, rng)
                 if (i + j) % 2 == 1 and not net.has_edge(i, j):
                     net.toggle(i, j)
             formula = 'edges + concurrent + nodecov("age") + offset(nodematch("sex"))'
@@ -323,7 +325,7 @@ class TestMple:
         rng = random.Random(40)
         net = Network(40)
         while net.edge_count < 30:
-            i, j = net.random_dyad(rng)
+            i, j = random_dyad(net, rng)
             if (i + j) % 2 == 1 and not net.has_edge(i, j):
                 net.toggle(i, j)
         attrs = sex_attrs(40)
@@ -367,7 +369,7 @@ class TestMple:
                         if rng.random() < 0.75:
                             net.toggle(a, b)
             for _ in range(6):
-                i, j = net.random_dyad(rng)
+                i, j = random_dyad(net, rng)
                 if not net.has_edge(i, j):
                     net.toggle(i, j)
             model = bind("edges + triangle", net)

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from helpers import all_networks, exact_log_normalizer
+from helpers import all_networks, exact_log_normalizer, random_dyad
 from ergmkit.errors import DataError
 from ergmkit import loglik
 from ergmkit.formula import parse_constraint_formula
@@ -53,7 +53,7 @@ class TestDyadIndependentBaseline:
         net = Network(10)
         rng = random.Random(1)
         while net.edge_count < 30:
-            i, j = net.random_dyad(rng)
+            i, j = random_dyad(net, rng)
             if not net.has_edge(i, j):
                 net.toggle(i, j)
         model = bind("edges", net)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from helpers import random_dyad
 from ergmkit.network import Network, VertexAttributes, read_network, \
     write_network, read_attributes, write_attributes
 from ergmkit.errors import NetworkFormatError
@@ -136,7 +137,7 @@ class TestToggle:
         net = Network(30)
         seq = []
         for _ in range(10_000):
-            i, j = net.random_dyad(rng)
+            i, j = random_dyad(net, rng)
             net.toggle(i, j)
             seq.append((i, j))
         for i, j in reversed(seq):

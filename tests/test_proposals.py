@@ -8,6 +8,7 @@ from collections import Counter, deque
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from helpers import CheckedProposal
 from ergmkit.errors import ConstraintError, DataError, FrozenStateError
 from ergmkit.formula import ConstraintSpec, parse_constraint_formula
 from ergmkit.network import Network, VertexAttributes
@@ -48,28 +49,25 @@ class TestBelow:
 class TestUniform:
     def test_each_dyad_equally(self):
         net = Network(4)
-        rng = random.Random(0)
-        prop = UniformProposal()
-        counts = Counter((prop.propose(net, rng)[:2]) for _ in range(60_000))
+        draw, _ = UniformProposal().bind(net, random.Random(0))
+        counts = Counter(draw()[:2] for _ in range(60_000))
         assert len(counts) == 6
         for c in counts.values():
             assert abs(c - 10_000) < 4 * math.sqrt(60_000 * (1 / 6) * (5 / 6))
 
     def test_bipartite_only_cross(self):
         net = Network(5, bipartite=2)
-        rng = random.Random(1)
-        prop = UniformProposal()
-        seen = {prop.propose(net, rng)[:2] for _ in range(2000)}
+        draw, _ = UniformProposal().bind(net, random.Random(1))
+        seen = {draw()[:2] for _ in range(2000)}
         assert len(seen) == 6
         assert all(i < 2 <= j for i, j in seen)
 
     def test_chi_square(self):
         from scipy import stats
         net = Network(6)
-        rng = random.Random(2)
-        prop = UniformProposal()
+        draw, _ = UniformProposal().bind(net, random.Random(2))
         N = net.dyad_count()
-        counts = Counter(prop.propose(net, rng)[:2] for _ in range(100_000))
+        counts = Counter(draw()[:2] for _ in range(100_000))
         observed = [counts.get(net.dyad_at(k), 0) for k in range(N)]
         expected = 100_000 / N
         chi2 = sum((o - expected) ** 2 / expected for o in observed)
@@ -81,21 +79,18 @@ class TestTnt:
         # E=1, N=3: proposing the edge has probability 1/2 + 1/6 = 2/3.
         net = Network(3)
         net.toggle(0, 1)
-        rng = random.Random(3)
-        prop = TntProposal()
+        draw, _ = TntProposal().bind(net, random.Random(3))
         draws = 120_000
-        hits = sum(prop.propose(net, rng)[:2] == (0, 1) for _ in range(draws))
+        hits = sum(draw()[:2] == (0, 1) for _ in range(draws))
         sigma = math.sqrt(draws * (2 / 3) * (1 / 3))
         assert abs(hits - draws * 2 / 3) < 4 * sigma
 
     def test_nonedge_mass_below_half(self):
         net = Network(5)
         net.toggle(0, 1)
-        rng = random.Random(4)
-        prop = TntProposal()
+        draw, _ = TntProposal().bind(net, random.Random(4))
         draws = 50_000
-        nonedge = sum(not net.has_edge(*prop.propose(net, rng)[:2])
-                      for _ in range(draws))
+        nonedge = sum(not net.has_edge(*draw()[:2]) for _ in range(draws))
         assert nonedge < draws / 2
 
     def test_empirical_mixture(self):
@@ -103,10 +98,9 @@ class TestTnt:
         for d in [(0, 1), (1, 2), (2, 3)]:
             net.toggle(*d)
         E, N = 3, net.dyad_count()
-        rng = random.Random(5)
-        prop = TntProposal()
+        draw, _ = TntProposal().bind(net, random.Random(5))
         draws = 1_000_000
-        counts = Counter(prop.propose(net, rng)[:2] for _ in range(draws))
+        counts = Counter(draw()[:2] for _ in range(draws))
         for k in range(N):
             d = net.dyad_at(k)
             p = (0.5 / E + 0.5 / N) if net.has_edge(*d) else 0.5 / N
@@ -116,11 +110,10 @@ class TestTnt:
     def test_q_ratio_values(self):
         net = Network(3)
         net.toggle(0, 1)
-        rng = random.Random(6)
-        prop = TntProposal()
+        draw, _ = TntProposal().bind(net, random.Random(6))
         E, N = 1, 3
         for _ in range(50):
-            i, j, logq = prop.propose(net, rng)
+            i, j, logq = draw()
             if net.has_edge(i, j):
                 # removal from E=1: reverse re-adds from the empty state
                 want = math.log((1.0 / N) / (0.5 / E + 0.5 / N))
@@ -130,10 +123,9 @@ class TestTnt:
 
     def test_empty_network_fallback(self):
         net = Network(4)
-        rng = random.Random(7)
-        prop = TntProposal()
+        draw, _ = TntProposal().bind(net, random.Random(7))
         N = net.dyad_count()
-        i, j, logq = prop.propose(net, rng)
+        i, j, logq = draw()
         assert not net.has_edge(i, j)
         want = math.log((0.5 + 0.5 / N) / (1.0 / N))
         assert abs(logq - want) < 1e-12
@@ -201,11 +193,10 @@ class TestBDStratInit:
         attrs = alternating_sex(12)
         spec = ConstraintSpec(strat_attr=("grp",))
         spec.strat_pmat = [[1.0, 0.0], [0.0, 1.0]]   # forbid X-Y mixing
-        state = BDStratTNT(net, spec, attrs)
-        rng = random.Random(8)
+        draw, _ = BDStratTNT(net, spec, attrs).bind(net, random.Random(8))
         grp = attrs.columns["grp"]
         for _ in range(4000):
-            i, j, _ = state.propose(net, rng)
+            i, j, _ = draw()
             assert grp[i] == grp[j]
 
     def test_strat_levels_from_several_attributes(self):
@@ -270,12 +261,11 @@ class TestBDStratDynamics:
         state = BDStratTNT(net, spec, attrs)
         checker = ConstraintChecker(net, spec, attrs)
         rng = random.Random(seed)
+        draw, commit = CheckedProposal(state, checker).bind(net, rng)
         for _ in range(steps):
-            i, j, _ = state.propose(net, rng)
-            assert checker.allowed(net, i, j), "proposal violates constraints"
+            i, j, _ = draw()
             if rng.random() < 0.5:   # arbitrary acceptance; state must track
-                added = net.toggle(i, j)
-                state.commit(net, i, j, added)
+                commit(i, j, net.toggle(i, j))
         return state
 
     def test_rebuild_oracle(self):
@@ -301,13 +291,14 @@ class TestBDStratDynamics:
         attrs = alternating_sex(8)
         spec = hetero_monogamy()
         state = BDStratTNT(net, spec, attrs)
+        _, commit = state.bind(net, random.Random(0))
         before = state.snapshot()
         net.toggle(0, 1)
-        state.commit(net, 0, 1, True)
+        commit(0, 1, True)
         # both endpoints saturated: their other incident dyads leave
         assert state.strat_D[0] < before["strat_D"][0]
         net.toggle(0, 1)
-        state.commit(net, 0, 1, False)
+        commit(0, 1, False)
         assert state.snapshot() == before
 
     def test_reverse_probability_bookkeeping(self):
@@ -317,10 +308,10 @@ class TestBDStratDynamics:
         attrs = alternating_sex(10)
         spec = hetero_monogamy()
         state = BDStratTNT(net, spec, attrs)
-        rng = random.Random(11)
+        draw, commit = state.bind(net, random.Random(11))
         for _ in range(2000):
             W_before = state.active_weight
-            i, j, logq = state.propose(net, rng)
+            i, j, logq = draw()
             cell = state._cell_of_dyad(i, j)
             s = state.cell_stratum[cell]
             E_s, D_s = state.strat_E[s], state.strat_D[s]
@@ -328,7 +319,7 @@ class TestBDStratDynamics:
             q_fwd = (0.5 / E_s + 0.5 / D_s) if was_edge else \
                 ((0.5 / D_s) if E_s else (1.0 / D_s))
             added = net.toggle(i, j)
-            state.commit(net, i, j, added)
+            commit(i, j, added)
             E_r, D_r = state.strat_E[s], state.strat_D[s]
             q_rev = (0.5 / E_r + 0.5 / D_r) if added else \
                 ((0.5 / D_r) if E_r else (1.0 / D_r))
@@ -343,15 +334,14 @@ class TestBDStratDynamics:
         attrs.add("sex", ["M", "F"])
         net.toggle(0, 1)
         spec = parse_constraint_formula("bd(maxout=1)")
-        state = BDStratTNT(net, spec, attrs)
+        draw, _ = BDStratTNT(net, spec, attrs).bind(net, random.Random(0))
         # the edge is still proposable (removals always are)
-        i, j, _ = state.propose(net, random.Random(0))
-        assert (i, j) == (0, 1)
+        assert draw()[:2] == (0, 1)
         net2 = Network(3)
         spec2 = ConstraintSpec(bd_maxout=0)
-        state2 = BDStratTNT(net2, spec2, None)
+        draw, _ = BDStratTNT(net2, spec2, None).bind(net2, random.Random(0))
         with pytest.raises(FrozenStateError):
-            state2.propose(net2, random.Random(0))
+            draw()
 
 
 class _CountingRandom(random.Random):
@@ -422,14 +412,14 @@ class TestBDStratRejectionWorstCase:
         assert abs(sum(calls) / len(calls) - want) < 4 * 30 / math.sqrt(4000)
 
 
-def provisional_reverse_counts(state, net, s, i, j):
+def provisional_reverse_counts(state, net, commit, s, i, j):
     """Reference reverse-state counts: commit the toggle, read stratum
     s's counts and the active weight, then roll the toggle back."""
     added = net.toggle(i, j)
-    state.commit(net, i, j, added)
+    commit(i, j, added)
     counts = (state.strat_E[s], list(state.strat_D), state.active_weight)
     net.toggle(i, j)
-    state.commit(net, i, j, not added)
+    commit(i, j, not added)
     return counts
 
 
@@ -452,10 +442,12 @@ def check_reverse_counts(state, net, i, j):
     s = state.cell_stratum[state._cell_of_dyad(i, j)]
     D_before, W = list(state.strat_D), state.active_weight
     edges_before = list(net.edges)
-    E_r, D_r, W_r = state._reverse_counts(net, s, i, j, not net.has_edge(i, j))
+    _, commit, reverse_counts, _ = state._bound(net)
+    E_r, D_r, W_r = reverse_counts(s, i, j, not net.has_edge(i, j))
     assert state.strat_D == D_before and state.active_weight == W
     assert net.edges == edges_before
-    want_E, want_D, want_W = provisional_reverse_counts(state, net, s, i, j)
+    want_E, want_D, want_W = provisional_reverse_counts(state, net, commit,
+                                                        s, i, j)
     assert (E_r, D_r) == (want_E, want_D[s])
     # the rollback may round W through W - w + w; the closed form does
     # no arithmetic on W unless a stratum's D crosses zero
@@ -487,9 +479,10 @@ class TestBDStratReverseCounts:
         # X = {0, 3} (one M, one F): the X-X edge saturates both X
         # vertices at cap 1, leaving the X-Y stratum nothing to propose
         net, attrs, spec, state = self.build(6, 1, True, (1, 1))
+        _, commit = state.bind(net, random.Random(0))
         assert check_reverse_counts(state, net, 0, 3)
         net.toggle(0, 3)
-        state.commit(net, 0, 3, True)
+        commit(0, 3, True)
         xy = state.strata.index((0, 1))
         assert state.strat_D[xy] == 0
         assert check_reverse_counts(state, net, 0, 3)
@@ -506,12 +499,13 @@ class TestBDStratReverseCounts:
         net = Network(30)
         state = BDStratTNT(net, parse_constraint_formula(text), alternating_sex(30))
         rng = random.Random(5)
+        draw, commit = state.bind(net, rng)
         seq = []
         for _ in range(3000):
-            i, j, logq = state.propose(net, rng)
+            i, j, logq = draw()
             seq.append((i, j, round(logq, 9)))
             if rng.random() < 0.5:
-                state.commit(net, i, j, net.toggle(i, j))
+                commit(i, j, net.toggle(i, j))
         assert hashlib.sha256(repr(seq).encode()).hexdigest()[:16] == want
 
     @given(n=st.integers(6, 12), cap=st.integers(1, 3), blocks=st.booleans(),
@@ -522,7 +516,7 @@ class TestBDStratReverseCounts:
     @settings(max_examples=40, deadline=None)
     def test_against_provisional_commit(self, n, cap, blocks, zero, picks, seed):
         net, attrs, spec, state = self.build(n, cap, blocks, zero)
-        rng = random.Random(seed)
+        draw, commit = state.bind(net, random.Random(seed))
         for pick in picks:
             legal = proposable_dyads(net, state)
             if not legal:
@@ -531,11 +525,10 @@ class TestBDStratReverseCounts:
                 check_reverse_counts(state, net, i, j)
             before = state.snapshot()
             for _ in range(3):
-                state.propose(net, rng)
+                draw()
                 assert state.snapshot() == before
             i, j = legal[pick % len(legal)]
-            added = net.toggle(i, j)
-            state.commit(net, i, j, added)
+            commit(i, j, net.toggle(i, j))
             fresh = BDStratTNT(net, spec, attrs)
             assert state.snapshot() == fresh.snapshot()
 

@@ -14,7 +14,7 @@ from ergmkit.formula import parse_constraint_formula
 from ergmkit.network import Network, VertexAttributes
 from ergmkit.proposals import (BDStratTNT, ConstraintChecker, TntProposal,
                                UniformProposal, make_proposal)
-from ergmkit.sampler import (SamplerConfig, adaptive_run, mh_step, run_chain,
+from ergmkit.sampler import (SamplerConfig, adaptive_run, run_chain,
                              sample_chains, _log_tilt, _mh_stepper,
                              _offset_shift)
 from ergmkit.terms import bind
@@ -32,47 +32,62 @@ class TestMhStep:
     def test_zero_coefs_always_accept(self):
         net = Network(6)
         model = bind("edges", net)
-        rng = random.Random(0)
+        step = _mh_stepper(net, model, [0.0], UniformProposal(), None,
+                           random.Random(0))
         stats = [0.0]
-        prop = UniformProposal()
         for _ in range(200):
-            ok, stats = mh_step(net, model, [0.0], prop, stats, rng)
-            assert ok
+            new = step(stats)
+            assert new is not stats
+            stats = new
 
     def test_neg_inf_offset_rejects_forbidden(self):
         net = Network(6)
         attrs = grp_attrs(6)
         model = bind('edges + offset(nodematch("sex"))', net, attrs)
-        coefs = [5.0, -math.inf]
-        rng = random.Random(1)
-        stats = [0.0, 0.0]
-        for _ in range(3000):
-            _, stats = mh_step(net, model, coefs, UniformProposal(), stats, rng)
-        assert stats[1] == 0.0
+        cfg = SamplerConfig(samplesize=3000, seed=1)
+        sm = run_chain(net, model, [5.0, -math.inf], UniformProposal(), cfg)
+        assert not sm.values[:, 1].any()
         assert all((i % 2) != (j % 2) for i, j in net.edges)
 
     def test_log2_add_always_accepted(self):
+        # at theta = log 2 an add has log ratio log 2 > 0 under the
+        # symmetric uniform proposal, so the step accepts every one
         net = Network(10)
         model = bind("edges", net)
-        rng = random.Random(2)
-        prop = UniformProposal()
-        for _ in range(50):
-            i, j = net.random_dyad(rng)
-            if not net.has_edge(i, j):
-                ok, _ = mh_step(net, model, [math.log(2)], prop, [0.0], rng)
-                # an add-toggle has acceptance min(1, 2) = 1; removals may
-                # reject, so only assert on adds
-                if ok:
-                    continue
+        proposed = []
+
+        class Recording:
+            def bind(self, net, rng):
+                draw, commit = UniformProposal().bind(net, rng)
+
+                def recorded():
+                    i, j, log_q = draw()
+                    proposed.append((i, j, j in net.adj[i], log_q))
+                    return i, j, log_q
+
+                return recorded, commit
+
+        step = _mh_stepper(net, model, [math.log(2)], Recording(), None,
+                           random.Random(2))
+        stats, adds = [0.0], 0
+        for _ in range(300):
+            new = step(stats)
+            i, j, present, log_q = proposed[-1]
+            assert log_q == 0.0
+            if not present:
+                adds += 1
+                assert new is not stats and net.has_edge(i, j)
+            stats = new
+        assert len(proposed) == 300 and adds >= 100
 
     def test_stats_updated_incrementally(self):
         net = Network(8)
         model = bind("edges + triangle", net)
-        rng = random.Random(3)
+        step = _mh_stepper(net, model, [0.1, 0.05], TntProposal(), None,
+                           random.Random(3))
         stats = model.summary(net)
-        prop = TntProposal()
         for _ in range(2000):
-            _, stats = mh_step(net, model, [0.1, 0.05], prop, stats, rng)
+            stats = step(stats)
         assert stats == model.summary(net)
 
 
@@ -258,8 +273,8 @@ class TestBoundStep:
             run_chain(net, model, [0.1, math.nan], TntProposal(),
                       SamplerConfig(samplesize=3))
         with pytest.raises(DataError, match="coefficients"):
-            mh_step(net, model, [0.1], TntProposal(), [0.0, 0.0],
-                    random.Random(0))
+            _mh_stepper(net, model, [0.1], TntProposal(), None,
+                        random.Random(0))
 
 
 def bdstrat_chain_digest(net, proposal, draws, rng):
@@ -283,9 +298,9 @@ class TestBDStratChainPinned:
     """Seeded BDStratTNT chains keep their bytes.  The digests were
     recorded with an earlier implementation of the proposal, one method
     per piece, the first two again when the draw became read-only.  The
-    reference step in helpers drives ``propose`` and ``commit``, which
-    wrap the closures the chain runs, so it cannot catch a change to
-    both."""
+    reference step in helpers binds the same ``draw`` and ``commit``
+    closures as the chain, once per step, so it cannot catch a change
+    to them."""
 
     @staticmethod
     def race_attrs(n):

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from helpers import random_dyad
 from ergmkit.errors import DataError
 from ergmkit.formula import parse_constraint_formula
 from ergmkit.network import Network, VertexAttributes
@@ -135,7 +136,7 @@ class TestSanRun:
         net = Network(20)
         rng = random.Random(9)
         for _ in range(40):
-            i, j = net.random_dyad(rng)
+            i, j = random_dyad(net, rng)
             net.toggle(i, j)
         model = bind("edges + concurrent", net)
         config = SanConfig(targets=[25.0, 10.0], runs=1, tau0=0.0,

@@ -11,6 +11,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import change_score, random_dyad
 from ergmkit.errors import DataError
 from ergmkit.network import Network, VertexAttributes
 from ergmkit.terms import bind
@@ -81,7 +82,7 @@ class TestSummaries:
         for k in range(6):
             net.toggle(*net.dyad_at(k))
         model = bind("edges + triangle", net)
-        delta = model.change(net, 0, 1)
+        delta = change_score(model, net)(0, 1)
         assert delta == [1.0, 2.0]
         stats = [c - d for c, d in zip([6.0, 4.0], delta)]
         assert stats == [5.0, 2.0]
@@ -92,17 +93,17 @@ class TestSummaries:
 class TestChangeScores:
     def test_edges_always_one(self):
         net = random_net(6, seed=3)
-        model = bind("edges", net)
+        change = change_score(bind("edges", net), net)
         for k in range(net.dyad_count()):
-            assert model.change(net, *net.dyad_at(k)) == [1.0]
+            assert change(*net.dyad_at(k)) == [1.0]
 
     def test_triangle_is_common_neighbors(self):
         net = random_net(7, seed=4)
-        model = bind("triangle", net)
+        change = change_score(bind("triangle", net), net)
         for k in range(net.dyad_count()):
             i, j = net.dyad_at(k)
             cn = len(net.adj[i] & net.adj[j])
-            assert model.change(net, i, j) == [float(cn)]
+            assert change(i, j) == [float(cn)]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_brute_force_undirected(self, seed):
@@ -111,9 +112,10 @@ class TestChangeScores:
         model = bind(UNDIRECTED_FORMULA, net, make_attrs(n, seed))
         int_mask = [not name.startswith(("gwdegree", "gwesp", "nodecov", "absdiff"))
                     for name in model.names]
+        change = change_score(model, net)
         for k in range(net.dyad_count()):
             i, j = net.dyad_at(k)
-            fast = model.change(net, i, j)
+            fast = change(i, j)
             slow = brute_force_change(net, model, i, j)
             for f, s, is_int in zip(fast, slow, int_mask):
                 if is_int:
@@ -126,9 +128,10 @@ class TestChangeScores:
         n = random.Random(100 + seed).randint(4, 7)
         net = random_net(n, directed=True, density=0.4, seed=seed)
         model = bind(DIRECTED_FORMULA, net, make_attrs(n, seed))
+        change = change_score(model, net)
         for k in range(net.dyad_count()):
             i, j = net.dyad_at(k)
-            fast = model.change(net, i, j)
+            fast = change(i, j)
             slow = brute_force_change(net, model, i, j)
             assert all(abs(f - s) < 1e-12 for f, s in zip(fast, slow))
 
@@ -139,19 +142,21 @@ class TestChangeScores:
         net = random_net(n, density=0.5, seed=seed,
                          bipartite=rng.randint(1, n - 1))
         model = bind(UNDIRECTED_FORMULA, net, make_attrs(n, seed))
+        change = change_score(model, net)
         for k in range(net.dyad_count()):
             i, j = net.dyad_at(k)
-            fast = model.change(net, i, j)
+            fast = change(i, j)
             slow = brute_force_change(net, model, i, j)
             assert all(abs(f - s) < 1e-12 for f, s in zip(fast, slow))
 
     def test_state_independence(self):
         net = random_net(6, seed=8)
         model = bind(UNDIRECTED_FORMULA, net, make_attrs(6, 8))
+        change = change_score(model, net)
         i, j = 1, 4
-        before = model.change(net, i, j)
+        before = change(i, j)
         net.toggle(i, j)
-        after = model.change(net, i, j)
+        after = change(i, j)
         assert all(abs(a - b) < 1e-12 for a, b in zip(before, after))
 
 
@@ -224,7 +229,7 @@ class TestBlockChanges:
                     net.toggle(i, j)
         # a dyad-independent statistic is the sum of its change scores
         # over the edges
-        scores = [model.change(net, i, j) for i, j in net.edges]
+        scores = [closure(i, j) for i, j in net.edges]
         got = model.summary(net)
         for k, independent in enumerate(model.dyad_independent_mask):
             if independent:
@@ -237,7 +242,8 @@ class TestBlockChanges:
                      net, make_attrs(9, 5))
         tails, heads = net.dyad_rows(0, 8)
         block = model.changes(net, tails, heads, net.edge_mask(tails, heads))
-        assert block.tolist() == [model.change(net, i, j) for i, j in net.dyads()]
+        change = change_score(model, net)
+        assert block.tolist() == [change(i, j) for i, j in net.dyads()]
 
 
 class TestIncremental:
@@ -251,9 +257,10 @@ class TestIncremental:
         int_mask = [not name.startswith(("gwdegree", "gwesp", "nodecov", "absdiff"))
                     for name in model.names]
         stats = model.summary(net)
+        change = change_score(model, net)
         for _ in range(100_000):
-            i, j = net.random_dyad(rng)
-            delta = model.change(net, i, j)
+            i, j = random_dyad(net, rng)
+            delta = change(i, j)
             adding = net.toggle(i, j)
             stats = [c + d if adding else c - d for c, d in zip(stats, delta)]
         exact = model.summary(net)
