@@ -126,6 +126,12 @@ def _cases():
         ["fit", "--network", "{d}/obs.txt", "--formula", f"edges + {GW}",
          "--samplesize", "200", "--interval", "10", "--maxit", "4",
          "--termination", "hotelling", "--seed", "20"], [])
+    # the start is far enough out that the first step is hull-scaled
+    # (gamma 0.68 < 1/0.95); two deep iterations then stop the rule
+    cases["fit-hummel"] = (
+        ["fit", "--network", "{d}/obs.txt", "--formula", f"edges + {GW}",
+         "--samplesize", "200", "--interval", "10", "--maxit", "6",
+         "--init=-1.5,0.2", "--termination", "hummel", "--seed", "21"], [])
     cases["bench-mixing"] = (
         ["bench", "mixing", "--n", "30", "--formula",
          f'edges + nodematch("race", diff=true) + {GW}',
@@ -157,6 +163,7 @@ CASES = _cases()
 DIGESTS = {
     'bench-mixing': 'd0a7d93502c37d2b789b329ef792bce69e71ad6e42cc8d8bb403c1c8159ba84c',
     'fit-hotelling': 'c4beeb4b4816d8e1e6c37df779295d5639a703c8a4efb6c7b2b23364a6c2ec1f',
+    'fit-hummel': '9ddbb78a3b7a9e62f49973d443d2684e05e751bd5e8353c35b89c692e3dd15ad',
     'fit-small': '702dcc4943a401f1e7dfeec437d5d059e01c96a5622609e4ca381e5ae5b9aebf',
     'loglik-blocks-target-se': 'ceee5ccf2d1a93b27610e470ae9fbd9c3d22d1d254f41e491cd1d90c532fe5a5',
     'loglik-gwesp-j12': 'e83964cfdf945e3ea3409500273856b1d8b2a3feff5423ad18dc86dd74e774a5',
