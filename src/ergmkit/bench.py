@@ -1,9 +1,9 @@
 """Desk-scale efficiency benchmarks.
 
 A synthetic heterosexual-population generator stands in for survey-
-derived data: alternating or weighted sexes, categorical race with
-configurable frequencies, uniform ages with squared and square-root
-derived columns.  On top of it, trace benchmarks (statistics against
+derived data: alternating sexes, categorical race with configurable
+frequencies, uniform ages with squared and square-root derived
+columns.  On top of it, trace benchmarks (statistics against
 proposal count, from an empty start) and effective-sample-size
 benchmarks (per-statistic ESS and ESS per second at equal proposal
 counts) compare proposal variants that share one stationary
@@ -26,14 +26,15 @@ __all__ = ["PopulationSpec", "generate_population", "mixing_benchmark",
            "ess_benchmark", "san_benchmark"]
 
 
+# the uniform age range of generate_population
+_AGE_LOW = 18.0
+_AGE_HIGH = 60.0
+
+
 @dataclass
 class PopulationSpec:
     n: int = 1000
-    sex_mode: str = "alternating"          # or "weighted"
-    sex_freqs: dict = field(default_factory=lambda: {"M": 0.5, "F": 0.5})
     race_freqs: dict = field(default_factory=lambda: {"A": 0.5, "B": 0.3, "C": 0.2})
-    age_low: float = 18.0
-    age_high: float = 60.0
 
 
 def generate_population(spec, seed=0):
@@ -45,17 +46,10 @@ def generate_population(spec, seed=0):
     n = spec.n
     net = Network(n)
     attrs = VertexAttributes(n)
-    if spec.sex_mode == "alternating":
-        sex = ["M" if v % 2 == 0 else "F" for v in range(n)]
-    elif spec.sex_mode == "weighted":
-        labels = sorted(spec.sex_freqs)
-        probs = [spec.sex_freqs[k] for k in labels]
-        sex = list(rng.choice(labels, size=n, p=probs))
-    else:
-        raise DataError(f"unknown sex mode {spec.sex_mode!r}")
+    sex = ["M" if v % 2 == 0 else "F" for v in range(n)]
     races = sorted(spec.race_freqs)
     race = list(rng.choice(races, size=n, p=[spec.race_freqs[k] for k in races]))
-    age = rng.uniform(spec.age_low, spec.age_high, size=n)
+    age = rng.uniform(_AGE_LOW, _AGE_HIGH, size=n)
     attrs.add_categorical("sex", sex)
     attrs.add_categorical("race", race)
     attrs.add_numeric("age", age)
@@ -128,21 +122,20 @@ def ess_benchmark(net, attrs, model, coefs, proposals, samplesize,
 
 
 def san_benchmark(net, attrs, model, targets, proposals, total_proposals,
-                  trace_interval=1000, seed=0, invcov=None):
+                  trace_interval=1000, seed=0):
     """Annealing traces at fixed temperature zero for each proposal.
 
-    The weight matrix defaults to the diagonal of reciprocal squared
-    targets, normalized; statistics are recorded every trace_interval
+    The weight matrix is the diagonal of reciprocal squared targets,
+    normalized; statistics are recorded every trace_interval
     proposals so the approach to the targets can be compared.
     """
     from .san import SanConfig, san_run
     _check_trace(total_proposals, trace_interval)
     out = {}
     targets = np.asarray(targets, dtype=float)
-    if invcov is None:
-        with np.errstate(divide="ignore"):
-            diag = 1.0 / np.where(targets != 0.0, targets, 1.0) ** 2
-        invcov = np.diag(diag / diag.sum())
+    with np.errstate(divide="ignore"):
+        diag = 1.0 / np.where(targets != 0.0, targets, 1.0) ** 2
+    invcov = np.diag(diag / diag.sum())
     for name, spec in proposals.items():
         chain = net.copy()
         config = SanConfig(targets=targets, runs=1, tau0=0.0,

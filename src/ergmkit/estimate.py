@@ -25,7 +25,7 @@ import numpy as np
 
 from .diagnostics import _hotelling_pvalue, batch_means_cov
 from .errors import DataError, SeparationError, SingularityError
-from .hull import _DEPTH, boundary_multiplier, scale_into_hull
+from .hull import _DEPTH, _pull_inside, boundary_multiplier
 from .proposals import blocks_rule, make_proposal
 # mh_step is not called here, but stays a module attribute: perfbench
 # traces it by name
@@ -90,7 +90,6 @@ class FitResult:
     termination_stat: float = float("nan")
     sample: object = None      # SampleMatrix, last iteration, free columns
     score: object = None       # ScoreEval of the final iteration
-    loglik: object = None
 
     @property
     def free_coefs(self):
@@ -288,21 +287,24 @@ def _edge_probability(eta):
 
 
 def mple(net, model, offset_coefs=(), se="naive", constraints=None, attrs=None,
-         samplesize=1000, interval=None, burnin=None, seed=0):
+         samplesize=1000, interval=None, seed=0):
     """Maximum pseudo-likelihood fit with naive or sandwich variance.
 
     Degree-cap constraints are ignored at this stage (the logistic fit
     cannot express them); blocks constraints enter as -inf shifts on
     the frozen dyads.  The sandwich middle term is the covariance of
     the pseudo-likelihood estimating function over an MCMC sample drawn
-    with the fitted coefficients as the true values; it needs at least
-    two draws.  The estimating function sums over the dyads the fit
-    uses, so dyads frozen by blocks are left out of it too.  Both the
-    design (``mple_rows``) and each draw's estimating function are
-    swept in blocks of whole rows, holding O(block * p) floats at a
-    time; the per-dyad terms are added in dyads() order, so the sums
-    are those of a dyad-by-dyad pass.
+    with the fitted coefficients as the true values, after a burn-in of
+    ten sampling intervals; it needs at least two draws.  The estimating
+    function sums over the dyads the fit uses, so dyads frozen by blocks
+    are left out of it too.  Both the design (``mple_rows``) and each
+    draw's estimating function are swept in blocks of whole rows,
+    holding O(block * p) floats at a time; the per-dyad terms are added
+    in dyads() order, so the sums are those of a dyad-by-dyad pass.
     """
+    # a NaN offset would run the Newton loop to its cap on NaN shifts
+    if any(map(math.isnan, offset_coefs)):
+        raise DataError("offset coefficients must not be NaN")
     frozen = _frozen_dyads(net, constraints, attrs)
     rows, shift, _ = _mple_design(net, model, offset_coefs, frozen)
     beta, J = logistic_fit(rows.predictor, rows.response, rows.weights, shift)
@@ -323,8 +325,6 @@ def mple(net, model, offset_coefs=(), se="naive", constraints=None, attrs=None,
 
     if interval is None:
         interval = _default_interval(net)
-    if burnin is None:
-        burnin = 10 * interval
     sim_net = net.copy()
     proposal, checker = make_proposal(sim_net, constraints, attrs)
     free = model.free_index
@@ -345,7 +345,7 @@ def mple(net, model, offset_coefs=(), se="naive", constraints=None, attrs=None,
         return u[0]
 
     cfg = SamplerConfig(samplesize=samplesize, interval=interval,
-                        burnin=burnin, seed=seed)
+                        burnin=10 * interval, seed=seed)
     _, scores = run_chain(sim_net, model, list(coefs), proposal, cfg,
                           checker=checker, collect=score)
     V = np.cov(np.asarray(scores), rowvar=False).reshape(len(free), len(free))
@@ -407,7 +407,7 @@ def mcmle_step(theta_t, sample, g_obs):
         raise SingularityError("observed statistic is not spanned by the "
                                "simulated sample")
     gamma = boundary_multiplier(sample, g_obs)
-    g_work = scale_into_hull(sample, g_obs)
+    g_work = _pull_inside(g_obs, mean, gamma)
 
     Z = (sample - mean) @ basis
     z_obs = (g_work - mean) @ basis
@@ -456,7 +456,7 @@ def mcmle_step(theta_t, sample, g_obs):
     H = (centered * w[:, None]).T @ centered
     tilted_cov = basis @ H @ basis.T
     info = {"gamma": gamma, "objective_gain": f_cur - f0,
-            "tilted_cov": tilted_cov, "scaled_obs": g_work}
+            "tilted_cov": tilted_cov}
     return theta_next, info
 
 
@@ -542,6 +542,13 @@ def mcmle_fit(net, model, g_obs=None, offset_coefs=(), constraints=None,
     network.  `init` is "mple", "cd", or an explicit free-coefficient
     vector.  Returns a FitResult whose covariance is the inverse of the
     tilted statistic covariance at the final iterate.
+
+    Each iteration takes its `mcmle_step` before the stopping check, so
+    the rules read the hull multiplier of the step, and the step is
+    dropped when the rule stops.  Taking it first changes no outcome:
+    the step raises only when the observed statistic is not spanned by
+    the sample, and under that same test the hotelling and confidence
+    rules never stop and the hummel multiplier is about 0.
     """
     control = control or McmleControl()
     if control.maxit < 1:
@@ -550,6 +557,8 @@ def mcmle_fit(net, model, g_obs=None, offset_coefs=(), constraints=None,
                           dtype=float)
     if full_obs.shape != (model.p,):
         raise DataError(f"observed statistics must have length {model.p}")
+    if not np.isfinite(full_obs).all():
+        raise DataError("observed statistics must be finite")
     free = model.free_index
     obs_free = full_obs[free]
 
@@ -594,14 +603,16 @@ def mcmle_fit(net, model, g_obs=None, offset_coefs=(), constraints=None,
             sm = run_chain(sim_net, model, coefs, proposal, cfg,
                            checker=checker, rng=rng)
         sample_free = sm.values[:, free]
-        gamma = boundary_multiplier(sample_free, obs_free)
+        # the step solves the iteration's one hull LP
+        theta_next, step_info = mcmle_step(theta, sample_free, obs_free)
         history.append(_IterationRecord(theta=theta.copy(), sample=sample_free,
-                                        g_obs=obs_free, gamma=gamma))
+                                        g_obs=obs_free,
+                                        gamma=step_info["gamma"]))
         stop, stat = check_termination(control.termination, history)
         if stop:
             converged = True
             break
-        theta, info = mcmle_step(theta, sample_free, obs_free)
+        theta, info = theta_next, step_info
 
     rec = history[-1]
     if info.get("tilted_cov") is None or converged:
@@ -631,8 +642,12 @@ def mcmle_fit(net, model, g_obs=None, offset_coefs=(), constraints=None,
                      score=score)
 
 
+# the Robbins-Monro gain of cd_fit's round m is _CD_GAIN / (1 + m / 20)
+_CD_GAIN = 0.5
+
+
 def cd_fit(net, model, offset_coefs=(), k=8, rounds=160, minibatch=24,
-           gain=0.5, constraints=None, attrs=None, seed=0):
+           constraints=None, attrs=None, seed=0):
     """Contrastive-divergence estimate from k-step restarts at the data.
 
     Robbins-Monro on the k-step score: each round runs `minibatch`
@@ -670,7 +685,7 @@ def cd_fit(net, model, offset_coefs=(), k=8, rounds=160, minibatch=24,
             direction = np.linalg.solve(cov + ridge * np.eye(len(free)), u)
         except np.linalg.LinAlgError:
             direction = u / max(float(np.trace(cov)), 1.0)
-        a_m = gain / (1.0 + m / 20.0)
+        a_m = _CD_GAIN / (1.0 + m / 20.0)
         theta = theta + a_m * direction
         if np.abs(theta).max() > 50.0:
             raise SeparationError("contrastive divergence diverged")

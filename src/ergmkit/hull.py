@@ -1,13 +1,13 @@
 """Dense linear programming and convex-hull geometry.
 
-A two-phase primal simplex over the standard form (nonnegative
-variables, rows with <=, =, >= senses) using Bland's anti-cycling rule,
-which guarantees termination.  On top of it, the exact boundary
-multiplier: the largest t >= 0 such that center + t * (x - center)
-stays inside the convex hull of a point cloud, found by one LP.  The
-multiplier is at least 1 exactly when x itself is in the hull, and it
-drives both the step-length scaling of the likelihood update and the
-hull membership test.
+A two-phase primal simplex over the equality form (maximize c'x
+subject to A x = b, x >= 0) using Bland's anti-cycling rule, which
+guarantees termination.  On top of it, the exact boundary multiplier:
+the largest t >= 0 such that center + t * (x - center) stays inside the
+convex hull of a point cloud, found by one LP.  The multiplier is at
+least 1 exactly when x itself is in the hull, and it drives both the
+step-length scaling of the likelihood update and the hull membership
+test.
 """
 
 import math
@@ -26,13 +26,11 @@ _BOUNDARY_BAND = 1e-7
 
 @dataclass
 class LinearProgram:
-    """max/min c'x subject to A x (<=, =, >=) b and x >= 0."""
+    """max c'x subject to A x = b and x >= 0."""
 
     objective: np.ndarray
     A: np.ndarray
-    senses: list
     b: np.ndarray
-    sense: str = "max"
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
@@ -41,12 +39,8 @@ class LinearProgram:
         m, n = self.A.shape
         if self.objective.shape != (n,):
             raise DataError("objective length must match the column count")
-        if self.b.shape != (m,) or len(self.senses) != m:
-            raise DataError("need one rhs value and one sense per row")
-        if any(s not in ("<=", "=", ">=") for s in self.senses):
-            raise DataError("row senses must be <=, = or >=")
-        if self.sense not in ("max", "min"):
-            raise DataError("sense must be max or min")
+        if self.b.shape != (m,):
+            raise DataError("need one rhs value per row")
 
 
 @dataclass
@@ -97,80 +91,52 @@ def _bland_iterate(T, basis, ncols):
 def simplex_solve(lp):
     """Solve a LinearProgram; returns LpResult.
 
-    Phase 1 drives artificial variables out; a positive phase-1
-    optimum means infeasible.  Phase 2 then optimizes the objective,
-    reporting unbounded when no leaving row exists.
+    Every row gets an artificial column, so the tableau is
+    [A | I | b] with the artificials basic.  Phase 1 drives them out;
+    a positive phase-1 optimum means infeasible.  Phase 2 then
+    optimizes the objective, reporting unbounded when no leaving row
+    exists.
     """
     A = lp.A.copy()
     b = lp.b.copy()
-    senses = list(lp.senses)
     m, n = A.shape
-    c = lp.objective if lp.sense == "max" else -lp.objective
 
     # normalize to nonnegative rhs
     for r in range(m):
         if b[r] < 0:
             A[r] = -A[r]
             b[r] = -b[r]
-            senses[r] = {"<=": ">=", ">=": "<=", "=": "="}[senses[r]]
 
-    slack_cols = sum(1 for s in senses if s != "=")
-    art_cols = sum(1 for s in senses if s != "<=")
-    total = n + slack_cols + art_cols
-    T = np.zeros((m + 1, total + 1))
+    T = np.zeros((m + 1, n + m + 1))
     T[:m, :n] = A
+    T[:m, n:n + m] = np.eye(m)
     T[:m, -1] = b
-    basis = [-1] * m
-    sk = n
-    ak = n + slack_cols
-    art_index = []
-    for r, s in enumerate(senses):
-        if s == "<=":
-            T[r, sk] = 1.0
-            basis[r] = sk
-            sk += 1
-        elif s == ">=":
-            T[r, sk] = -1.0
-            sk += 1
-            T[r, ak] = 1.0
-            basis[r] = ak
-            art_index.append(ak)
-            ak += 1
-        else:
-            T[r, ak] = 1.0
-            basis[r] = ak
-            art_index.append(ak)
-            ak += 1
+    basis = list(range(n, n + m))
 
-    if art_index:
-        # phase 1: maximize -(sum of artificials)
-        for r in range(m):
-            if basis[r] in art_index:
-                T[-1, :total] += T[r, :total]
-                T[-1, -1] += T[r, -1]
-        for a in art_index:
-            T[-1, a] = 0.0
-        status = _bland_iterate(T, basis, total)
-        if status != "optimal" or T[-1, -1] > 1e-7 * max(1.0, abs(b).max()):
-            return LpResult(status="infeasible")
-        # drive lingering artificials out of the basis where possible
-        for r in range(m):
-            if basis[r] in art_index:
-                for jcol in range(n + slack_cols):
-                    if abs(T[r, jcol]) > _TOL:
-                        _pivot(T, basis, r, jcol)
-                        break
-        for a in art_index:
-            T[:, a] = 0.0
+    # phase 1: maximize -(sum of artificials)
+    for r in range(m):
+        T[-1] += T[r]
+    T[-1, n:n + m] = 0.0
+    status = _bland_iterate(T, basis, n + m)
+    if status != "optimal" or T[-1, -1] > 1e-7 * max(1.0, abs(b).max()):
+        return LpResult(status="infeasible")
+    # drive lingering artificials out of the basis where possible
+    for r in range(m):
+        if basis[r] >= n:
+            for jcol in range(n):
+                if abs(T[r, jcol]) > _TOL:
+                    _pivot(T, basis, r, jcol)
+                    break
+    T[:, n:n + m] = 0.0
 
     # phase 2
     T[-1, :] = 0.0
-    T[-1, :n] = c
+    T[-1, :n] = lp.objective
     for r in range(m):
         col = basis[r]
         if T[-1, col] != 0.0:
             T[-1] -= T[-1, col] * T[r]
-    status = _bland_iterate(T, basis, n + slack_cols)
+    status = _bland_iterate(T, basis, n)
     if status == "unbounded":
         return LpResult(status="unbounded")
     x = np.zeros(n)
@@ -217,8 +183,7 @@ def boundary_multiplier(points, x, center=None):
     b = np.concatenate([center, [1.0]])
     obj = np.zeros(S + 1)
     obj[0] = 1.0
-    lp = LinearProgram(obj, A, ["="] * (p + 1), b, sense="max")
-    res = simplex_solve(lp)
+    res = simplex_solve(LinearProgram(obj, A, b))
     if res.status == "unbounded":
         return math.inf
     if res.status == "infeasible":
@@ -236,6 +201,15 @@ def in_hull(points, x, center=None):
 _DEPTH = 0.95
 
 
+def _pull_inside(x, center, gamma):
+    """x pulled toward center to _DEPTH of the boundary distance, given
+    its boundary multiplier gamma; unchanged when gamma is at least
+    1/_DEPTH."""
+    if gamma >= (1.0 / _DEPTH) * (1.0 - 1e-9):
+        return x.copy()
+    return center + _DEPTH * gamma * (x - center)
+
+
 def scale_into_hull(points, x, center=None):
     """Pull x toward the cloud center until it sits _DEPTH-deep inside.
 
@@ -244,7 +218,4 @@ def scale_into_hull(points, x, center=None):
     distance, strictly inside the hull.  Idempotent.
     """
     points, x, center = _prepare_cloud(points, x, center)
-    gamma = boundary_multiplier(points, x, center)
-    if gamma >= (1.0 / _DEPTH) * (1.0 - 1e-9):
-        return x.copy()
-    return center + _DEPTH * gamma * (x - center)
+    return _pull_inside(x, center, boundary_multiplier(points, x, center))

@@ -84,8 +84,6 @@ def _free_dyads(net):
 class UniformProposal:
     """Uniformly random free dyad; symmetric."""
 
-    name = "uniform"
-
     def bind(self, net, rng):
         """(draw, None): draw() -> (i, j, log_q_ratio) for chains on
         `net` drawing from `rng`; there is no state to commit."""
@@ -111,8 +109,6 @@ class TntProposal:
     reverse edge-branch term enters the ratio, so the chain remains
     exactly reversible from the empty network.
     """
-
-    name = "tnt"
 
     def bind(self, net, rng):
         """(draw, None): draw() -> (i, j, log_q_ratio) for chains on
@@ -258,8 +254,6 @@ class BDStratTNT:
 
     Undirected unipartite networks only.
     """
-
-    name = "bdstrat"
 
     def __init__(self, net, constraints, attrs=None):
         if net.directed or net.bipartite:

@@ -98,8 +98,12 @@ def san_run(net, model, config, constraints=None, attrs=None, rng=None):
     targets = np.asarray(config.targets, dtype=float)
     if targets.shape != (len(free),):
         raise DataError(f"need {len(free)} target values (non-offset statistics)")
+    if not np.isfinite(targets).all():
+        raise DataError("target values must be finite")
     if len(config.offset_coefs) != len(offs):
         raise DataError(f"need {len(offs)} offset coefficients")
+    if any(map(math.isnan, config.offset_coefs)):
+        raise DataError("offset coefficients must not be NaN")
     p = len(free)
     if config.invcov_override is not None:
         W = np.asarray(config.invcov_override, dtype=float)

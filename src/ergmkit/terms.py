@@ -547,7 +547,8 @@ class BoundModel:
         return out
 
     def assemble_coefs(self, free_coefs, offset_coefs=()):
-        """Interleave free and offset coefficients into a full vector."""
+        """Interleave free and offset coefficients into a full vector;
+        a NaN among them raises DataError."""
         if len(free_coefs) != len(self.free_index):
             raise DataError(f"need {len(self.free_index)} free coefficients")
         if len(offset_coefs) != len(self.offset_index):
@@ -557,6 +558,8 @@ class BoundModel:
             out[k] = float(v)
         for k, v in zip(self.offset_index, offset_coefs):
             out[k] = float(v)
+        if any(map(math.isnan, out)):
+            raise DataError("coefficients must not be NaN")
         return out
 
 

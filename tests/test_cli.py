@@ -507,6 +507,17 @@ class TestErrors:
         # draws must be finite
         (["ess", "--stats", "{stats-nan}"], 3),
         (["ess", "--stats", "{stats-inf}"], 3),
+        # NaN offsets and non-finite targets are data errors
+        (["mple", "--network", "{obs}", "--formula", "edges + offset(triangle)",
+          "--offset-coef", "nan"], 3),
+        (["fit", "--n", "10", "--formula", "edges", "--target-stats", "nan"], 3),
+        (["fit", "--n", "10", "--formula", "edges", "--target-stats", "nan",
+          "--allow-inexact-targets"], 3),
+        (["fit", "--n", "10", "--formula", "edges", "--target-stats", "inf"], 3),
+        (["san", "--n", "10", "--formula", "edges", "--targets", "nan",
+          "--allow-inexact"], 3),
+        (["san", "--n", "10", "--formula", "edges + offset(triangle)",
+          "--targets", "5", "--offset-coef", "nan", "--allow-inexact"], 3),
     ], ids=["maxit", "fit-interval", "san-steps", "loglik-interval",
             "san-steps-per-run", "san-runs", "race-freqs-value",
             "race-freqs-pair", "race-freqs-nan", "mixing-no-coef",
@@ -517,7 +528,9 @@ class TestErrors:
             "nodecov-categorical",
             "absdiff-categorical", "gwesp-decay-string",
             "gwdegree-decay-string", "one-vertex-n", "one-vertex-network",
-            "ess-stats-nan", "ess-stats-inf"])
+            "ess-stats-nan", "ess-stats-inf", "mple-offset-nan",
+            "fit-targets-nan", "fit-targets-nan-inexact", "fit-targets-inf",
+            "san-targets-nan", "san-offset-nan"])
     def test_bad_input_exit_code(self, observed_net, tmp_path, argv, code):
         attrs = VertexAttributes(12)
         attrs.add("grp", ["X" if v % 3 == 0 else "Y" for v in range(12)])

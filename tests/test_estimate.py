@@ -294,6 +294,15 @@ class TestOffsetShift:
 
 
 class TestMple:
+    def test_nan_offset_rejected_before_the_fit(self, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted")
+        monkeypatch.setattr(estimate, "logistic_fit", no_fit)
+        net = random_net(10, 0.4, 3)
+        with pytest.raises(DataError, match="NaN"):
+            mple(net, bind("edges + offset(triangle)", net),
+                 offset_coefs=[math.nan])
+
     @pytest.mark.parametrize("offset", [-0.7, -math.inf])
     def test_sandwich_score_matches_dyad_loop(self, monkeypatch, offset):
         seen = capture_score(monkeypatch)
@@ -512,6 +521,16 @@ class TestMcmleFit:
             mcmle_fit(net, model, g_obs=[30.0], init=[0.0],
                       control=McmleControl(maxit=0))
 
+    @pytest.mark.parametrize("g_obs", [math.nan, math.inf, -math.inf])
+    def test_observed_statistics_must_be_finite(self, monkeypatch, g_obs):
+        # rejected before the first chain is bound
+        def no_chain(*args, **kwargs):
+            raise AssertionError("sampled")
+        monkeypatch.setattr(estimate, "make_proposal", no_chain)
+        net = Network(10)
+        with pytest.raises(DataError, match="finite"):
+            mcmle_fit(net, bind("edges", net), g_obs=[g_obs], init=[0.0])
+
     @pytest.mark.parametrize("termination", ["hotelling", "hummel", "confidence"])
     def test_termination_criteria_stop(self, termination):
         net = Network(10)
@@ -522,6 +541,28 @@ class TestMcmleFit:
         assert fit.converged
         assert fit.iterations <= 10
         assert abs(fit.coefs[0] - math.log(2.0)) < 0.05
+
+    @pytest.mark.parametrize("termination", ["hotelling", "hummel", "confidence"])
+    def test_one_hull_lp_per_iteration(self, monkeypatch, termination):
+        # the README edges fit takes 2-4 iterations under every rule, so
+        # a second LP per iteration anywhere shows up as a count mismatch
+        from ergmkit import hull
+        calls = []
+        for module in (estimate, hull):
+            real = module.boundary_multiplier
+
+            def spy(*args, real=real, **kwargs):
+                calls.append(args)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, "boundary_multiplier", spy)
+        net = Network(10)
+        control = McmleControl(samplesize=512, interval=20,
+                               termination=termination)
+        fit = mcmle_fit(net, bind("edges", net), g_obs=[30.0], init=[0.0],
+                        control=control)
+        assert fit.converged
+        assert fit.iterations >= 2
+        assert len(calls) == fit.iterations
 
     def test_offsets_respected_in_fit(self):
         net = Network(12)

@@ -11,14 +11,25 @@ from ergmkit.hull import (LinearProgram, boundary_multiplier, in_hull,
                           scale_into_hull, simplex_solve)
 
 
-def vertex_enumeration_optimum(lp):
-    """Brute-force LP oracle: evaluate every basic solution.
+def with_slacks(c, A, b):
+    """The equality form of max c'x subject to A x <= b, x >= 0: one
+    explicit slack column per row, A x + s = b, with s >= 0 and no
+    weight in the objective."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    m = A.shape[0]
+    return LinearProgram(np.concatenate([np.asarray(c, dtype=float),
+                                         np.zeros(m)]),
+                         np.hstack([A, np.eye(m)]), b)
+
+
+def vertex_enumeration_optimum(c, A, b):
+    """Brute-force oracle for max c'x subject to A x <= b, x >= 0:
+    evaluate every basic solution.
 
     Enumerates all choices of n active constraints among the rows and
     the nonnegativity bounds, keeps the feasible intersection points,
     and maximizes the objective over them.  Exponential, for tiny LPs.
     """
-    A, b, senses = lp.A, lp.b, lp.senses
     m, n = A.shape
     rows = [(A[r], b[r]) for r in range(m)]
     for k in range(n):
@@ -32,29 +43,12 @@ def vertex_enumeration_optimum(lp):
         if abs(np.linalg.det(M)) < 1e-10:
             continue
         x = np.linalg.solve(M, rhs)
-        if (x < -1e-9).any():
+        if (x < -1e-9).any() or (A @ x > b + 1e-9).any():
             continue
-        ok = True
-        for r in range(m):
-            v = A[r] @ x
-            if senses[r] == "<=" and v > b[r] + 1e-9:
-                ok = False
-            elif senses[r] == ">=" and v < b[r] - 1e-9:
-                ok = False
-            elif senses[r] == "=" and abs(v - b[r]) > 1e-9:
-                ok = False
-            if not ok:
-                break
-        if not ok:
-            continue
-        val = lp.objective @ x
-        if lp.sense == "min":
-            val = -val
+        val = c @ x
         if best is None or val > best:
             best = val
-    if best is None:
-        return None
-    return best if lp.sense == "max" else -best
+    return best
 
 
 def feasibility_membership(points, x):
@@ -64,34 +58,39 @@ def feasibility_membership(points, x):
     S, p = points.shape
     A = np.vstack([points.T, np.ones(S)])
     b = np.concatenate([np.asarray(x, dtype=float), [1.0]])
-    lp = LinearProgram(np.zeros(S), A, ["="] * (p + 1), b)
+    lp = LinearProgram(np.zeros(S), A, b)
     return simplex_solve(lp).status == "optimal"
 
 
 class TestSimplex:
     def test_single_variable(self):
-        lp = LinearProgram([1.0], [[1.0]], ["<="], [3.0])
-        res = simplex_solve(lp)
+        # max x subject to x <= 3
+        res = simplex_solve(with_slacks([1.0], [[1.0]], [3.0]))
         assert res.status == "optimal"
         assert abs(res.objective - 3.0) < 1e-12
+        assert abs(res.x[0] - 3.0) < 1e-12
 
     def test_infeasible(self):
-        lp = LinearProgram([1.0], [[1.0], [1.0]], ["<=", ">="], [-1.0, 0.0])
+        # x <= -1 and x >= 0: x + s1 = -1 and x - s2 = 0
+        lp = LinearProgram([1.0, 0.0, 0.0], [[1.0, 1.0, 0.0], [1.0, 0.0, -1.0]],
+                           [-1.0, 0.0])
         assert simplex_solve(lp).status == "infeasible"
 
     def test_unbounded(self):
-        lp = LinearProgram([1.0], [[-1.0]], ["<="], [1.0])
+        # max x subject to -x <= 1
+        lp = with_slacks([1.0], [[-1.0]], [1.0])
         assert simplex_solve(lp).status == "unbounded"
 
     def test_min_sense(self):
-        lp = LinearProgram([1.0, 1.0], [[1.0, 1.0]], [">="], [2.0], sense="min")
+        # min x + y subject to x + y >= 2, as max -(x + y) with a surplus
+        # column: x + y - s = 2
+        lp = LinearProgram([-1.0, -1.0, 0.0], [[1.0, 1.0, -1.0]], [2.0])
         res = simplex_solve(lp)
         assert res.status == "optimal"
-        assert abs(res.objective - 2.0) < 1e-10
+        assert abs(res.objective + 2.0) < 1e-10
 
     def test_degenerate_equalities(self):
-        lp = LinearProgram([1.0, 2.0], [[1.0, 1.0], [2.0, 2.0]], ["=", "="],
-                           [1.0, 2.0])
+        lp = LinearProgram([1.0, 2.0], [[1.0, 1.0], [2.0, 2.0]], [1.0, 2.0])
         res = simplex_solve(lp)
         assert res.status == "optimal"
         assert abs(res.objective - 2.0) < 1e-9
@@ -108,16 +107,19 @@ class TestSimplex:
         # cap the polytope so the LP is bounded
         A = np.vstack([A, np.ones(n)])
         b = np.concatenate([b, [float(n) * 2.0]])
-        lp = LinearProgram(c, A, ["<="] * (m + 1), b)
-        res = simplex_solve(lp)
-        oracle = vertex_enumeration_optimum(lp)
+        res = simplex_solve(with_slacks(c, A, b))
+        oracle = vertex_enumeration_optimum(c, A, b)
         assert res.status == "optimal"
         assert oracle is not None
         assert abs(res.objective - oracle) < 1e-9 * max(1.0, abs(oracle))
+        x = res.x[:n]
+        assert (res.x >= -1e-9).all() and (A @ x <= b + 1e-9).all()
 
     def test_dimension_mismatch(self):
         with pytest.raises(DataError):
-            LinearProgram([1.0, 2.0], [[1.0]], ["<="], [1.0])
+            LinearProgram([1.0, 2.0], [[1.0]], [1.0])
+        with pytest.raises(DataError):
+            LinearProgram([1.0], [[1.0]], [1.0, 2.0])
 
 
 class TestBoundaryMultiplier:
