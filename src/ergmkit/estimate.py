@@ -32,7 +32,7 @@ from .proposals import blocks_rule, make_proposal
 from .sampler import (SampleMatrix, SamplerConfig, _mh_stepper, _offset_shift,
                       adaptive_run, mh_step, run_chain)
 
-__all__ = ["MpleRows", "FitResult", "ScoreEval", "McmleControl", "mple_rows",
+__all__ = ["MpleRows", "FitResult", "McmleControl", "mple_rows",
            "logistic_fit", "mple", "mcmle_step", "check_termination",
            "mcmle_fit", "cd_fit"]
 
@@ -70,14 +70,6 @@ class MpleRows:
 
 
 @dataclass
-class ScoreEval:
-    U: np.ndarray
-    observed: np.ndarray
-    simulated_mean: np.ndarray
-    covariance: np.ndarray
-
-
-@dataclass
 class FitResult:
     coefs: np.ndarray          # full length p, offsets at their fixed values
     vcov: np.ndarray           # over free coordinates
@@ -89,7 +81,6 @@ class FitResult:
     termination: str = ""
     termination_stat: float = float("nan")
     sample: object = None      # SampleMatrix, last iteration, free columns
-    score: object = None       # ScoreEval of the final iteration
 
     @property
     def free_coefs(self):
@@ -206,7 +197,7 @@ def logistic_fit(predictor, response, weights=None, shift=None):
         return np.zeros(X.shape[1]), np.zeros((X.shape[1], X.shape[1]))
 
     sw = np.sqrt(w)
-    sv = np.linalg.svd(X * sw[:, None], compute_uv=True)
+    sv = np.linalg.svd(X * sw[:, None], full_matrices=False)
     if sv[1][-1] <= 1e-10 * max(sv[1][0], 1.0):
         null = sv[2][-1]
         raise SingularityError(
@@ -587,7 +578,6 @@ def mcmle_fit(net, model, g_obs=None, offset_coefs=(), constraints=None,
     rng = random.Random(control.seed)
 
     history = []
-    info = {"tilted_cov": None}
     converged = False
     stat = float("nan")
     for it in range(1, control.maxit + 1):
@@ -615,7 +605,7 @@ def mcmle_fit(net, model, g_obs=None, offset_coefs=(), constraints=None,
         theta, info = theta_next, step_info
 
     rec = history[-1]
-    if info.get("tilted_cov") is None or converged:
+    if converged:
         # at termination the sample was drawn at the final iterate, so
         # the Fisher information estimate is the plain sample covariance
         fisher = np.cov(rec.sample, rowvar=False).reshape(len(free), len(free))
@@ -626,9 +616,6 @@ def mcmle_fit(net, model, g_obs=None, offset_coefs=(), constraints=None,
     except np.linalg.LinAlgError:
         vcov = np.linalg.pinv(fisher)
     coefs = model.assemble_coefs(theta, list(offset_coefs))
-    sim_mean = rec.sample.mean(axis=0)
-    score = ScoreEval(U=obs_free - sim_mean, observed=obs_free,
-                      simulated_mean=sim_mean, covariance=fisher)
     return FitResult(coefs=np.asarray(coefs), vcov=vcov, names=model.names,
                      free_index=free, se_kind="fisher", iterations=len(history),
                      converged=converged,
@@ -638,8 +625,7 @@ def mcmle_fit(net, model, g_obs=None, offset_coefs=(), constraints=None,
                      sample=SampleMatrix(rec.sample,
                                          [model.names[k] for k in free],
                                          interval=sm.interval,
-                                         burnin=sm.burnin),
-                     score=score)
+                                         burnin=sm.burnin))
 
 
 # the Robbins-Monro gain of cd_fit's round m is _CD_GAIN / (1 + m / 20)

@@ -16,6 +16,8 @@ pass is the midpoint grid; when a target standard error is set, each
 further pass is shifted by a Kronecker (golden-ratio) offset and every
 point is reweighted by the length of its Voronoi cell on the unit
 interval, until the Monte Carlo standard error undercuts the target.
+Every pass continues one live chain: the bridge copies the network and
+builds its proposal once.
 """
 
 import math
@@ -172,14 +174,14 @@ def bridge_loglik(net, model, theta_hat, theta_tilde, plan=None,
     u = (j - 1/2 + v_l)/J on the linear coefficient path; pass one
     (v_1 = 0) is the midpoint grid, visited in ascending order.  Within
     a pass the points are visited in nearest-neighbor order from the
-    last point simulated, and each chain warm-starts from the final
-    state of the nearest point simulated so far (the live chain when
-    that is the last point; the first point burns in for 16 K steps).
-    Points are weighted by the lengths of their Voronoi cells on the
-    unit interval and the standard error pools per-point batch-means
-    errors.  Without plan.target_se one pass runs; with it, passes are
-    added until the error reaches the target or plan.max_passes have
-    run (then the result is flagged unconverged).
+    last point simulated.  Every pass continues one live chain on one
+    copy of the network: the first point burns in for 16 K steps, and
+    each later point for `interval` steps from where the last one
+    stopped.  Points are weighted by the lengths of their Voronoi cells
+    on the unit interval and the standard error pools per-point
+    batch-means errors.  Without plan.target_se one pass runs; with it,
+    passes are added until the error reaches the target or
+    plan.max_passes have run (then the result is flagged unconverged).
     """
     plan = plan or BridgePlan()
     if plan.J < 1 or plan.K < 1 or plan.max_passes < 1:
@@ -196,17 +198,16 @@ def bridge_loglik(net, model, theta_hat, theta_tilde, plan=None,
     direction = theta_hat - theta_tilde
     for k in model.offset_index:
         direction[k] = 0.0
-    sim_net = net.copy()
-    proposal, checker = make_proposal(sim_net, constraints, attrs)
     if not np.any(direction):
         return LoglikResult(delta_loglik=0.0, mc_se=0.0, passes=0)
+    sim_net = net.copy()
+    proposal, checker = make_proposal(sim_net, constraints, attrs)
     g_obs = np.asarray(model.summary(net) if g_obs is None else g_obs, dtype=float)
     interval = _default_interval(net) if plan.interval is None else plan.interval
     rng = random.Random(plan.seed)
     passes = 1 if plan.target_se is None else plan.max_passes
 
     points = []      # PointEstimate records across passes
-    states = []      # final network per point, kept when passes may follow
     for l in range(1, passes + 1):
         v = kronecker_shift(l)
         remaining = [(j - 0.5 + v) / plan.J for j in range(1, plan.J + 1)]
@@ -215,16 +216,7 @@ def bridge_loglik(net, model, theta_hat, theta_tilde, plan=None,
             u = min(remaining, key=lambda x: abs(x - anchor))
             remaining.remove(u)
             anchor = u
-            if points:
-                burnin = interval
-                nearest = min(range(len(points)),
-                              key=lambda q: abs(points[q].u - u))
-                if nearest != len(points) - 1:
-                    sim_net = states[nearest].copy()
-                    proposal, checker = make_proposal(sim_net, constraints,
-                                                      attrs)
-            else:
-                burnin = 16 * plan.K
+            burnin = interval if points else 16 * plan.K
             coefs = _path_coefs(theta_tilde, direction, u, model.offset_index)
             cfg = SamplerConfig(samplesize=plan.K, interval=interval,
                                 burnin=burnin)
@@ -232,8 +224,6 @@ def bridge_loglik(net, model, theta_hat, theta_tilde, plan=None,
                            checker=checker, rng=rng)
             mean, se = _point_mean_se((sm.values - g_obs) @ direction)
             points.append(PointEstimate(u=u, mean=mean, se=se))
-            if passes > 1:
-                states.append(sim_net.copy())
         # the midpoint grid's cells are exactly 1/J long, which the
         # Voronoi midpoint sums miss in the last bit unless J is 2^k
         weights = ([1.0 / plan.J] * plan.J if l == 1

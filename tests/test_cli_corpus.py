@@ -10,7 +10,9 @@ carries wall-clock columns (see test_cli.py).
 
 After a deliberate change to the output, print the new table with
 ``PYTHONPATH=src python tests/test_cli_corpus.py`` and justify the
-change where it is recorded.
+change where it is recorded.  Naming cases
+(``... tests/test_cli_corpus.py NAME...``) prints only those, and
+exits non-zero if any other case no longer matches its digest.
 """
 
 import contextlib
@@ -217,7 +219,19 @@ def test_corpus_digest(name, inputs):
 
 
 if __name__ == "__main__":
+    import sys
+    named = sys.argv[1:]
+    unknown = sorted(set(named) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown corpus cases: {', '.join(unknown)}")
+    moved = []
     with tempfile.TemporaryDirectory() as root:
         _write_inputs(root)
         for name in sorted(CASES):
-            print(f"    {name!r}: {digest(name, root)!r},")
+            value = digest(name, root)
+            if not named or name in named:
+                print(f"    {name!r}: {value!r},")
+            elif value != DIGESTS[name]:
+                moved.append(name)
+    if moved:
+        sys.exit(f"unnamed cases no longer match: {', '.join(moved)}")

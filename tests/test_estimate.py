@@ -256,6 +256,24 @@ class TestLogisticFit:
         oracle = grid_oracle_pseudolik(rows, shift)
         assert np.abs(beta - oracle).max() < 1e-6
 
+    def test_rank_check_takes_the_thin_svd(self, monkeypatch):
+        # one design row per dyad under continuous covariates or blocks:
+        # a full U would be rows x rows (15 GiB at 44,850 rows)
+        shapes = []
+        original = np.linalg.svd
+
+        def recording(*args, **kwargs):
+            out = original(*args, **kwargs)
+            shapes.append(tuple(part.shape for part in out))
+            return out
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        rng = np.random.default_rng(5)
+        X = np.column_stack([np.ones(50), rng.normal(size=(50, 2))])
+        y = (rng.random(50) < 0.4).astype(float)
+        logistic_fit(X, y)
+        assert shapes == [((50, 3), (3,), (3, 3))]
+
     def test_separation_detected(self):
         X = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0], [1.0, 3.0]])
         y = np.array([0.0, 0.0, 1.0, 1.0])

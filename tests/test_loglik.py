@@ -218,22 +218,35 @@ class TestAdaptive:
         assert repr(loose) == repr(fixed)
 
     def test_grid_pass_keeps_the_live_chain(self, monkeypatch):
-        # along the grid the nearest simulated point is always the last
-        # one, so one proposal serves every point
-        built = []
-        original = loglik.make_proposal
+        # every pass continues one chain: one network copy and one
+        # proposal serve every point, however many passes run
+        built, copied = [], []
+        original_build, original_copy = loglik.make_proposal, Network.copy
 
-        def counting(*args, **kwargs):
+        def counting_build(*args, **kwargs):
             built.append(args)
-            return original(*args, **kwargs)
+            return original_build(*args, **kwargs)
 
-        monkeypatch.setattr(loglik, "make_proposal", counting)
+        def counting_copy(self):
+            copied.append(self)
+            return original_copy(self)
+
+        monkeypatch.setattr(loglik, "make_proposal", counting_build)
+        monkeypatch.setattr(Network, "copy", counting_copy)
         net = five_node_net(29)
         model = bind("edges + triangle", net)
-        bridge_loglik(net, model, np.array([-0.4, 0.25]),
-                      np.array([0.1, 0.0]),
-                      BridgePlan(J=8, K=50, interval=5, seed=30))
-        assert len(built) == 1
+        for passes, plan in [
+                (1, BridgePlan(J=8, K=50, interval=5, seed=30)),
+                (3, BridgePlan(J=8, K=50, interval=5, seed=30,
+                               target_se=1e-9, max_passes=3))]:
+            built.clear()
+            copied.clear()
+            res = bridge_loglik(net, model, np.array([-0.4, 0.25]),
+                                np.array([0.1, 0.0]), plan)
+            assert res.passes == passes
+            assert len(res.points) == 8 * passes
+            assert len(built) == 1
+            assert len(copied) == 1
 
     @pytest.mark.parametrize("field, value", [("J", 0), ("K", 0),
                                               ("max_passes", 0),
