@@ -167,9 +167,9 @@ DIGESTS = {
     'fit-hotelling': 'c4beeb4b4816d8e1e6c37df779295d5639a703c8a4efb6c7b2b23364a6c2ec1f',
     'fit-hummel': '9ddbb78a3b7a9e62f49973d443d2684e05e751bd5e8353c35b89c692e3dd15ad',
     'fit-small': '702dcc4943a401f1e7dfeec437d5d059e01c96a5622609e4ca381e5ae5b9aebf',
-    'loglik-blocks-target-se': 'ceee5ccf2d1a93b27610e470ae9fbd9c3d22d1d254f41e491cd1d90c532fe5a5',
+    'loglik-blocks-target-se': '71d1747c69d4b853012bc343743059685d0c89358baf4a5739aeaf1e1e26eeb0',
     'loglik-gwesp-j12': 'e83964cfdf945e3ea3409500273856b1d8b2a3feff5423ad18dc86dd74e774a5',
-    'loglik-triangle-target-se': 'c2317ac19d603886c79a9985bcc16e0dd69e2d3af6a194d0f91f95bc3ac92de4',
+    'loglik-triangle-target-se': '7869bacb683cdd614d41c7f39da92beddb5de224260156ac8227d2eac8d17454',
     'mple-blocks-sandwich': '2b66b70968a22ee6e4cae3c9370a23f536ada85e1f40aeb177740cb62936a44d',
     'mple-blocks-naive': '3a3b340f4ec55d8a598271ad5e05b35399af04eab0c34082ab3169416f5dafd7',
     'mple-sandwich-finite': '117db0bd010987fa9ecca072bc1076aef7bd0859a31b08667a442ddf732fbacd',

@@ -25,7 +25,7 @@ STDOUT_SHA256 = {
     "03_target_statistics.py": "b0ef204e2a4a8b64",
     "04_pseudolikelihood.py": "92cf2ad06eb8a1fc",
     "05_likelihood_fit.py": "abc5e1890d89fee1",
-    "06_bridge_loglik.py": "5f7055df25f25c05",
+    "06_bridge_loglik.py": "7a61a4976d9a74e8",
 }
 
 
