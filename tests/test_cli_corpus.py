@@ -20,6 +20,7 @@ import hashlib
 import io
 import os
 import random
+import sys
 import tempfile
 
 import pytest
@@ -219,7 +220,6 @@ def test_corpus_digest(name, inputs):
 
 
 if __name__ == "__main__":
-    import sys
     named = sys.argv[1:]
     unknown = sorted(set(named) - set(CASES))
     if unknown:
