@@ -92,29 +92,24 @@ def _load_pmat(path):
     return rows
 
 
-def _load_inputs(args, need_network=True):
-    if getattr(args, "network", None):
+def _load_inputs(args):
+    if args.network:
         net = read_network(args.network)
-    elif getattr(args, "n", None):
-        net = Network(args.n, directed=bool(getattr(args, "directed", False)))
-    elif need_network:
-        raise DataError("provide --network or --n")
+    elif args.n:
+        net = Network(args.n, directed=args.directed)
     else:
-        net = None
-    attrs = None
-    if getattr(args, "attrs", None):
-        attrs = read_attributes(args.attrs, net.n)
+        raise DataError("provide --network or --n")
+    attrs = read_attributes(args.attrs, net.n) if args.attrs else None
     spec = parse_model_formula(args.formula)
-    constraints = parse_constraint_formula(getattr(args, "constraints", None) or ".")
-    if constraints.strat_pmat is not None and isinstance(constraints.strat_pmat, str):
+    constraints = parse_constraint_formula(args.constraints or ".")
+    if isinstance(constraints.strat_pmat, str):
         constraints.strat_pmat = _load_pmat(constraints.strat_pmat)
     model = bind(spec, net, attrs)
     return net, attrs, model, constraints
 
 
 def _offset_coefs(args, model):
-    coefs = _parse_vector(args.offset_coef) if getattr(args, "offset_coef", None) \
-        else []
+    coefs = _parse_vector(args.offset_coef) if args.offset_coef else []
     if len(coefs) != len(model.offset_index):
         raise DataError(f"need {len(model.offset_index)} offset coefficients, "
                         f"got {len(coefs)}")
@@ -454,15 +449,14 @@ def build_parser():
                     "random graph models.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_formula=True):
+    def common(p):
         p.add_argument("--network", help="network file")
         p.add_argument("--n", type=_positive_int, help="empty network size "
                                                      "(alternative to --network)")
         p.add_argument("--directed", action="store_true",
                        help="with --n: make the empty network directed")
         p.add_argument("--attrs", help="vertex attribute CSV")
-        if need_formula:
-            p.add_argument("--formula", required=True, help="model formula")
+        p.add_argument("--formula", required=True, help="model formula")
         p.add_argument("--constraints", default=".",
                        help="constraint/hint formula (default: '.')")
         p.add_argument("--offset-coef", default=None,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import _hotelling_pvalue, batch_means_cov
-from .errors import DataError, SeparationError, SingularityError
+from .errors import ConstraintError, DataError, SeparationError, SingularityError
 from .hull import _DEPTH, _pull_inside, boundary_multiplier
 from .proposals import blocks_rule, make_proposal
 # mh_step is not called here, but stays a module attribute: perfbench
@@ -90,13 +90,25 @@ class FitResult:
         return np.sqrt(np.clip(np.diag(self.vcov), 0.0, None))
 
 
-def _dyad_blocks(net, model):
+def _dyad_blocks(net, model, frozen=None):
     """Yield (tails, heads, present, delta) for blocks of whole rows of
-    free dyads, in dyads() order; delta holds the change scores."""
+    free dyads, in dyads() order; delta holds the change scores.  The
+    dyads `frozen` marks (see ``_frozen_dyads``) are dropped after their
+    block is scored, as ``model.changes`` takes whole rows; an edge on
+    one raises ConstraintError."""
     for r0, r1 in net.row_blocks(_BLOCK_DYADS):
         tails, heads = net.dyad_rows(r0, r1)
         present = net.edge_mask(tails, heads)
-        yield tails, heads, present, model.changes(net, tails, heads, present)
+        delta = model.changes(net, tails, heads, present)
+        if frozen is not None:
+            keep = ~frozen(tails, heads)
+            bad = np.flatnonzero(present & ~keep)
+            if bad.size:
+                i, j = tails[bad[0]] + 1, heads[bad[0]] + 1
+                raise ConstraintError(f"edge ({i}, {j}) violates blocks")
+            tails, heads, present, delta = (
+                tails[keep], heads[keep], present[keep], delta[keep])
+        yield tails, heads, present, delta
 
 
 def _distinct_rows(block):
@@ -113,16 +125,20 @@ def _distinct_rows(block):
     return first, count[first]
 
 
-def mple_rows(net, model, mode="compressed"):
+def mple_rows(net, model, mode="compressed", constraints=None, attrs=None):
     """Enumerate free dyads: response, change scores, multiplicities.
 
     The dyads are scored a block of whole rows at a time (up to
     ``_BLOCK_DYADS`` dyads), so apart from the output the sweep holds
-    O(block * p) floats.  Compressed rows keep the order in which each
-    distinct row is first seen in dyads() order.
+    O(block * p) floats.  Dyads frozen by a blocks constraint leave at
+    that sweep: every mode covers only the dyads the constraints leave
+    free (the array holds NaN on the others), and an edge on a frozen
+    dyad raises ConstraintError.  Compressed rows keep the order in
+    which each distinct row is first seen in dyads() order.
     """
     if mode not in ("compressed", "array", "dyadlist"):
         raise DataError(f"unknown MPLE output mode {mode!r}")
+    blocks = _dyad_blocks(net, model, _frozen_dyads(net, constraints, attrs))
     free = model.free_index
     off = model.offset_index
     names = [model.names[k] for k in free]
@@ -130,7 +146,7 @@ def mple_rows(net, model, mode="compressed"):
 
     if mode == "array":
         cube = np.full((net.n, net.n, model.p), np.nan)
-        for tails, heads, _, delta in _dyad_blocks(net, model):
+        for tails, heads, _, delta in blocks:
             cube[tails, heads, :] = delta
             if not net.directed:
                 cube[heads, tails, :] = delta
@@ -139,8 +155,7 @@ def mple_rows(net, model, mode="compressed"):
                         offset_names=offset_names, array=cube)
 
     if mode == "dyadlist":
-        tails, heads, present, delta = map(
-            np.concatenate, zip(*_dyad_blocks(net, model)))
+        tails, heads, present, delta = map(np.concatenate, zip(*blocks))
         return MpleRows(mode=mode, response=present.astype(float),
                         predictor=np.ascontiguousarray(delta[:, free]),
                         weights=np.ones(len(tails)),
@@ -152,7 +167,7 @@ def mple_rows(net, model, mode="compressed"):
     # count, in first-seen order; blocks merge into one dict so that the
     # order and the float equality of keys are those of a dyad-by-dyad pass
     counts = {}
-    for _, _, present, delta in _dyad_blocks(net, model):
+    for _, _, present, delta in blocks:
         block = np.column_stack([present, delta[:, free + off]])
         first, seen = _distinct_rows(block)
         for key, c in zip(map(tuple, block[first].tolist()), seen.tolist()):
@@ -190,7 +205,8 @@ def logistic_fit(predictor, response, weights=None, shift=None):
         bad_zero = determined & (o > 0) & (y < 0.5)
         if bad_one.any() or bad_zero.any():
             raise DataError("observed state contradicts an infinite offset "
-                            "(a forbidden dyad hosts an edge)")
+                            "coefficient (a dyad it forbids hosts an edge, "
+                            "or one it forces is empty)")
         keep = ~determined
         X, y, w, o = X[keep], y[keep], w[keep], o[keep]
     if len(y) == 0 or X.shape[1] == 0:
@@ -253,21 +269,6 @@ def _frozen_dyads(net, constraints, attrs):
     return lambda tails, heads: forbid[lev[tails], lev[heads]]
 
 
-def _mple_design(net, model, offset_coefs, frozen):
-    """(rows, shift, live) of the pseudo-likelihood design: the rows of
-    ``mple_rows``, their offset shift with -inf on the dyads `frozen`
-    marks (one row per dyad then), and the row weights with the frozen
-    dyads' set to zero."""
-    rows = mple_rows(net, model,
-                     mode="compressed" if frozen is None else "dyadlist")
-    shift = _offset_shift(rows.offsets, list(offset_coefs))
-    if frozen is None:
-        return rows, shift, rows.weights
-    blocked = frozen(rows.dyads[:, 0] - 1, rows.dyads[:, 1] - 1)
-    shift[blocked] = -_INF
-    return rows, shift, np.where(blocked, 0.0, rows.weights)
-
-
 def _edge_probability(eta):
     """Logistic of a log-odds, exactly 1 or 0 at +-inf."""
     if eta == _INF:
@@ -282,22 +283,23 @@ def mple(net, model, offset_coefs=(), se="naive", constraints=None, attrs=None,
     """Maximum pseudo-likelihood fit with naive or sandwich variance.
 
     Degree-cap constraints are ignored at this stage (the logistic fit
-    cannot express them); blocks constraints enter as -inf shifts on
-    the frozen dyads.  The sandwich middle term is the covariance of
-    the pseudo-likelihood estimating function over an MCMC sample drawn
-    with the fitted coefficients as the true values, after a burn-in of
-    ten sampling intervals; it needs at least two draws.  The estimating
-    function sums over the dyads the fit uses, so dyads frozen by blocks
-    are left out of it too.  Both the design (``mple_rows``) and each
-    draw's estimating function are swept in blocks of whole rows,
-    holding O(block * p) floats at a time; the per-dyad terms are added
-    in dyads() order, so the sums are those of a dyad-by-dyad pass.
+    cannot express them); the dyads a blocks constraint freezes leave
+    the design at the block sweep (see ``mple_rows``).  The sandwich
+    middle term is the covariance of the pseudo-likelihood estimating
+    function over an MCMC sample drawn with the fitted coefficients as
+    the true values, after a burn-in of ten sampling intervals; it needs
+    at least two draws.  The estimating function sums over the dyads the
+    fit uses, so the same sweep leaves the frozen dyads out of it too.
+    Both the design and each draw's estimating function are swept in
+    blocks of whole rows, holding O(block * p) floats at a time; the
+    per-dyad terms are added in dyads() order, so the sums are those of
+    a dyad-by-dyad pass.
     """
     # a NaN offset would run the Newton loop to its cap on NaN shifts
     if any(map(math.isnan, offset_coefs)):
         raise DataError("offset coefficients must not be NaN")
-    frozen = _frozen_dyads(net, constraints, attrs)
-    rows, shift, _ = _mple_design(net, model, offset_coefs, frozen)
+    rows = mple_rows(net, model, "compressed", constraints, attrs)
+    shift = _offset_shift(rows.offsets, list(offset_coefs))
     beta, J = logistic_fit(rows.predictor, rows.response, rows.weights, shift)
     try:
         vcov = np.linalg.inv(J)
@@ -319,13 +321,11 @@ def mple(net, model, offset_coefs=(), se="naive", constraints=None, attrs=None,
     sim_net = net.copy()
     proposal, checker = make_proposal(sim_net, constraints, attrs)
     free = model.free_index
+    frozen = _frozen_dyads(net, constraints, attrs)
 
     def score(nw):
         u = np.zeros((1, len(free)))
-        for tails, heads, present, delta in _dyad_blocks(nw, model):
-            if frozen is not None:
-                keep = ~frozen(tails, heads)
-                present, delta = present[keep], delta[keep]
+        for _, _, present, delta in _dyad_blocks(nw, model, frozen):
             eta, where = np.unique(_offset_shift(delta, coefs),
                                    return_inverse=True)
             p = np.array([_edge_probability(e) for e in eta.tolist()])

@@ -9,7 +9,8 @@ the line between the two coefficient vectors and average the shifted
 statistics tilted by the direction of travel.  Under a blocks
 constraint the likelihood is that of the constrained sample space: N,
 the sub-model's fit and its sum cover only the dyads the blocks leave
-free.  Degree caps admit no exact baseline and are rejected.
+free, which are the rows ``mple_rows`` builds.  Degree caps admit no
+exact baseline and are rejected.
 
 One loop runs the bridge in passes of interpolation points.  The first
 pass is the midpoint grid; when a target standard error is set, each
@@ -28,12 +29,10 @@ import numpy as np
 
 from .diagnostics import batch_means_cov
 from .errors import DataError
-# mple_rows is not called here, but stays a module attribute: perfbench
-# traces it by name
-from .estimate import _default_interval, _frozen_dyads, _mple_design, \
-    logistic_fit, mple_rows, pseudo_loglik
+from .estimate import _default_interval, logistic_fit, mple_rows, \
+    pseudo_loglik
 from .proposals import make_proposal
-from .sampler import SamplerConfig, run_chain
+from .sampler import SamplerConfig, _offset_shift, run_chain
 
 __all__ = ["BridgePlan", "LoglikResult", "null_deviance",
            "dyad_independent_loglik", "bridge_loglik", "evaluate_loglik"]
@@ -110,13 +109,13 @@ def dyad_independent_loglik(net, model, offset_coefs=(), constraints=None,
     if constraints is not None and constraints.degree_capped():
         raise DataError("degree caps admit no closed-form baseline "
                         "log-likelihood")
-    rows, shift, w = _mple_design(net, model, offset_coefs,
-                                  _frozen_dyads(net, constraints, attrs))
+    rows = mple_rows(net, model, "compressed", constraints, attrs)
+    shift = _offset_shift(rows.offsets, list(offset_coefs))
     free = model.free_index
     di_cols = [c for c, k in enumerate(free) if model.dyad_independent_mask[k]]
     X = rows.predictor[:, di_cols]
 
-    y = rows.response
+    y, w = rows.response, rows.weights
     ones, dyads = (w * y).sum(), w.sum()
     theta = np.zeros(model.p)
     for k, c in zip(model.offset_index, offset_coefs):
@@ -125,8 +124,8 @@ def dyad_independent_loglik(net, model, offset_coefs=(), constraints=None,
         return DyadIndependentBaseline(theta=theta, loglik=0.0, boundary=True,
                                        dyads=int(dyads))
 
-    beta, _ = logistic_fit(X, y, rows.weights, shift)
-    ll = pseudo_loglik(X, y, rows.weights, shift, beta)
+    beta, _ = logistic_fit(X, y, w, shift)
+    ll = pseudo_loglik(X, y, w, shift, beta)
     for c, col in enumerate(di_cols):
         theta[free[col]] = beta[c]
     return DyadIndependentBaseline(theta=theta, loglik=ll, dyads=int(dyads))

@@ -224,6 +224,27 @@ class TestMple:
         assert "# vcov" in out
         assert "# termination" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["mple"], ["mple", "--se", "sandwich", "--samplesize", "2"],
+        ["loglik", "--coef=-0.3,0.4"]], ids=["naive", "sandwich", "loglik"])
+    def test_edge_on_blocked_dyad_exit_3(self, capsys, tmp_path, argv):
+        # no offset is set: the error names the blocks constraint
+        net = Network(12)
+        for i, j in ((0, 1), (2, 4), (5, 6)):
+            net.toggle(i, j)
+        attrs = VertexAttributes(12)
+        attrs.add("sex", ["M" if v % 2 == 0 else "F" for v in range(12)])
+        write_network(net, tmp_path / "net.txt")
+        write_attributes(attrs, tmp_path / "attrs.csv")
+        code, out, err = run(capsys, *argv, "--network",
+                             str(tmp_path / "net.txt"), "--attrs",
+                             str(tmp_path / "attrs.csv"), "--formula",
+                             "edges + concurrent", "--constraints",
+                             'blocks(attr="sex", levels2=diag)')
+        assert code == 3
+        assert out == ""
+        assert "edge (3, 5) violates blocks" in err
+
     def test_sandwich_needs_two_draws(self, capsys, observed_net):
         code, out, err = run(capsys, "mple", "--network", observed_net,
                              "--formula", "edges + triangle", "--se",

@@ -106,7 +106,7 @@ def _cases():
          "--formula", f'edges + nodematch("race") + concurrent + {GW}',
          "--se", "sandwich", "--samplesize", "40", "--interval", "20",
          "--seed", "12"], [])
-    # blocks take the dyadlist extraction and the blocked-dyad shifts
+    # blocks drop the frozen dyads from the compressed design
     cases["mple-blocks-naive"] = (
         ["mple", "--network", "{d}/crosssex.txt", "--attrs", "{d}/attrs.csv",
          "--formula", 'edges + nodematch("race") + concurrent',

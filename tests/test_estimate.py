@@ -9,7 +9,8 @@ import pytest
 
 from helpers import change_score, exact_moments, random_dyad
 from ergmkit import estimate
-from ergmkit.errors import DataError, SeparationError, SingularityError
+from ergmkit.errors import ConstraintError, DataError, SeparationError, \
+    SingularityError
 from ergmkit.estimate import (McmleControl, cd_fit, check_termination,
                               logistic_fit, mcmle_fit, mcmle_step, mple,
                               mple_rows, pseudo_loglik, _IterationRecord)
@@ -72,19 +73,21 @@ def random_net(n, density, seed, directed=False, bipartite=0):
     return net
 
 
-def loop_rows(net, model, mode):
-    """mple_rows dyad by dyad through the scalar change score."""
+def loop_rows(net, model, mode, frozen=lambda i, j: False):
+    """mple_rows dyad by dyad through the scalar change score, skipping
+    frozen dyads."""
     free, off = model.free_index, model.offset_index
     change = change_score(model, net)
+    live = [(i, j) for i, j in net.dyads() if not frozen(i, j)]
     if mode == "array":
         cube = np.full((net.n, net.n, model.p), np.nan)
-        for i, j in net.dyads():
+        for i, j in live:
             cube[i, j, :] = change(i, j)
             if not net.directed:
                 cube[j, i, :] = change(i, j)
         return cube
     rows, listed, dyads = {}, [], []
-    for i, j in net.dyads():
+    for i, j in live:
         delta = change(i, j)
         key = (1.0 if net.has_edge(i, j) else 0.0,
                *(delta[c] for c in free), *(delta[c] for c in off))
@@ -184,43 +187,70 @@ class TestMpleRows:
     @pytest.mark.parametrize("block", [1, 7, 4096])
     def test_blocks_match_dyad_loop(self, kind, block, monkeypatch):
         monkeypatch.setattr(estimate, "_BLOCK_DYADS", block)
-        net = random_net(11, 0.3, 7, directed=kind == "directed",
-                         bipartite=4 if kind == "bipartite" else 0)
+        attrs = sex_attrs(11)
         formula = ('edges + triangle + nodematch("sex") + offset(nodecov("age"))'
                    + ('' if kind == "directed" else
                       ' + concurrent + gwesp(0.5, fixed=true)'))
-        model = bind(formula, net, sex_attrs(11))
-        assert same_bits(mple_rows(net, model, mode="array").array,
-                         loop_rows(net, model, "array"))
-        for mode in ("compressed", "dyadlist"):
-            rows = mple_rows(net, model, mode=mode)
-            resp, pred, offv, weights, dyads = loop_rows(net, model, mode)
-            for got, want in ((rows.response, resp), (rows.predictor, pred),
-                              (rows.offsets, offv), (rows.weights, weights)):
-                assert same_bits(got, want)
-                assert got.flags.c_contiguous
-            if mode == "dyadlist":
-                assert np.array_equal(rows.dyads, dyads)
+        # sex levels are F=0 (odd vertices) and M=1; the directed matrix
+        # freezes every dyad an F vertex sends, so some row blocks empty
+        blocks = parse_constraint_formula('blocks(attr="sex", levels2=diag)')
+        if kind == "directed":
+            blocks.blocks_levels2 = [[1, 1], [0, 0]]
+            blocked = lambda i, j: i % 2 == 1
+        else:
+            blocked = lambda i, j: (i + j) % 2 == 0
+        for spec, frozen in ((None, lambda i, j: False), (blocks, blocked)):
+            net = random_net(11, 0.3, 7, directed=kind == "directed",
+                             bipartite=4 if kind == "bipartite" else 0)
+            for i, j in list(net.edges):
+                if frozen(i, j):
+                    net.toggle(i, j)
+            model = bind(formula, net, attrs)
+            assert same_bits(mple_rows(net, model, "array", spec, attrs).array,
+                             loop_rows(net, model, "array", frozen))
+            for mode in ("compressed", "dyadlist"):
+                rows = mple_rows(net, model, mode, spec, attrs)
+                resp, pred, offv, weights, dyads = loop_rows(net, model, mode,
+                                                             frozen)
+                for got, want in ((rows.response, resp),
+                                  (rows.predictor, pred),
+                                  (rows.offsets, offv),
+                                  (rows.weights, weights)):
+                    assert same_bits(got, want)
+                    assert got.flags.c_contiguous
+                if mode == "dyadlist":
+                    assert np.array_equal(rows.dyads, dyads)
 
     def test_memory_bounded_by_block(self):
         # the sweep holds one block of change scores at a time: the peak
-        # must not grow with the dyad count (16x from n=200 to n=800)
-        peaks = []
-        for n in (200, 800):
-            rng = random.Random(n)
-            net = Network(n)
-            while net.edge_count < n:
-                i, j = random_dyad(net, rng)
-                if not net.has_edge(i, j):
-                    net.toggle(i, j)
-            model = bind("edges + concurrent + gwesp(0.5, fixed=true)", net)
-            tracemalloc.start()
-            try:
-                mple_rows(net, model)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] < 2 * peaks[0]
+        # of the design, and of the fit on it, must not grow with the
+        # dyad count (16x from n=200 to n=800), also when blocks freeze
+        # half the dyads (where gwesp is constant: no cross-sex triangle)
+        blocks = parse_constraint_formula('blocks(attr="sex", levels2=diag)')
+        for spec, formula in (
+                (None, "edges + concurrent + gwesp(0.5, fixed=true)"),
+                (blocks, 'edges + concurrent + nodecov("age")')):
+            rows_peaks, fit_peaks = [], []
+            for n in (200, 800):
+                rng = random.Random(n)
+                net = Network(n)
+                attrs = sex_attrs(n)
+                while net.edge_count < n:
+                    i, j = random_dyad(net, rng)
+                    if not net.has_edge(i, j) and (spec is None or (i + j) % 2):
+                        net.toggle(i, j)
+                model = bind(formula, net, attrs)
+                tracemalloc.start()
+                try:
+                    mple_rows(net, model, "compressed", spec, attrs)
+                    rows_peaks.append(tracemalloc.get_traced_memory()[1])
+                    tracemalloc.reset_peak()
+                    mple(net, model, constraints=spec, attrs=attrs)
+                    fit_peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert rows_peaks[1] < 2 * rows_peaks[0]
+            assert fit_peaks[1] < 2 * fit_peaks[0]
 
 
 class TestLogisticFit:
@@ -365,6 +395,25 @@ class TestMple:
         assert same_bits(score, loop_score(net, model, list(fit.coefs),
                                            frozen=same_sex))
         assert not same_bits(score, loop_score(net, model, list(fit.coefs)))
+
+    def test_edge_on_blocked_dyad_violates_blocks(self):
+        # no offset is set: the error names the constraint, with 1-based
+        # endpoints, before any fit
+        net = Network(12)
+        for i, j in ((0, 1), (2, 4), (5, 6)):
+            net.toggle(i, j)
+        attrs = sex_attrs(12)
+        model = bind("edges + concurrent", net, attrs)
+        spec = parse_constraint_formula('blocks(attr="sex", levels2=diag)')
+        for mode in ("compressed", "array", "dyadlist"):
+            with pytest.raises(ConstraintError,
+                               match=r"edge \(3, 5\) violates blocks"):
+                mple_rows(net, model, mode, spec, attrs)
+        for se in ("naive", "sandwich"):
+            with pytest.raises(ConstraintError,
+                               match=r"edge \(3, 5\) violates blocks"):
+                mple(net, model, se=se, constraints=spec, attrs=attrs,
+                     samplesize=2, interval=5)
 
     def test_sandwich_needs_two_draws(self):
         net = random_net(10, 0.3, 9)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import all_networks, exact_log_normalizer, random_dyad
-from ergmkit.errors import DataError
+from ergmkit.errors import ConstraintError, DataError
 from ergmkit import loglik
 from ergmkit.formula import parse_constraint_formula
 from ergmkit.loglik import (BridgePlan, bridge_loglik,
@@ -318,6 +318,19 @@ class TestEvaluate:
         res = evaluate_loglik(net, model, theta, plan=plan, constraints=spec,
                               attrs=attrs)
         assert abs(res.loglik - want) < 0.05
+
+    def test_edge_on_blocked_dyad_violates_blocks(self):
+        net, attrs, spec = self.constrained_case(
+            'blocks(attr="sex", levels2=diag)')
+        net.toggle(1, 3)        # both F
+        model = bind("edges + concurrent", net)
+        with pytest.raises(ConstraintError,
+                           match=r"edge \(2, 4\) violates blocks"):
+            dyad_independent_loglik(net, model, constraints=spec, attrs=attrs)
+        with pytest.raises(ConstraintError, match="violates blocks"):
+            evaluate_loglik(net, model, np.array([-0.3, 0.4]),
+                            plan=BridgePlan(J=2, K=20, interval=5),
+                            constraints=spec, attrs=attrs)
 
     def test_degree_caps_rejected(self):
         # no closed-form baseline exists on a degree-capped space
