@@ -168,11 +168,11 @@ DIGESTS = {
     'fit-hotelling': 'c4beeb4b4816d8e1e6c37df779295d5639a703c8a4efb6c7b2b23364a6c2ec1f',
     'fit-hummel': '9ddbb78a3b7a9e62f49973d443d2684e05e751bd5e8353c35b89c692e3dd15ad',
     'fit-small': '702dcc4943a401f1e7dfeec437d5d059e01c96a5622609e4ca381e5ae5b9aebf',
-    'loglik-blocks-target-se': '71d1747c69d4b853012bc343743059685d0c89358baf4a5739aeaf1e1e26eeb0',
+    'loglik-blocks-target-se': '987f5acb5924bd7c6ce93fdf1ec83382f2cbab46bb936b2202c1e20630faf7f1',
     'loglik-gwesp-j12': 'e83964cfdf945e3ea3409500273856b1d8b2a3feff5423ad18dc86dd74e774a5',
     'loglik-triangle-target-se': '7869bacb683cdd614d41c7f39da92beddb5de224260156ac8227d2eac8d17454',
-    'mple-blocks-sandwich': '2b66b70968a22ee6e4cae3c9370a23f536ada85e1f40aeb177740cb62936a44d',
-    'mple-blocks-naive': '3a3b340f4ec55d8a598271ad5e05b35399af04eab0c34082ab3169416f5dafd7',
+    'mple-blocks-sandwich': 'd3ba8a192c2d1318b1e1c2bb715866f52d3c7683d5a55ab286bb841752babd78',
+    'mple-blocks-naive': '672e45d33246725832766032489ee5f9c54b22d13fd48e0488aeec91e3224b9b',
     'mple-sandwich-finite': '117db0bd010987fa9ecca072bc1076aef7bd0859a31b08667a442ddf732fbacd',
     'mple-sandwich-offset': '1c415ee2eb2c3dc2cef42bf1f84c54b7dcea7772c12c878c307f10f496290a04',
     'san-offsets-trace': '5011a50af0340e38d4584f27499678a0202c5430ea74ff74af9c720fc15add29',
