@@ -287,7 +287,7 @@ class TestLogisticFit:
         assert np.abs(beta - oracle).max() < 1e-6
 
     def test_rank_check_takes_the_thin_svd(self, monkeypatch):
-        # one design row per dyad under continuous covariates or blocks:
+        # one design row per dyad under continuous covariates:
         # a full U would be rows x rows (15 GiB at 44,850 rows)
         shapes = []
         original = np.linalg.svd
