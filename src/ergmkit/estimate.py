@@ -185,6 +185,17 @@ _LOGISTIC_TOL = 1e-10
 _LOGISTIC_MAX_ITER = 100
 
 
+def _determined_rows(response, shift):
+    """The rows an infinite shift determines; DataError when the
+    observed response contradicts one of them."""
+    determined = np.isinf(shift)
+    if (determined & np.where(shift < 0, response > 0.5, response < 0.5)).any():
+        raise DataError("observed state contradicts an infinite offset "
+                        "coefficient (a dyad it forbids hosts an edge, "
+                        "or one it forces is empty)")
+    return determined
+
+
 def logistic_fit(predictor, response, weights=None, shift=None):
     """Weighted logistic regression by Newton-Raphson.
 
@@ -199,14 +210,8 @@ def logistic_fit(predictor, response, weights=None, shift=None):
     w = np.ones(len(y)) if weights is None else np.asarray(weights, dtype=float)
     o = np.zeros(len(y)) if shift is None else np.asarray(shift, dtype=float)
 
-    determined = np.isinf(o)
+    determined = _determined_rows(y, o)
     if determined.any():
-        bad_one = determined & (o < 0) & (y > 0.5)
-        bad_zero = determined & (o > 0) & (y < 0.5)
-        if bad_one.any() or bad_zero.any():
-            raise DataError("observed state contradicts an infinite offset "
-                            "coefficient (a dyad it forbids hosts an edge, "
-                            "or one it forces is empty)")
         keep = ~determined
         X, y, w, o = X[keep], y[keep], w[keep], o[keep]
     if len(y) == 0 or X.shape[1] == 0:
@@ -658,11 +663,9 @@ def cd_fit(net, model, offset_coefs=(), k=8, rounds=160, minibatch=24,
         for b in range(minibatch):
             chain = net.copy()
             chain_prop, chain_check = make_proposal(chain, constraints, attrs)
-            step = _mh_stepper(chain, model, coefs, chain_prop, chain_check,
-                               rng)
-            stats_vec = list(g_obs)
-            for _ in range(k):
-                stats_vec = step(stats_vec)
+            advance = _mh_stepper(chain, model, coefs, chain_prop,
+                                  chain_check, rng)
+            stats_vec = advance(list(g_obs), k)
             sims[b] = [stats_vec[c] for c in free]
         u = obs_free - sims.mean(axis=0)
         cov = np.cov(sims, rowvar=False).reshape(len(free), len(free))

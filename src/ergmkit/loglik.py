@@ -29,8 +29,8 @@ import numpy as np
 
 from .diagnostics import batch_means_cov
 from .errors import DataError
-from .estimate import _default_interval, logistic_fit, mple_rows, \
-    pseudo_loglik
+from .estimate import _default_interval, _determined_rows, logistic_fit, \
+    mple_rows, pseudo_loglik
 from .proposals import make_proposal
 from .sampler import SamplerConfig, _offset_shift, run_chain
 
@@ -95,7 +95,9 @@ def dyad_independent_loglik(net, model, offset_coefs=(), constraints=None,
     fit is a logistic regression whose Bernoulli product is the exact
     likelihood.  Under a blocks constraint the likelihood is defined on
     the constrained space: the fit, the sum and the dyad count cover the
-    dyads the blocks do not freeze.  A degenerate response over those
+    dyads the blocks do not freeze.  Dyads an infinite offset fixes are
+    left out of the fit and the count alike, so the same space spelled
+    either way gives the same baseline.  A degenerate response over those
     dyads (no edges, or all tied) sits on the parameter-space boundary:
     the supremum 0 is reported with the boundary flag set.  Infinite
     coefficients on dyad-dependent offsets and degree caps are
@@ -115,8 +117,11 @@ def dyad_independent_loglik(net, model, offset_coefs=(), constraints=None,
     di_cols = [c for c, k in enumerate(free) if model.dyad_independent_mask[k]]
     X = rows.predictor[:, di_cols]
 
+    # rows an infinite offset determines are fixed relations, like the
+    # dyads blocks freeze: they leave the response counts and the dyads
     y, w = rows.response, rows.weights
-    ones, dyads = (w * y).sum(), w.sum()
+    live = ~_determined_rows(y, shift)
+    ones, dyads = (w * y)[live].sum(), w[live].sum()
     theta = np.zeros(model.p)
     for k, c in zip(model.offset_index, offset_coefs):
         theta[k] = c
@@ -245,8 +250,9 @@ def evaluate_loglik(net, model, theta_hat, offset_coefs=(), plan=None,
     Computes the exact dyad-independent baseline, bridges the
     difference, and fills in the null deviance, AIC and BIC.  `d`, the
     number of non-fixed potential relations, is the baseline's dyad
-    count: dyads frozen by blocks are left out.  Degree caps raise
-    DataError (see ``dyad_independent_loglik``).
+    count: dyads frozen by blocks or fixed by an infinite offset are
+    left out.  Degree caps raise DataError (see
+    ``dyad_independent_loglik``).
     """
     baseline = dyad_independent_loglik(net, model, offset_coefs,
                                        constraints, attrs)

@@ -23,7 +23,9 @@ Every proposal's ``bind(net, rng)`` returns ``(draw, commit)``, built
 once per chain: ``draw()`` returns ``(i, j, log_q_ratio)`` and writes
 nothing, to the network or to the proposal, and ``commit(i, j, added)``
 updates the proposal's state after the chain toggles the dyad.
-``commit`` is None for the stateless uniform and TNT proposals.
+``commit`` is None for the uniform and TNT proposals, which keep no
+state in the proposal; a bound TNT draw memoises its log q-ratio per
+edge count, one float per edge count the chain visits.
 ``propose(net, rng)`` and ``commit(net, i, j, added)`` apply the same
 closures once.  Binding to a network with no free dyad is a data error.
 Integer draws go through ``_below``, which consumes the RNG stream
@@ -112,10 +114,28 @@ class TntProposal:
 
     def bind(self, net, rng):
         """(draw, None): draw() -> (i, j, log_q_ratio) for chains on
-        `net` drawing from `rng`; there is no state to commit."""
+        `net` drawing from `rng`; there is no state to commit.
+
+        With the free-dyad count N fixed, the log q-ratio depends only
+        on the edge count E and on whether the drawn dyad is an edge, so
+        the bound draw computes it once per (E, branch) and keeps it in
+        one of two dicts keyed by E.  The memo holds one float per edge
+        count the chain visits, which is less than the network's own
+        storage per edge."""
         random, below, log = rng.random, _below(rng), math.log
         edges, adj, dyad_at = net.edges, net.adj, net.dyad_at
         N = _free_dyads(net)
+        edge_memo, gap_memo = {}, {}
+
+        def log_q_ratio(E, is_edge):
+            if is_edge:
+                q_fwd = 0.5 / E + 0.5 / N
+                q_rev = 0.5 / N if E > 1 else 1.0 / N
+            else:
+                # with no edges the dyad branch is forced
+                q_fwd = 0.5 / N if E else 1.0 / N
+                q_rev = 0.5 / (E + 1) + 0.5 / N
+            return log(q_rev / q_fwd)
 
         def draw():
             E = len(edges)
@@ -125,14 +145,11 @@ class TntProposal:
             else:
                 i, j = dyad_at(below(N))
                 is_edge = j in adj[i]
-            if is_edge:
-                q_fwd = 0.5 / E + 0.5 / N
-                q_rev = 0.5 / N if E > 1 else 1.0 / N
-            else:
-                # with no edges the dyad branch is forced
-                q_fwd = 0.5 / N if E else 1.0 / N
-                q_rev = 0.5 / (E + 1) + 0.5 / N
-            return i, j, log(q_rev / q_fwd)
+            known = edge_memo if is_edge else gap_memo
+            log_q = known.get(E)
+            if log_q is None:
+                log_q = known[E] = log_q_ratio(E, is_edge)
+            return i, j, log_q
 
         return draw, None
 

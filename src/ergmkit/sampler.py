@@ -1,6 +1,9 @@
 """Metropolis-Hastings chain driver.
 
-Single steps, fixed-schedule runs, and the adaptive loop that targets a
+The chain's kernel is bound once per chain (``_mh_stepper``) and
+advanced in whole intervals: ``advance(stats, steps)`` runs a burn-in
+or the steps between two retained draws in one call.  On it sit single
+steps, fixed-schedule runs, and the adaptive loop that targets a
 multivariate effective sample size: extend, halve-and-double the
 interval once the retained sample exceeds twice the nominal size (or
 twice the two-window test's minimum, if larger), estimate burn-in from
@@ -129,24 +132,28 @@ def _offset_shift(offsets, offset_coefs):
 
 
 def _mh_stepper(net, model, coefs, proposal, checker, rng):
-    """The Metropolis-Hastings step of one chain, bound once.
+    """The Metropolis-Hastings kernel of one chain, bound once.
 
-    Returns step(stats) -> stats, which makes one step on `net` and
-    returns the updated statistic vector, or `stats` itself (the same
-    list object) when the move is rejected.  A checker turns
-    constraint-violating proposals into certain rejections, which is
-    how plain proposals honor bd/blocks constraints.
+    Returns advance(stats, steps=1) -> stats, which makes `steps` steps
+    on `net` in one call and returns the updated statistic vector, or
+    `stats` itself (the same list object) when every move is rejected
+    (and when steps is 0).  A checker turns constraint-violating
+    proposals into certain rejections, which is how plain proposals
+    honor bd/blocks constraints.
 
-    Everything a step looks up is bound here: the proposal's draw and
-    commit (from its bind; commit is None when it keeps no state), the
-    checker, each term's change closure (``BoundModel.change_functions``,
-    called with the dyad's state the step has already read), the RNG
-    and ``net.toggle``.  When every coefficient is finite the step sums
-    the tilt itself, c * d over the nonzero d in _log_tilt's order
-    (c * -d on a removal), which is bit-identical to _log_tilt because
-    IEEE rounding is sign-symmetric; the loop is explicit because
-    builtin sum() of floats is compensated from Python 3.12 on.  With an
-    infinite coefficient the tilt goes through _log_tilt, the one
+    Everything a step looks up is bound here and held in advance's
+    locals: the proposal's draw and commit (from its bind; commit is
+    None when it keeps no state), the checker, each term's change
+    closure (``BoundModel.change_functions``, called with the dyad's
+    state the step has already read), the RNG and ``net.toggle``.  When
+    every coefficient is finite the step sums the tilt itself, c * d
+    over the nonzero d in _log_tilt's order, and negates the sum on a
+    removal.  That is bit-identical to _log_tilt's sum of c * -d
+    because IEEE negation is exact and rounding to nearest is
+    sign-symmetric; at most the sign of an exact zero differs, which
+    the acceptance test reads alike.  The loop is explicit because
+    builtin sum() of floats is compensated from Python 3.12 on.  With
+    an infinite coefficient the tilt goes through _log_tilt, the one
     0 * inf rule.
     """
     if len(coefs) != model.p:
@@ -156,42 +163,40 @@ def _mh_stepper(net, model, coefs, proposal, checker, rng):
         raise DataError("coefficients must not be NaN")
     draw, commit = proposal.bind(net, rng)
     allowed = checker.allowed if checker is not None else None
-    changes = model.change_functions(net)
-    finite = all(map(math.isfinite, coefs))
-    adj, toggle = net.adj, net.toggle
-    random, exp = rng.random, math.exp
+    bound = (draw, commit, allowed, model.change_functions(net),
+             all(map(math.isfinite, coefs)), coefs, net, net.adj, net.toggle,
+             rng.random, math.exp)
 
-    def step(stats):
-        i, j, log_q = draw()
-        if allowed is not None and not allowed(net, i, j):
-            return stats
-        present = j in adj[i]
-        delta = []
-        for f in changes:
-            delta += f(i, j, present)
-        if not finite:
-            log_ar = _log_tilt(coefs, delta, -1 if present else 1) + log_q
-        else:
-            tilt = 0.0
-            if present:
-                for c, d in zip(coefs, delta):
-                    if d:
-                        tilt += c * -d
-            else:
+    def advance(stats, steps=1):
+        # fast locals for the loop, unpacked once per call
+        (draw, commit, allowed, changes, finite, coefs, net, adj, toggle,
+         random, exp) = bound
+        for _ in range(steps):
+            i, j, log_q = draw()
+            if allowed is not None and not allowed(net, i, j):
+                continue
+            present = j in adj[i]
+            delta = []
+            for f in changes:
+                delta += f(i, j, present)
+            if finite:
+                tilt = 0.0
                 for c, d in zip(coefs, delta):
                     if d:
                         tilt += c * d
-            log_ar = tilt + log_q
-        if log_ar >= 0.0 or (log_ar > -_INF and random() < exp(log_ar)):
-            toggle(i, j)
-            if commit is not None:
-                commit(i, j, not present)
-            if present:
-                return list(map(sub, stats, delta))
-            return list(map(add, stats, delta))
+                if present:
+                    tilt = -tilt
+                log_ar = tilt + log_q
+            else:
+                log_ar = _log_tilt(coefs, delta, -1 if present else 1) + log_q
+            if log_ar >= 0.0 or (log_ar > -_INF and random() < exp(log_ar)):
+                toggle(i, j)
+                if commit is not None:
+                    commit(i, j, not present)
+                stats = list(map(sub if present else add, stats, delta))
         return stats
 
-    return step
+    return advance
 
 
 def mh_step(net, model, coefs, proposal, current_stats, rng, checker=None):
@@ -199,11 +204,12 @@ def mh_step(net, model, coefs, proposal, current_stats, rng, checker=None):
 
     Returns (accepted, stats) where stats is the updated statistic
     vector (the same list object when the move is rejected).  This is
-    the chain step of _mh_stepper, built and applied once, so each call
-    pays for binding the proposal, terms and checker; to run a chain,
-    use run_chain, which binds them once.
+    the kernel of _mh_stepper, built and advanced one step, so each
+    call pays for binding the proposal, terms and checker; to run a
+    chain, use run_chain, which binds them once.
     """
-    stats = _mh_stepper(net, model, coefs, proposal, checker, rng)(current_stats)
+    stats = _mh_stepper(net, model, coefs, proposal, checker, rng)(
+        current_stats, 1)
     return stats is not current_stats, stats
 
 
@@ -218,18 +224,16 @@ def run_chain(net, model, coefs, proposal, config, checker=None, rng=None,
     """
     if rng is None:
         rng = random.Random(config.seed)
-    step = _mh_stepper(net, model, coefs, proposal, checker, rng)
+    advance = _mh_stepper(net, model, coefs, proposal, checker, rng)
     base = model.summary(net)
     rel = [0.0] * model.p
     out = np.empty((config.samplesize, model.p), dtype=float)
     collected = [] if collect is not None else None
 
-    for _ in range(config.burnin):
-        rel = step(rel)
+    rel = advance(rel, config.burnin)
     interval = config.interval
     for s in range(config.samplesize):
-        for _ in range(interval):
-            rel = step(rel)
+        rel = advance(rel, interval)
         out[s] = rel
         if collect is not None:
             collected.append(collect(net))

@@ -121,6 +121,7 @@ def san_run(net, model, config, constraints=None, attrs=None, rng=None):
 
     stats = model.summary(net)
     dev = np.array([stats[k] for k in free]) - targets
+    e = float(dev @ W @ dev)    # the current energy, kept with dev and W
     trace = SanTrace()
     runs = config.runs
 
@@ -140,8 +141,7 @@ def san_run(net, model, config, constraints=None, attrs=None, rng=None):
             i, j, _logq = draw()
             trace.proposals += 1
             if trace.proposals % config.trace_interval == 0:
-                trace.rows.append((trace.proposals, list(stats),
-                                   float(dev @ W @ dev)))
+                trace.rows.append((trace.proposals, list(stats), e))
             if checker is not None and not checker.allowed(net, i, j):
                 continue
             present = net.has_edge(i, j)
@@ -162,7 +162,8 @@ def san_run(net, model, config, constraints=None, attrs=None, rng=None):
                     stored[slot] = dfree
 
             new_dev = dev + dfree
-            dE = float(new_dev @ W @ new_dev) - float(dev @ W @ dev)
+            new_e = float(new_dev @ W @ new_dev)
+            dE = new_e - e
             bias = _log_tilt(eta, delta, 1 if adding else -1)
             if bias == -_INF:
                 continue
@@ -178,11 +179,12 @@ def san_run(net, model, config, constraints=None, attrs=None, rng=None):
                     commit(i, j, adding)
                 for k in range(model.p):
                     stats[k] += sign * delta[k]
-                dev = new_dev
+                dev, e = new_dev, new_e
                 trace.accepted += 1
         trace.runs_completed = r + 1
         if config.invcov_override is None and len(stored) >= p:
             W = san_weight_update(np.asarray(stored))
-    trace.final_energy = float(dev @ W @ dev)
+            e = float(dev @ W @ dev)
+    trace.final_energy = e
     trace.exited_early = not dev.any()
     return net, trace

@@ -20,12 +20,15 @@ and ``deg`` and the term's constants.  ``present`` is the dyad's state
 before the toggle, which the step already knows.  The closure is each
 term's one scalar change score: ``BoundModel.change`` binds the closures
 for a single dyad, and the block sweep of the shared-partner terms calls
-them on its support.  A closure may return one shared constant list
-(edges, nodematch without diff), because its callers only copy the
-elements out (``delta += f(i, j, present)``) and never keep or mutate
-the list.  Binding does no O(n) work: the power table of the
-geometrically weighted terms is built on their first bind or block sweep
-and reused by every later one.
+them on its support.  A closure may return one shared constant list,
+because its callers only copy the elements out
+(``delta += f(i, j, present)``) and never keep or mutate the list:
+edges and nodematch without diff always do; gwesp and undirected
+triangle return a shared ``[0.0]`` on a dyad without a shared partner
+(most dyads of a sparse network), and concurrent and degree pick their
+integer score, -2 to 2, from a table of shared lists.  Binding does no
+O(n) work: the power table of the geometrically weighted terms is built
+on their first bind or block sweep and reused by every later one.
 
 Each term also scores a block of dyads at once (``changes``), for the
 full-dyad sweeps of the pseudo-likelihood.  Closures and block rows are
@@ -50,6 +53,12 @@ from .errors import DataError
 from .formula import parse_model_formula
 
 __all__ = ["BoundModel", "bind"]
+
+
+# shared constant change scores: _STEPS[k] is [float(k)] for k in -2..2,
+# indexed by k itself (negative k from the end)
+_STEPS = ([0.0], [1.0], [2.0], [-2.0], [-1.0])
+_ZERO = _STEPS[0]
 
 
 def _require_undirected(net, name):
@@ -170,7 +179,14 @@ class _Triangle:
             return lambda i, j, present: [float(
                 len(out[i] & out[j]) + len(inn[i] & inn[j])
                 + len(out[i] & inn[j]))]
-        return lambda i, j, present: [float(len(out[i] & out[j]))]
+
+        def change(i, j, present):
+            ai, aj = out[i], out[j]
+            if ai.isdisjoint(aj):
+                return _ZERO
+            return [float(len(ai & aj))]
+
+        return change
 
     def changes(self, net, tails, heads, present):
         return _changes_on_support(self, net, tails, heads, present)
@@ -311,9 +327,9 @@ class _Concurrent:
         return [float(sum(1 for d in net.deg if d >= 2))]
 
     def change_function(self, net):
-        deg = net.deg
-        return lambda i, j, present: [
-            float((deg[i] - present == 1) + (deg[j] - present == 1))]
+        deg, steps = net.deg, _STEPS
+        return lambda i, j, present: steps[
+            (deg[i] - present == 1) + (deg[j] - present == 1)]
 
     def changes(self, net, tails, heads, present):
         di, dj = _free_degrees(net, tails, heads, present)
@@ -337,12 +353,12 @@ class _Degree:
         return [float(sum(1 for k in net.deg if k == d))]
 
     def change_function(self, net):
-        d, deg = self.d, net.deg
+        d, deg, steps = self.d, net.deg, _STEPS
 
         def change(i, j, present):
             di = deg[i] - present
             dj = deg[j] - present
-            return [float((di + 1 == d) - (di == d) + (dj + 1 == d) - (dj == d))]
+            return steps[(di + 1 == d) - (di == d) + (dj + 1 == d) - (dj == d)]
 
         return change
 
@@ -429,6 +445,8 @@ class _Gwesp(_GeometricallyWeighted):
 
         def change(i, j, present):
             ai, aj = adj[i], adj[j]
+            if ai.isdisjoint(aj):   # scale * (1.0 - pw[0]) is exactly 0.0
+                return _ZERO
             common = ai & aj
             total = scale * (1.0 - pw[len(common)])
             for k in common:

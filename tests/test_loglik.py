@@ -332,6 +332,58 @@ class TestEvaluate:
                             plan=BridgePlan(J=2, K=20, interval=5),
                             constraints=spec, attrs=attrs)
 
+    def test_infinite_offset_counts_like_blocks(self):
+        # the blocks(sex, diag) sample space, also written as an infinite
+        # offset on nodematch("sex"): the same dyads, loglik, d and BIC
+        net, attrs, spec = self.constrained_case(
+            'blocks(attr="sex", levels2=diag)')
+        blocks = dyad_independent_loglik(net, bind("edges", net),
+                                         constraints=spec, attrs=attrs)
+        model = bind('edges + offset(nodematch("sex"))', net, attrs)
+        offset = [-math.inf]
+        offsets = dyad_independent_loglik(net, model, offset)
+        assert blocks.dyads == offsets.dyads == 9
+        assert blocks.loglik == offsets.loglik
+        assert blocks.loglik.hex() == (-6.18265418937591).hex()
+        plan = BridgePlan(J=4, K=200, interval=5, seed=24)
+        a = evaluate_loglik(net, bind("edges", net), np.array([-0.3]),
+                            plan=plan, constraints=spec, attrs=attrs)
+        b = evaluate_loglik(net, model, np.array([-0.3, -math.inf]), offset,
+                            plan=plan)
+        assert a.null_deviance == b.null_deviance == null_deviance(9)
+        assert a.bic == -2.0 * a.loglik + math.log(9)
+        assert b.bic == -2.0 * b.loglik + math.log(9)
+
+    def test_infinite_offset_tied_response_is_boundary(self):
+        # 4 alternating-sex vertices, every cross-sex pair tied: the
+        # free dyads all hold edges under either spelling
+        net = Network(4)
+        for i, j in [(0, 1), (0, 3), (1, 2), (2, 3)]:
+            net.toggle(i, j)
+        attrs = VertexAttributes(4)
+        attrs.add("sex", ["M" if v % 2 == 0 else "F" for v in range(4)])
+        spec = parse_constraint_formula('blocks(attr="sex", levels2=diag)')
+        blocks = dyad_independent_loglik(net, bind("edges", net),
+                                         constraints=spec, attrs=attrs)
+        model = bind('edges + offset(nodematch("sex"))', net, attrs)
+        offsets = dyad_independent_loglik(net, model, [-math.inf])
+        for base in (blocks, offsets):
+            assert base.boundary and base.loglik == 0.0 and base.dyads == 4
+        with pytest.raises(DataError, match="boundary"):
+            evaluate_loglik(net, model, np.array([0.3, -math.inf]),
+                            [-math.inf], plan=BridgePlan(J=2, K=20))
+
+    def test_infinite_offset_contradiction_before_boundary(self):
+        # an edge on a dyad the offset forbids is a data error, also when
+        # the free dyads alone would sit on the boundary
+        net = Network(4)
+        net.toggle(0, 2)        # both M
+        attrs = VertexAttributes(4)
+        attrs.add("sex", ["M" if v % 2 == 0 else "F" for v in range(4)])
+        model = bind('edges + offset(nodematch("sex"))', net, attrs)
+        with pytest.raises(DataError, match="contradicts an infinite offset"):
+            dyad_independent_loglik(net, model, [-math.inf])
+
     def test_degree_caps_rejected(self):
         # no closed-form baseline exists on a degree-capped space
         net, attrs, spec = self.constrained_case("bd(maxout=2)")

@@ -121,6 +121,36 @@ class TestTnt:
                 want = math.log((0.5 / 2 + 0.5 / N) / (0.5 / N))
             assert abs(logq - want) < 1e-12
 
+    def test_memoised_q_ratio_is_closed_form(self):
+        """The bound draw's log q-ratio, memoised per edge count, is the
+        closed form bit for bit at E = 0, 1 and 2, also when the chain
+        comes back down to an edge count it has visited."""
+        net = Network(5)
+        N = net.dyad_count()
+        draw, _ = TntProposal().bind(net, random.Random(8))
+
+        def closed_form(E, is_edge):
+            if is_edge:
+                q_fwd, q_rev = 0.5 / E + 0.5 / N, (0.5 / N if E > 1 else 1.0 / N)
+            else:
+                q_fwd = 0.5 / N if E else 1.0 / N
+                q_rev = 0.5 / (E + 1) + 0.5 / N
+            return math.log(q_rev / q_fwd)
+
+        visited = Counter()
+        for toggle in [None, (0, 1), (2, 3), (2, 3), (0, 1), (1, 4), (0, 2),
+                       (0, 2), (1, 4)]:
+            if toggle is not None:
+                net.toggle(*toggle)
+            E = net.edge_count
+            for _ in range(100):
+                i, j, log_q = draw()
+                is_edge = net.has_edge(i, j)
+                assert log_q.hex() == closed_form(E, is_edge).hex()
+                visited[E, is_edge] += 1
+        assert set(visited) == {(0, False), (1, False), (1, True),
+                                (2, False), (2, True)}
+
     def test_empty_network_fallback(self):
         net = Network(4)
         draw, _ = TntProposal().bind(net, random.Random(7))

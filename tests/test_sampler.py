@@ -266,6 +266,47 @@ class TestBoundStep:
                 assert result is stats
                 assert [x.hex() for x in seen] == [want.hex()]
 
+    @pytest.mark.parametrize("constraints", [
+        "tnt + bd(maxout=2)", 'bd(maxout=2) + blocks(attr="sex", levels2=diag)'],
+        ids=["tnt-checker", "bdstrat"])
+    def test_advance_in_chunks_is_one_step_at_a_time(self, constraints):
+        """advance(stats, k) makes the moves of k one-step calls, and
+        advance(stats, 0) returns stats itself and touches nothing: not
+        the RNG, the network or the proposal's state."""
+        attrs = grp_attrs(12)
+        spec = parse_constraint_formula(constraints)
+        model = bind("edges + triangle + concurrent", Network(12), attrs)
+        runs = []
+        for chunked in (True, False):
+            net = Network(12)
+            proposal, checker = make_proposal(net, spec, attrs)
+            rng = random.Random(5)
+            advance = _mh_stepper(net, model, [-0.5, 0.3, 0.2], proposal,
+                                  checker, rng)
+
+            def state():
+                return (rng.getstate(), list(net.edges),
+                        [list(a) for a in net.adj],
+                        proposal.snapshot() if checker is None else None)
+
+            stats, seen = [0.0] * 3, []
+            schedule = random.Random(6)
+            for _ in range(60):
+                k = schedule.randint(0, 40)
+                if chunked:
+                    before = state()
+                    assert advance(stats, 0) is stats
+                    assert state() == before
+                    stats = advance(stats, k)
+                else:
+                    for _ in range(k):
+                        stats = advance(stats)
+                seen.append(stats)
+            runs.append((seen, list(net.edges), rng.getstate()))
+        assert runs[0] == runs[1]
+        assert stats == [x - y for x, y in zip(model.summary(net),
+                                                model.summary(Network(12)))]
+
     def test_nan_coefficient_rejected(self):
         net = Network(5)
         model = bind("edges + triangle", net)

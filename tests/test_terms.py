@@ -236,6 +236,36 @@ class TestBlockChanges:
                 want = math.fsum(row[k] for row in scores)
                 assert got[k].hex() == want.hex(), model.names[k]
 
+    def test_disjoint_and_low_degree_dyads(self):
+        """The shared constant change scores: triangle and gwesp on dyads
+        without a shared partner, concurrent and degree on every
+        degree pattern from -2 to 2, against the block rows bit for bit
+        and the brute-force summary difference."""
+        net = Network(9)
+        for i, j in [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3), (6, 7)]:
+            net.toggle(i, j)
+        model = bind("triangle + gwesp(0.25, fixed=true) + concurrent"
+                     " + degree(0) + degree(1) + degree(2)", net)
+        change = change_score(model, net)
+        seen = [set() for _ in model.names]
+        for k in range(net.dyad_count()):
+            i, j = net.dyad_at(k)
+            for _ in range(2):      # the dyad in both states
+                tails, heads = net.dyad_rows(0, net.n - 1)
+                rows = model.changes(net, tails, heads,
+                                     net.edge_mask(tails, heads)).tolist()
+                got = change(i, j)
+                assert [x.hex() for x in got] == [x.hex() for x in rows[k]]
+                slow = brute_force_change(net, model, i, j)
+                assert got[0] == slow[0] and got[2:] == slow[2:]
+                assert abs(got[1] - slow[1]) < 1e-12
+                for c, x in enumerate(got):
+                    seen[c].add(x)
+                net.toggle(i, j)
+        assert seen[0] == {0.0, 1.0} and 0.0 in seen[1]
+        assert seen[2] == {0.0, 1.0, 2.0}
+        assert seen[4] == {-2.0, -1.0, 0.0, 1.0, 2.0}
+
     def test_nodematch_diff_and_nodefactor_levels(self):
         net = random_net(9, density=0.3, seed=5)
         model = bind('nodematch("grp", diff=true) + nodefactor("grp", levels=[1, 3])',
