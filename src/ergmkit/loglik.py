@@ -147,13 +147,6 @@ def _point_mean_se(series):
     return mean, se
 
 
-def _path_coefs(theta_tilde, direction, u, offset_index):
-    coefs = theta_tilde + u * direction
-    for k in offset_index:
-        coefs[k] = theta_tilde[k]
-    return list(coefs)
-
-
 def kronecker_shift(l):
     """The l-th golden-ratio lattice shift v_l, with v_1 = 0."""
     return math.fmod((l - 1) / _PHI + 0.5, 1.0) - 0.5
@@ -199,9 +192,10 @@ def bridge_loglik(net, model, theta_hat, theta_tilde, plan=None,
     for k in model.offset_index:
         if theta_hat[k] != theta_tilde[k]:
             raise DataError("offset coefficients must agree at both endpoints")
-    direction = theta_hat - theta_tilde
-    for k in model.offset_index:
-        direction[k] = 0.0
+    # only free coefficients move: offsets agree, and may be infinite
+    free = model.free_index
+    direction = np.zeros(model.p)
+    direction[free] = theta_hat[free] - theta_tilde[free]
     if not np.any(direction):
         return LoglikResult(delta_loglik=0.0, mc_se=0.0, passes=0)
     sim_net = net.copy()
@@ -221,7 +215,7 @@ def bridge_loglik(net, model, theta_hat, theta_tilde, plan=None,
             remaining.remove(u)
             anchor = u
             burnin = interval if points else 16 * plan.K
-            coefs = _path_coefs(theta_tilde, direction, u, model.offset_index)
+            coefs = list(theta_tilde + u * direction)
             cfg = SamplerConfig(samplesize=plan.K, interval=interval,
                                 burnin=burnin)
             sm = run_chain(sim_net, model, coefs, proposal, cfg,

@@ -9,7 +9,8 @@ Three proposal families:
 * BDStratTNT: TNT generalized with stratification over attribute mixing
   cells, block (forbidden mixing-type) constraints, and bounded-degree
   constraints, implemented rejection-free by maintaining, per mixing
-  cell, the unsaturated-vertex sets and an exact eligible-dyad count.
+  cell, the edge lists and unsaturated-vertex sets that exact
+  eligible-dyad counts are derived from.
 
 A dyad is proposable under BDStratTNT iff it is not blocked and either
 hosts a current edge or has both endpoints below their degree caps.
@@ -254,20 +255,21 @@ class BDStratTNT:
     the stratum given by its pair of stratification levels.  Per cell
     the proposal maintains the current edge list (with O(1) delete) and
     the count of edges whose endpoints are both unsaturated; per class
-    it maintains the unsaturated-vertex set; per stratum the total edge
-    and eligible-dyad counts.  The degree caps and the blocked level
-    pairs come from a ``ConstraintChecker``, which also validates the
-    start network.
+    it maintains the unsaturated-vertex set; per stratum the edge count.
+    A stratum's eligible-dyad count is summed over its cells when needed.
+    The active weight, over the strata with eligible dyads, is summed
+    afresh only when a toggle can change it (see ``_bound``).  The
+    degree caps and the blocked level pairs come from a
+    ``ConstraintChecker``, which also validates the start network.
 
     ``bind(net, rng)`` binds this state, the network's degrees and
     adjacency sets and the RNG's methods once per chain, and returns
-    ``(draw, commit)``.  ``commit`` updates every count incrementally,
-    in time proportional to the affected cells, through one saturation
-    routine that moves a vertex reaching its cap out of its class's
-    unsaturated set, or one dropping below it back in.  ``draw`` writes
-    nothing: it reads the post-toggle counts of the q-ratio off the
-    current state, in the same time.  ``propose`` and ``commit`` apply
-    the same closures once.
+    ``(draw, commit)``.  ``commit`` updates the counts through one
+    saturation routine that moves a vertex reaching its cap out of its
+    class's unsaturated set, or one dropping below it back in.  ``draw``
+    writes nothing: it reads the post-toggle counts of the q-ratio off
+    the current state.  ``propose`` and ``commit`` apply the same
+    closures once.
 
     Undirected unipartite networks only.
     """
@@ -276,7 +278,6 @@ class BDStratTNT:
         if net.directed or net.bipartite:
             raise DataError("BDStratTNT supports undirected unipartite networks")
         n = net.n
-        self.n = n
         checker = ConstraintChecker(net, constraints, attrs)
         checker.validate_network(net)
         self.caps = checker.caps_out
@@ -319,13 +320,14 @@ class BDStratTNT:
         # strata: unordered strat-level pairs; cells: unordered class pairs
         self.strata = [(a, b) for a in range(L) for b in range(a, L)]
         strat_lut = {pair: s for s, pair in enumerate(self.strata)}
+        S = len(self.strata)
         self.cell_c1 = []
         self.cell_c2 = []
         self.cell_stratum = []
-        # per class pair: their cell, None when blocked; per class: the
-        # (stratum, partner class) of every cell the class belongs to
+        # per class pair: their cell, None when blocked; per stratum and
+        # class: the other class of each of the stratum's cells it is in
         self.cell_of_pair = [[None] * C for _ in range(C)]
-        self.partners = [[] for _ in range(C)]
+        self.partners = [[[] for _ in range(C)] for _ in range(S)]
         for c1 in range(C):
             s1, b1 = self.class_key[c1]
             for c2 in range(c1, C):
@@ -338,11 +340,10 @@ class BDStratTNT:
                 self.cell_c2.append(c2)
                 self.cell_stratum.append(s)
                 self.cell_of_pair[c1][c2] = self.cell_of_pair[c2][c1] = k
-                self.partners[c1].append((s, c2))
+                self.partners[s][c1].append(c2)
                 if c2 != c1:
-                    self.partners[c2].append((s, c1))
+                    self.partners[s][c2].append(c1)
         K = len(self.cell_c1)
-        S = len(self.strata)
         self.strat_cells = [[] for _ in range(S)]
         for k in range(K):
             self.strat_cells[self.cell_stratum[k]].append(k)
@@ -363,24 +364,16 @@ class BDStratTNT:
         self.cell_edges = [[] for _ in range(K)]
         self.cell_edge_pos = [{} for _ in range(K)]
         self.cell_unsat_edges = [0] * K
+        self.strat_E = [0] * S
         for (i, j) in net.edges:
             k = self._cell_of_dyad(i, j)
             if self.weights[self.cell_stratum[k]] > 0.0:
                 self.cell_edge_pos[k][(i, j)] = len(self.cell_edges[k])
                 self.cell_edges[k].append((i, j))
+                self.strat_E[self.cell_stratum[k]] += 1
                 if net.deg[i] < caps[i] and net.deg[j] < caps[j]:
                     self.cell_unsat_edges[k] += 1
-
-        self.strat_E = [0] * S
-        self.strat_D = [0] * S
-        for k in range(K):
-            s = self.cell_stratum[k]
-            self.strat_E[s] += len(self.cell_edges[k])
-        eligible = self._bound(net)[3]
-        for s in range(S):
-            self.strat_D[s] = sum(eligible(k) for k in self.strat_cells[s])
-        self.active_weight = sum(w for s, w in enumerate(self.weights)
-                                 if w > 0.0 and self.strat_D[s] > 0)
+        self.active_weight = self._counters()[1](list(map(len, self.unsat)))
 
     # -- construction helpers -------------------------------------------
 
@@ -442,31 +435,64 @@ class BDStratTNT:
         """Update all bookkeeping for a toggle that was just applied."""
         self._bound(net)[1](i, j, added)
 
+    def _counters(self):
+        """(eligible, weigh): eligible(k) counts cell k's edges and
+        unsaturated non-edges.  weigh(size, s=None) sums, in stratum
+        order, the weights of the strata holding an edge or an unsaturated
+        pair when class c has size[c] unsaturated vertices, stratum s
+        counting as active.  Every active weight is this one sum."""
+        unsat, cell_unsat, cell_edges = self.unsat, self.cell_unsat_edges, self.cell_edges
+        cell_c1, cell_c2, strat_cells = self.cell_c1, self.cell_c2, self.strat_cells
+        E, weights = self.strat_E, self.weights
+
+        def eligible(k):
+            c1, c2 = cell_c1[k], cell_c2[k]
+            u = len(unsat[c1])
+            pairs = u * (u - 1) // 2 if c1 == c2 else u * len(unsat[c2])
+            return pairs - cell_unsat[k] + len(cell_edges[k])
+
+        # (stratum, weight, [(class, class, members each needs for a pair)])
+        live = [(t, w, [(cell_c1[k], cell_c2[k], 1 + (cell_c1[k] == cell_c2[k]))
+                        for k in strat_cells[t]])
+                for t, w in enumerate(weights) if w > 0.0]
+
+        def weigh(size, s=None):
+            W = 0.0
+            for t, w, pairs in live:
+                if t == s or E[t]:
+                    W += w
+                    continue
+                for a, b, m in pairs:
+                    if size[a] >= m and size[b] >= m:
+                        W += w
+                        break
+            return W
+
+        return eligible, weigh
+
+    @property
+    def strat_D(self):
+        """Each stratum's eligible-dyad count, derived from the cells."""
+        eligible = self._counters()[0]
+        return [sum(map(eligible, cells)) for cells in self.strat_cells]
+
     def _bound(self, net, rng=None):
         """The closures over this state, `net` and `rng`: (draw, commit,
-        reverse_counts, eligible).  Without an rng, draw cannot run.
+        reverse_counts).  Without an rng, draw cannot run.
 
-        reverse_counts(s, i, j, added) -> (E_r, D_r, W_r) are the
-        counts after toggling dyad (i, j) of stratum s, which `added`
-        says adds an edge, read off the state before the toggle without
-        writing the network or the proposal.  E_r and D_r are stratum
-        s's edge and eligible counts and W_r the active weight that
-        commit would leave.  The pass takes the endpoints that reach
-        their cap (added) or drop below it (removed) in the order commit
-        moves them out of or into the unsaturated sets, and applies
-        commit's deltas to D with those moves made virtually, one
-        endpoint after the other.  draw, like reverse_counts, writes
-        nothing.
+        reverse_counts(s, i, j, added, D_s) -> (E_r, D_r, W_r) are the
+        edge and eligible counts of stratum s (eligible count D_s) and
+        the active weight after toggling its dyad (i, j), which `added`
+        says adds an edge.  They are read off the state before the toggle
+        without writing it: the pass makes the endpoints' moves into or
+        out of the unsaturated sets virtually, in commit's order.  draw,
+        like reverse_counts, writes nothing.
 
-        W changes only where a stratum's D crosses zero, and D never
-        falls below the stratum's edge count.  An add only takes pairs
-        out of the unsaturated sets, a removal only puts pairs in, and
-        s keeps the toggled dyad eligible either way.  So only strata
-        other than s that hold no edges can cross, and the pass tracks
-        D for s and for those.
-
-        eligible(k) is the count of eligible dyads in cell k: its
-        current edges and its unsaturated non-edges.
+        Stratum s is active before and after the toggle, and no other
+        stratum's edge count moves, so the active weight can change only
+        when a moved vertex's class keeps at most one other unsaturated
+        vertex (a pair takes two in one class, or one in each of two).
+        Only then do commit and reverse_counts call weigh.
         """
         deg, adj, log = net.deg, net.adj, math.log
         if rng is not None:
@@ -477,16 +503,11 @@ class BDStratTNT:
         unsat, unsat_pos = self.unsat, self.unsat_pos
         cell_edges, cell_edge_pos = self.cell_edges, self.cell_edge_pos
         cell_unsat = self.cell_unsat_edges
-        E, D, weights, cum = self.strat_E, self.strat_D, self.weights, self._cum_weights
+        E, weights, cum = self.strat_E, self.weights, self._cum_weights
         S, total = len(cum), cum[-1]
+        eligible, weigh = self._counters()
 
-        def eligible(k):
-            c1, c2 = cell_c1[k], cell_c2[k]
-            u = len(unsat[c1])
-            pairs = u * (u - 1) // 2 if c1 == c2 else u * len(unsat[c2])
-            return pairs - cell_unsat[k] + len(cell_edges[k])
-
-        def reverse_counts(s, i, j, added):
+        def reverse_counts(s, i, j, added, D_s):
             pre, step = (1, -1) if added else (0, 1)   # add: degrees after it
             E_r = E[s] - step
             if deg[i] + pre == caps[i]:
@@ -495,32 +516,26 @@ class BDStratTNT:
                 moved = (j,)
             else:
                 # both endpoints keep their saturation: D is unchanged
-                return E_r, D[s], self.active_weight
-            # stratum s keeps the toggled dyad eligible, so its D never
-            # crosses zero; other strata that may cross are tracked by dD
-            dS, dD = (0 if added else -1), {}
+                return E_r, D_s, self.active_weight
+            dS = 0 if added else -1
+            few = False                 # may the active weight change?
             flipped = first = None      # the endpoint moved before v, its class
             for v in moved:
                 c = class_of[v]
-                # unsaturated pairs through v in every cell touching class
-                # c, counted without v and after the move of `flipped`
-                for t, o in partners[c]:
-                    if t != s and E[t]:
-                        continue
+                # unsaturated pairs through v in s's cells touching class c,
+                # and c's set size, without v and after `flipped` moved
+                for o in partners[s][c]:
                     u = len(unsat[o])
                     if o == first:
                         u += step
                     if o == c and added:
                         u -= 1
-                    if t == s:
-                        dS += step * u
-                    else:
-                        dD[t] = dD.get(t, 0) + step * u
+                    dS += step * u
+                few = few or len(unsat[c]) + (step if c == first else 0) - added < 2
                 # v's edges after the toggle to unsaturated partners leave
-                # (join) the unsaturated-edge counts; other strata they
-                # touch hold edges.  The toggled dyad is one of them on an
-                # add, with a partner unsaturated before it, and none on a
-                # removal.
+                # (join) the unsaturated-edge counts.  The toggled dyad is
+                # one of them on an add, with a partner unsaturated before
+                # it, and none on a removal.
                 other = j if v == i else i
                 row = cell_of_pair[c]
                 for w in adj[v]:
@@ -534,11 +549,12 @@ class BDStratTNT:
                     dS -= step
                 flipped, first = v, c
             W_r = self.active_weight
-            for t, delta in dD.items():
-                old = D[t]
-                if (old == 0) != (old + delta == 0) and weights[t] > 0.0:
-                    W_r += weights[t] if old == 0 else -weights[t]
-            return E_r, D[s] + dS, W_r
+            if few:
+                size = list(map(len, unsat))
+                for v in moved:
+                    size[class_of[v]] += step
+                W_r = weigh(size, s)
+            return E_r, D_s + dS, W_r
 
         def draw():
             W = self.active_weight
@@ -546,9 +562,13 @@ class BDStratTNT:
                 raise FrozenStateError("no stratum has a proposable dyad")
             while True:
                 s = bisect_right(cum, random() * total)
-                if s < S and D[s] > 0 and weights[s] > 0.0:
-                    break
-            E_s, D_s = E[s], D[s]
+                if s < S and weights[s] > 0.0:
+                    D_s = 0
+                    for k in strat_cells[s]:
+                        D_s += eligible(k)
+                    if D_s > 0:
+                        break
+            E_s = E[s]
             # a uniform stratum edge, or a uniform eligible dyad: an edge,
             # or an unsaturated non-edge found by rejecting current edges
             if E_s and random() < 0.5:
@@ -562,14 +582,13 @@ class BDStratTNT:
                     raise AssertionError("stratum edge count diverged")
                 is_edge = True
             else:
+                # D_s sums the cells' counts, so some cell takes r
                 r = below(D_s)
                 for k in strat_cells[s]:
                     m = eligible(k)
                     if r < m:
                         break
                     r -= m
-                else:
-                    raise AssertionError("stratum eligible count diverged")
                 edges = cell_edges[k]
                 is_edge = r < len(edges)
             if is_edge:
@@ -591,18 +610,12 @@ class BDStratTNT:
                         break
                 q_fwd = (0.5 / D_s) if E_s else (1.0 / D_s)
 
-            E_r, D_r, W_r = reverse_counts(s, i, j, not is_edge)
+            E_r, D_r, W_r = reverse_counts(s, i, j, not is_edge, D_s)
             if is_edge:
                 q_rev = (0.5 / D_r) if E_r else (1.0 / D_r)
             else:
                 q_rev = 0.5 / E_r + 0.5 / D_r
             return i, j, log((q_rev * W) / (q_fwd * W_r))
-
-        def add_D(t, delta):
-            old = D[t]
-            new = D[t] = old + delta
-            if (old == 0) != (new == 0) and weights[t] > 0.0:
-                self.active_weight += weights[t] if old == 0 else -weights[t]
 
         def commit(i, j, added):
             k = cell_of_pair[class_of[i]][class_of[j]]
@@ -612,8 +625,7 @@ class BDStratTNT:
                 # the new edge joins the cell's lists; both endpoints were
                 # unsaturated before a legal add, so it counts as an
                 # unsaturated edge until the saturation pass below corrects
-                # for endpoints that just reached their cap (the edge and
-                # unsaturated-edge bumps to D cancel exactly)
+                # for endpoints that just reached their cap
                 _append(cell_edges[k], cell_edge_pos[k], d)
                 E[s] += 1
                 cell_unsat[k] += 1
@@ -626,36 +638,29 @@ class BDStratTNT:
                     cell_unsat[k] -= 1
                     return
                 step, pre = 1, 1
-                add_D(s, -1)
             # The saturation routine moves an endpoint that just reached
             # its cap (step -1) out of its class's unsaturated set, or one
-            # that just dropped below it (step +1) in.  Pair counts change,
-            # in every cell touching its class, by its unsaturated partners
-            # there; its edges to unsaturated partners leave (join) the
-            # unsaturated-edge counts, their dyads staying eligible once,
-            # as edges.  The active weight follows every zero crossing of
-            # D, also one that a later delta undoes.
+            # that just dropped below it (step +1) in; its edges to
+            # unsaturated partners leave (join) the unsaturated-edge counts.
+            few = False
             for v in (i, j):
                 if deg[v] + pre != caps[v]:
                     continue
                 c = class_of[v]
                 if added:
                     _swap_remove(unsat[c], unsat_pos[c], v)
-                for t, o in partners[c]:
-                    u = len(unsat[o])
-                    if u:
-                        add_D(t, step * u)
+                few = few or len(unsat[c]) < 2     # the set without v
                 if not added:
                     _append(unsat[c], unsat_pos[c], v)
                 row = cell_of_pair[c]
                 for w in adj[v]:
                     cw = class_of[w]
                     if w in unsat_pos[cw]:
-                        kw = row[cw]
-                        cell_unsat[kw] += step
-                        add_D(cell_stratum[kw], -step)
+                        cell_unsat[row[cw]] += step
+            if few:
+                self.active_weight = weigh(list(map(len, unsat)), s)
 
-        return draw, commit, reverse_counts, eligible
+        return draw, commit, reverse_counts
 
     # -- test support ------------------------------------------------------
 
@@ -666,8 +671,8 @@ class BDStratTNT:
             "cell_edges": [frozenset(e) for e in self.cell_edges],
             "cell_unsat_edges": list(self.cell_unsat_edges),
             "strat_E": list(self.strat_E),
-            "strat_D": list(self.strat_D),
-            "active_weight": round(self.active_weight, 12),
+            "strat_D": self.strat_D,
+            "active_weight": self.active_weight,
         }
 
 

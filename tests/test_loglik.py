@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -348,8 +349,11 @@ class TestEvaluate:
         plan = BridgePlan(J=4, K=200, interval=5, seed=24)
         a = evaluate_loglik(net, bind("edges", net), np.array([-0.3]),
                             plan=plan, constraints=spec, attrs=attrs)
-        b = evaluate_loglik(net, model, np.array([-0.3, -math.inf]), offset,
-                            plan=plan)
+        with warnings.catch_warnings():
+            # no -inf - -inf along the bridge path
+            warnings.simplefilter("error")
+            b = evaluate_loglik(net, model, np.array([-0.3, -math.inf]),
+                                offset, plan=plan)
         assert a.null_deviance == b.null_deviance == null_deviance(9)
         assert a.bic == -2.0 * a.loglik + math.log(9)
         assert b.bic == -2.0 * b.loglik + math.log(9)

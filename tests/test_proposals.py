@@ -316,6 +316,27 @@ class TestBDStratDynamics:
         fresh = BDStratTNT(net, spec, attrs)
         assert state.snapshot() == fresh.snapshot()
 
+    @pytest.mark.parametrize("n", [6, 8, 10])
+    @pytest.mark.parametrize("pmat", [[[1.0, 0.6], [0.6, 0.3]],
+                                      [[0.2, 0.7], [0.7, 1.0]]])
+    def test_active_weight_is_path_independent(self, n, pmat):
+        # the q-ratio's W must be the rebuild's to the last bit at every
+        # step: an incremental W - w + w drifts by an ulp
+        attrs = alternating_sex(n)
+        spec = parse_constraint_formula(
+            'bd(maxout=1) + blocks(attr="sex", levels2=diag) + strat(attr="grp")')
+        spec.strat_pmat = pmat
+        net = Network(n)
+        state = BDStratTNT(net, spec, attrs)
+        rng = random.Random(n)
+        draw, commit = state.bind(net, rng)
+        for _ in range(400):
+            i, j, _ = draw()
+            if rng.random() < 0.5:
+                commit(i, j, net.toggle(i, j))
+            fresh = BDStratTNT(net, spec, attrs)
+            assert repr(state.active_weight) == repr(fresh.active_weight)
+
     def test_saturation_add_remove_involution(self):
         net = Network(8)
         attrs = alternating_sex(8)
@@ -472,16 +493,15 @@ def check_reverse_counts(state, net, i, j):
     s = state.cell_stratum[state._cell_of_dyad(i, j)]
     D_before, W = list(state.strat_D), state.active_weight
     edges_before = list(net.edges)
-    _, commit, reverse_counts, _ = state._bound(net)
-    E_r, D_r, W_r = reverse_counts(s, i, j, not net.has_edge(i, j))
+    _, commit, reverse_counts = state._bound(net)
+    E_r, D_r, W_r = reverse_counts(s, i, j, not net.has_edge(i, j),
+                                   D_before[s])
     assert state.strat_D == D_before and state.active_weight == W
     assert net.edges == edges_before
     want_E, want_D, want_W = provisional_reverse_counts(state, net, commit,
                                                         s, i, j)
     assert (E_r, D_r) == (want_E, want_D[s])
-    # the rollback may round W through W - w + w; the closed form does
-    # no arithmetic on W unless a stratum's D crosses zero
-    assert math.isclose(W_r, want_W, rel_tol=1e-12, abs_tol=1e-15)
+    assert W_r == want_W
     crosses = any((a == 0) != (b == 0) for a, b in zip(D_before, want_D))
     if not crosses:
         assert W_r == W
@@ -561,6 +581,7 @@ class TestBDStratReverseCounts:
             commit(i, j, net.toggle(i, j))
             fresh = BDStratTNT(net, spec, attrs)
             assert state.snapshot() == fresh.snapshot()
+            assert repr(state.active_weight) == repr(fresh.active_weight)
 
     @given(n=st.integers(6, 16), cap=st.integers(1, 3), blocks=st.booleans(),
            zero=st.sampled_from([(0, 0), (0, 1), (1, 1)]),

@@ -327,6 +327,9 @@ def bdstrat_chain_digest(net, proposal, draws, rng):
     snap = proposal.snapshot()
     for key in ("unsat", "cell_edges"):
         snap[key] = [sorted(x) for x in snap[key]]
+    # the digests were pinned with the snapshot's weight rounded to 12
+    # places; its exact repr enters below
+    snap["active_weight"] = round(snap["active_weight"], 12)
     h = hashlib.sha256(np.ascontiguousarray(draws, dtype=np.float64).tobytes())
     h.update(repr((list(net.edges), list(net._edge_pos.items()),
                    [list(a) for a in net.adj], proposal.unsat,
