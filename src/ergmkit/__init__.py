@@ -7,7 +7,7 @@ from .formula import parse_model_formula, parse_constraint_formula, \
 from .terms import BoundModel, bind
 from .proposals import Proposal, UniformProposal, TntProposal, BDStratTNT, \
     ConstraintChecker, make_proposal
-from .sampler import SamplerConfig, SampleMatrix, mh_step, run_chain, \
+from .sampler import SamplerConfig, SampleMatrix, Chain, mh_step, run_chain, \
     sample_chains, adaptive_run
 from .diagnostics import EssReport, BurninFit, batch_means_cov, \
     multivariate_ess, univariate_ess, geweke_test, estimate_burnin

@@ -19,8 +19,7 @@ import numpy as np
 from .diagnostics import univariate_ess
 from .errors import DataError
 from .network import Network, VertexAttributes
-from .proposals import make_proposal
-from .sampler import SamplerConfig, run_chain
+from .sampler import Chain, SamplerConfig
 
 __all__ = ["PopulationSpec", "generate_population", "mixing_benchmark",
            "ess_benchmark", "san_benchmark"]
@@ -72,11 +71,8 @@ def mixing_benchmark(net, attrs, model, coefs, proposals, total_proposals,
     out = {}
     draws = total_proposals // trace_interval
     for name, spec in proposals.items():
-        chain = net.copy()
-        proposal, checker = make_proposal(chain, spec, attrs)
-        cfg = SamplerConfig(samplesize=draws, interval=trace_interval,
-                            seed=seed)
-        sm = run_chain(chain, model, coefs, proposal, cfg, checker)
+        sm = Chain.start(net, model, spec, attrs, random.Random(seed)).run(
+            coefs, SamplerConfig(samplesize=draws, interval=trace_interval))
         out[name] = [((s + 1) * trace_interval, list(row))
                      for s, row in enumerate(sm.values)]
     return out
@@ -100,16 +96,11 @@ def ess_benchmark(net, attrs, model, coefs, proposals, samplesize,
     results = {}
     burn = warmup if warmup is not None else interval
     for name, spec in proposals.items():
-        chain = net.copy()
-        proposal, checker = make_proposal(chain, spec, attrs)
-        rng = random.Random(seed)
-        if burn > 0:
-            run_chain(chain, model, coefs, proposal,
-                      SamplerConfig(samplesize=1, interval=burn), checker, rng)
+        chain = Chain.start(net, model, spec, attrs, random.Random(seed))
+        chain.kernel(coefs)([0.0] * model.p, burn)
         cfg = SamplerConfig(samplesize=samplesize, interval=interval)
         t0 = time.perf_counter()
-        values = run_chain(chain, model, coefs, proposal, cfg, checker,
-                           rng).values
+        values = chain.run(coefs, cfg).values
         elapsed = time.perf_counter() - t0
         ess = np.array([univariate_ess(values[:, k]) for k in range(model.p)])
         results[name] = {

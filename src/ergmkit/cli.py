@@ -10,6 +10,7 @@ error, 5 nonconvergence.
 
 import argparse
 import math
+import random
 import sys
 
 import numpy as np
@@ -21,7 +22,7 @@ from .formula import parse_constraint_formula, parse_model_formula
 from .loglik import BridgePlan, evaluate_loglik
 from .network import Network, network_text, read_attributes, read_network
 from .proposals import make_proposal
-from .sampler import SamplerConfig, sample_chains, adaptive_run
+from .sampler import Chain, SamplerConfig, sample_chains, adaptive_run
 from .san import SanConfig, san_run
 from .diagnostics import multivariate_ess, univariate_ess
 from .terms import bind
@@ -192,9 +193,9 @@ def _cmd_simulate(args):
     out = _Out(args.out)
     try:
         if args.target_ess is not None:
-            proposal, checker = make_proposal(net, constraints, attrs)
-            sample, diag = adaptive_run(net, model, full, proposal, cfg,
-                                        checker=checker)
+            chain = Chain(net, model, *make_proposal(net, constraints, attrs),
+                          random.Random(args.seed))
+            sample, diag = adaptive_run(chain, full, cfg)
             finals = [net]
             if not diag.converged:
                 _write_stats(out, sample, 1)

@@ -26,10 +26,10 @@ import numpy as np
 from .diagnostics import _hotelling_pvalue, batch_means_cov
 from .errors import ConstraintError, DataError, SeparationError, SingularityError
 from .hull import _DEPTH, _pull_inside, boundary_multiplier
+# make_proposal, mh_step and run_chain are not called here, but stay
+# module attributes: perfbench/spans.py traces them by name
 from .proposals import blocks_rule, make_proposal
-# mh_step is not called here, but stays a module attribute: perfbench
-# traces it by name
-from .sampler import (SampleMatrix, SamplerConfig, _mh_stepper, _offset_shift,
+from .sampler import (Chain, SampleMatrix, SamplerConfig, _offset_shift,
                       adaptive_run, mh_step, run_chain)
 
 __all__ = ["MpleRows", "FitResult", "McmleControl", "mple_rows",
@@ -323,8 +323,7 @@ def mple(net, model, offset_coefs=(), se="naive", constraints=None, attrs=None,
 
     if interval is None:
         interval = _default_interval(net)
-    sim_net = net.copy()
-    proposal, checker = make_proposal(sim_net, constraints, attrs)
+    chain = Chain.start(net, model, constraints, attrs, random.Random(seed))
     free = model.free_index
     frozen = _frozen_dyads(net, constraints, attrs)
 
@@ -341,9 +340,8 @@ def mple(net, model, offset_coefs=(), se="naive", constraints=None, attrs=None,
         return u[0]
 
     cfg = SamplerConfig(samplesize=samplesize, interval=interval,
-                        burnin=10 * interval, seed=seed)
-    _, scores = run_chain(sim_net, model, list(coefs), proposal, cfg,
-                          checker=checker, collect=score)
+                        burnin=10 * interval)
+    _, scores = chain.run(list(coefs), cfg, collect=score)
     V = np.cov(np.asarray(scores), rowvar=False).reshape(len(free), len(free))
     result.vcov = vcov @ V @ vcov
     return result
@@ -575,12 +573,11 @@ def mcmle_fit(net, model, g_obs=None, offset_coefs=(), constraints=None,
         if theta.shape != (len(free),):
             raise DataError(f"init vector must have length {len(free)}")
 
-    sim_net = net.copy()
-    proposal, checker = make_proposal(sim_net, constraints, attrs)
+    chain = Chain.start(net, model, constraints, attrs,
+                        random.Random(control.seed))
     interval = (_default_interval(net) if control.interval is None
                 else control.interval)
     burnin = control.burnin if control.burnin is not None else 16 * interval
-    rng = random.Random(control.seed)
 
     history = []
     converged = False
@@ -589,14 +586,11 @@ def mcmle_fit(net, model, g_obs=None, offset_coefs=(), constraints=None,
         coefs = model.assemble_coefs(theta, list(offset_coefs))
         cfg = SamplerConfig(samplesize=control.samplesize, interval=interval,
                             burnin=burnin if it == 1 else interval,
-                            seed=control.seed + it,
                             target_ess=control.target_ess)
         if control.target_ess is not None:
-            sm, _adiag = adaptive_run(sim_net, model, coefs, proposal, cfg,
-                                      checker=checker, rng=rng)
+            sm, _adiag = adaptive_run(chain, coefs, cfg)
         else:
-            sm = run_chain(sim_net, model, coefs, proposal, cfg,
-                           checker=checker, rng=rng)
+            sm = chain.run(coefs, cfg)
         sample_free = sm.values[:, free]
         # the step solves the iteration's one hull LP
         theta_next, step_info = mcmle_step(theta, sample_free, obs_free)
@@ -661,10 +655,8 @@ def cd_fit(net, model, offset_coefs=(), k=8, rounds=160, minibatch=24,
         coefs = model.assemble_coefs(theta, list(offset_coefs))
         sims = np.empty((minibatch, len(free)))
         for b in range(minibatch):
-            chain = net.copy()
-            chain_prop, chain_check = make_proposal(chain, constraints, attrs)
-            advance = _mh_stepper(chain, model, coefs, chain_prop,
-                                  chain_check, rng)
+            advance = Chain.start(net, model, constraints, attrs,
+                                  rng).kernel(coefs)
             stats_vec = advance(list(g_obs), k)
             sims[b] = [stats_vec[c] for c in free]
         u = obs_free - sims.mean(axis=0)

@@ -17,8 +17,8 @@ pass is the midpoint grid; when a target standard error is set, each
 further pass is shifted by a Kronecker (golden-ratio) offset and every
 point is reweighted by the length of its Voronoi cell on the unit
 interval, until the Monte Carlo standard error undercuts the target.
-Every pass continues one live chain: the bridge copies the network and
-builds its proposal once.
+Every pass continues one live chain: the bridge starts one ``Chain``,
+on one copy of the network, with one proposal.
 """
 
 import math
@@ -31,8 +31,10 @@ from .diagnostics import batch_means_cov
 from .errors import DataError
 from .estimate import _default_interval, _determined_rows, logistic_fit, \
     mple_rows, pseudo_loglik
+# make_proposal and run_chain are not called here, but stay module
+# attributes: perfbench/spans.py traces them by name
 from .proposals import make_proposal
-from .sampler import SamplerConfig, _offset_shift, run_chain
+from .sampler import Chain, SamplerConfig, _offset_shift, run_chain
 
 __all__ = ["BridgePlan", "LoglikResult", "null_deviance",
            "dyad_independent_loglik", "bridge_loglik", "evaluate_loglik"]
@@ -198,11 +200,9 @@ def bridge_loglik(net, model, theta_hat, theta_tilde, plan=None,
     direction[free] = theta_hat[free] - theta_tilde[free]
     if not np.any(direction):
         return LoglikResult(delta_loglik=0.0, mc_se=0.0, passes=0)
-    sim_net = net.copy()
-    proposal, checker = make_proposal(sim_net, constraints, attrs)
+    chain = Chain.start(net, model, constraints, attrs, random.Random(plan.seed))
     g_obs = np.asarray(model.summary(net) if g_obs is None else g_obs, dtype=float)
     interval = _default_interval(net) if plan.interval is None else plan.interval
-    rng = random.Random(plan.seed)
     passes = 1 if plan.target_se is None else plan.max_passes
 
     points = []      # PointEstimate records across passes
@@ -218,8 +218,7 @@ def bridge_loglik(net, model, theta_hat, theta_tilde, plan=None,
             coefs = list(theta_tilde + u * direction)
             cfg = SamplerConfig(samplesize=plan.K, interval=interval,
                                 burnin=burnin)
-            sm = run_chain(sim_net, model, coefs, proposal, cfg,
-                           checker=checker, rng=rng)
+            sm = chain.run(coefs, cfg)
             mean, se = _point_mean_se((sm.values - g_obs) @ direction)
             points.append(PointEstimate(u=u, mean=mean, se=se))
         # the midpoint grid's cells are exactly 1/J long, which the

@@ -367,12 +367,13 @@ class BDStratTNT:
         self.strat_E = [0] * S
         for (i, j) in net.edges:
             k = self._cell_of_dyad(i, j)
+            # commit's saturation pass moves every cell's unsaturated count
+            if net.deg[i] < caps[i] and net.deg[j] < caps[j]:
+                self.cell_unsat_edges[k] += 1
             if self.weights[self.cell_stratum[k]] > 0.0:
                 self.cell_edge_pos[k][(i, j)] = len(self.cell_edges[k])
                 self.cell_edges[k].append((i, j))
                 self.strat_E[self.cell_stratum[k]] += 1
-                if net.deg[i] < caps[i] and net.deg[j] < caps[j]:
-                    self.cell_unsat_edges[k] += 1
         self.active_weight = self._counters()[1](list(map(len, self.unsat)))
 
     # -- construction helpers -------------------------------------------

@@ -1,6 +1,7 @@
 """Metropolis-Hastings chain driver.
 
-The chain's kernel is bound once per chain (``_mh_stepper``) and
+A ``Chain`` binds its network, proposal, checker and RNG once
+(``Chain.start`` starts one on a copy of a network), and its kernel is
 advanced in whole intervals: ``advance(stats, steps)`` runs a burn-in
 or the steps between two retained draws in one call.  On it sit single
 steps, fixed-schedule runs, and the adaptive loop that targets a
@@ -25,10 +26,11 @@ from operator import add, sub
 
 import numpy as np
 
+from . import proposals
 from .diagnostics import estimate_burnin, geweke_test, multivariate_ess
 from .errors import DataError
 
-__all__ = ["SamplerConfig", "SampleMatrix", "mh_step", "run_chain",
+__all__ = ["SamplerConfig", "SampleMatrix", "Chain", "mh_step", "run_chain",
            "sample_chains", "adaptive_run"]
 
 _INF = math.inf
@@ -131,117 +133,138 @@ def _offset_shift(offsets, offset_coefs):
     return shift
 
 
-def _mh_stepper(net, model, coefs, proposal, checker, rng):
-    """The Metropolis-Hastings kernel of one chain, bound once.
+class Chain:
+    """One Metropolis-Hastings chain on `net`, which it mutates: the
+    proposal, checker, change closures and RNG are bound once, and
+    ``kernel``/``run`` re-bind only the coefficients."""
 
-    Returns advance(stats, steps=1) -> stats, which makes `steps` steps
-    on `net` in one call and returns the updated statistic vector, or
-    `stats` itself (the same list object) when every move is rejected
-    (and when steps is 0).  A checker turns constraint-violating
-    proposals into certain rejections, which is how plain proposals
-    honor bd/blocks constraints.
+    def __init__(self, net, model, proposal, checker, rng):
+        self.net, self.model = net, model
+        self._bound = (*proposal.bind(net, rng),
+                       checker.allowed if checker is not None else None,
+                       model.change_functions(net), net, net.adj, net.toggle,
+                       rng.random, math.exp)
 
-    Everything a step looks up is bound here and held in advance's
-    locals: the proposal's draw and commit (from its bind; commit is
-    None when it keeps no state), the checker, each term's change
-    closure (``BoundModel.change_functions``, called with the dyad's
-    state the step has already read), the RNG and ``net.toggle``.  When
-    every coefficient is finite the step sums the tilt itself, c * d
-    over the nonzero d in _log_tilt's order, and negates the sum on a
-    removal.  That is bit-identical to _log_tilt's sum of c * -d
-    because IEEE negation is exact and rounding to nearest is
-    sign-symmetric; at most the sign of an exact zero differs, which
-    the acceptance test reads alike.  The loop is explicit because
-    builtin sum() of floats is compensated from Python 3.12 on.  With
-    an infinite coefficient the tilt goes through _log_tilt, the one
-    0 * inf rule.
-    """
-    if len(coefs) != model.p:
-        raise DataError(f"need {model.p} coefficients, got {len(coefs)}")
-    coefs = [float(c) for c in coefs]
-    if any(math.isnan(c) for c in coefs):
-        raise DataError("coefficients must not be NaN")
-    draw, commit = proposal.bind(net, rng)
-    allowed = checker.allowed if checker is not None else None
-    bound = (draw, commit, allowed, model.change_functions(net),
-             all(map(math.isfinite, coefs)), coefs, net, net.adj, net.toggle,
-             rng.random, math.exp)
+    @classmethod
+    def start(cls, net, model, constraints, attrs, rng):
+        """A chain on a copy of `net`, with the proposal its constraints
+        call for."""
+        net = net.copy()
+        return cls(net, model, *proposals.make_proposal(net, constraints, attrs),
+                   rng)
 
-    def advance(stats, steps=1):
-        # fast locals for the loop, unpacked once per call
-        (draw, commit, allowed, changes, finite, coefs, net, adj, toggle,
-         random, exp) = bound
-        for _ in range(steps):
-            i, j, log_q = draw()
-            if allowed is not None and not allowed(net, i, j):
-                continue
-            present = j in adj[i]
-            delta = []
-            for f in changes:
-                delta += f(i, j, present)
-            if finite:
-                tilt = 0.0
-                for c, d in zip(coefs, delta):
-                    if d:
-                        tilt += c * d
-                if present:
-                    tilt = -tilt
-                log_ar = tilt + log_q
-            else:
-                log_ar = _log_tilt(coefs, delta, -1 if present else 1) + log_q
-            if log_ar >= 0.0 or (log_ar > -_INF and random() < exp(log_ar)):
-                toggle(i, j)
-                if commit is not None:
-                    commit(i, j, not present)
-                stats = list(map(sub if present else add, stats, delta))
-        return stats
+    def kernel(self, coefs):
+        """The Metropolis-Hastings kernel at `coefs`.
 
-    return advance
+        Returns advance(stats, steps=1) -> stats, which makes `steps`
+        steps in one call and returns the updated statistic vector, or
+        `stats` itself (the same list object) when every move is
+        rejected (and when steps is 0).  A checker turns
+        constraint-violating proposals into certain rejections, which is
+        how plain proposals honor bd/blocks constraints.
+
+        Everything a step looks up is held in advance's locals: the
+        proposal's draw and commit (from its bind; commit is None when
+        it keeps no state), the checker, each term's change closure
+        (``BoundModel.change_functions``, called with the dyad's state
+        the step has already read), the RNG and ``net.toggle``.  When
+        every coefficient is finite the step sums the tilt itself, c * d
+        over the nonzero d in _log_tilt's order, and negates the sum on
+        a removal.  That is bit-identical to _log_tilt's sum of c * -d
+        because IEEE negation is exact and rounding to nearest is
+        sign-symmetric; at most the sign of an exact zero differs, which
+        the acceptance test reads alike.  The loop is explicit because
+        builtin sum() of floats is compensated from Python 3.12 on.
+        With an infinite coefficient the tilt goes through _log_tilt,
+        the one 0 * inf rule.
+        """
+        model = self.model
+        if len(coefs) != model.p:
+            raise DataError(f"need {model.p} coefficients, got {len(coefs)}")
+        coefs = [float(c) for c in coefs]
+        if any(math.isnan(c) for c in coefs):
+            raise DataError("coefficients must not be NaN")
+        bound = (*self._bound, all(map(math.isfinite, coefs)), coefs)
+
+        def advance(stats, steps=1):
+            # fast locals for the loop, unpacked once per call
+            (draw, commit, allowed, changes, net, adj, toggle, random, exp,
+             finite, coefs) = bound
+            for _ in range(steps):
+                i, j, log_q = draw()
+                if allowed is not None and not allowed(net, i, j):
+                    continue
+                present = j in adj[i]
+                delta = []
+                for f in changes:
+                    delta += f(i, j, present)
+                if finite:
+                    tilt = 0.0
+                    for c, d in zip(coefs, delta):
+                        if d:
+                            tilt += c * d
+                    if present:
+                        tilt = -tilt
+                    log_ar = tilt + log_q
+                else:
+                    log_ar = _log_tilt(coefs, delta, -1 if present else 1) + log_q
+                if log_ar >= 0.0 or (log_ar > -_INF and random() < exp(log_ar)):
+                    toggle(i, j)
+                    if commit is not None:
+                        commit(i, j, not present)
+                    stats = list(map(sub if present else add, stats, delta))
+            return stats
+
+        return advance
+
+    def run(self, coefs, config, collect=None):
+        """Burn in, then retain `samplesize` draws every `interval` steps.
+
+        The network ends at the chain's final state.  Returns a
+        SampleMatrix; `collect`, when given, is called on the network at
+        every retained draw and the results returned alongside,
+        mirroring the user-function output mode of simulate.
+        """
+        advance = self.kernel(coefs)
+        net, model = self.net, self.model
+        base = model.summary(net)
+        rel = [0.0] * model.p
+        out = np.empty((config.samplesize, model.p), dtype=float)
+        collected = [] if collect is not None else None
+
+        rel = advance(rel, config.burnin)
+        interval = config.interval
+        for s in range(config.samplesize):
+            rel = advance(rel, interval)
+            out[s] = rel
+            if collect is not None:
+                collected.append(collect(net))
+        out += np.asarray(base)
+        sample = SampleMatrix(out, model.names, interval=interval,
+                              burnin=config.burnin)
+        if collect is not None:
+            return sample, collected
+        return sample
 
 
 def mh_step(net, model, coefs, proposal, current_stats, rng, checker=None):
     """One Metropolis-Hastings step; mutates net when accepting.
 
     Returns (accepted, stats) where stats is the updated statistic
-    vector (the same list object when the move is rejected).  This is
-    the kernel of _mh_stepper, built and advanced one step, so each
-    call pays for binding the proposal, terms and checker; to run a
-    chain, use run_chain, which binds them once.
+    vector (the same list object when the move is rejected).  Each call
+    binds a Chain for one step; to run a chain, bind it once.
     """
-    stats = _mh_stepper(net, model, coefs, proposal, checker, rng)(
-        current_stats, 1)
+    stats = Chain(net, model, proposal, checker, rng).kernel(coefs)(current_stats)
     return stats is not current_stats, stats
 
 
 def run_chain(net, model, coefs, proposal, config, checker=None, rng=None,
               collect=None):
-    """Burn in, then retain `samplesize` draws every `interval` steps.
-
-    Mutates `net` in place (it ends at the final state) and returns a
-    SampleMatrix.  `collect`, when given, is called on the network at
-    every retained draw and the results returned alongside, mirroring
-    the user-function output mode of simulate.
-    """
+    """``Chain.run`` on `net` in place, with `rng` (default: a
+    ``random.Random`` seeded by config.seed)."""
     if rng is None:
         rng = random.Random(config.seed)
-    advance = _mh_stepper(net, model, coefs, proposal, checker, rng)
-    base = model.summary(net)
-    rel = [0.0] * model.p
-    out = np.empty((config.samplesize, model.p), dtype=float)
-    collected = [] if collect is not None else None
-
-    rel = advance(rel, config.burnin)
-    interval = config.interval
-    for s in range(config.samplesize):
-        rel = advance(rel, interval)
-        out[s] = rel
-        if collect is not None:
-            collected.append(collect(net))
-    out += np.asarray(base)
-    sample = SampleMatrix(out, model.names, interval=interval, burnin=config.burnin)
-    if collect is not None:
-        return sample, collected
-    return sample
+    return Chain(net, model, proposal, checker, rng).run(coefs, config, collect)
 
 
 def sample_chains(net, model, coefs, config, workers=1, constraints=None,
@@ -257,8 +280,7 @@ def sample_chains(net, model, coefs, config, workers=1, constraints=None,
     """
     if workers < 1:
         raise DataError("workers must be positive")
-    payloads = [(net, model, list(coefs), constraints, attrs,
-                 config.samplesize, config.burnin, config.interval,
+    payloads = [(net, model, list(coefs), constraints, attrs, config,
                  config.seed + c) for c in range(config.chains)]
     if workers > 1 and config.chains > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -274,17 +296,10 @@ def sample_chains(net, model, coefs, config, workers=1, constraints=None,
 
 
 def _chain_worker(payload):
-    """Run one chain of sample_chains, rebuilding its proposal."""
-    from .proposals import make_proposal
-    net, model, coefs, constraints, attrs, samplesize, burnin, interval, seed \
-        = payload
-    chain_net = net.copy()
-    proposal, checker = make_proposal(chain_net, constraints, attrs)
-    cfg = SamplerConfig(samplesize=samplesize, burnin=burnin,
-                        interval=interval, seed=seed)
-    sm = run_chain(chain_net, model, coefs, proposal, cfg, checker,
-                   random.Random(seed))
-    return sm.values, chain_net
+    """Run one chain of sample_chains from its own copy of the network."""
+    net, model, coefs, constraints, attrs, config, seed = payload
+    chain = Chain.start(net, model, constraints, attrs, random.Random(seed))
+    return chain.run(coefs, config).values, chain.net
 
 
 @dataclass
@@ -317,8 +332,8 @@ def _direction_for(model, coefs):
 _GEWEKE_ALPHA = 0.05
 
 
-def adaptive_run(net, model, coefs, proposal, config, checker=None, rng=None):
-    """Grow the chain until the multivariate ESS reaches target_ess.
+def adaptive_run(chain, coefs, config):
+    """Grow `chain` until the multivariate ESS reaches target_ess.
 
     Returns (SampleMatrix of post-burn-in retained draws, diagnostics).
     The loop: (1) extend by samplesize*interval steps; (2) once the
@@ -332,8 +347,7 @@ def adaptive_run(net, model, coefs, proposal, config, checker=None, rng=None):
     """
     if config.target_ess is None:
         raise DataError("adaptive_run needs target_ess")
-    if rng is None:
-        rng = random.Random(config.seed)
+    model = chain.model
     diag = AdaptiveDiagnostics(interval=config.interval)
     target = config.target_ess
     rows = []
@@ -350,8 +364,7 @@ def adaptive_run(net, model, coefs, proposal, config, checker=None, rng=None):
         burnin = config.burnin if round_no == 1 else 0
         cfg = SamplerConfig(samplesize=pending, interval=interval,
                             burnin=burnin)
-        rows.extend(run_chain(net, model, coefs, proposal, cfg, checker,
-                              rng).values)
+        rows.extend(chain.run(coefs, cfg).values)
         diag.total_steps += burnin + pending * interval
         # step 2: thin to keep the retained sample bounded, never below
         # what the two-window test needs

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import change_score, exact_moments, random_dyad
-from ergmkit import estimate
+from ergmkit import estimate, proposals
 from ergmkit.errors import ConstraintError, DataError, SeparationError, \
     SingularityError
 from ergmkit.estimate import (McmleControl, cd_fit, check_termination,
@@ -16,7 +16,7 @@ from ergmkit.estimate import (McmleControl, cd_fit, check_termination,
                               mple_rows, pseudo_loglik, _IterationRecord)
 from ergmkit.formula import parse_constraint_formula
 from ergmkit.network import Network, VertexAttributes
-from ergmkit.sampler import _log_tilt, _offset_shift
+from ergmkit.sampler import Chain, _log_tilt, _offset_shift
 from ergmkit.terms import bind
 
 
@@ -133,13 +133,13 @@ def same_bits(a, b):
 def capture_score(monkeypatch):
     """Make mple hand its sandwich score function to the returned list."""
     seen = []
-    run_chain = estimate.run_chain
+    run = Chain.run
 
-    def spy(*args, collect=None, **kwargs):
+    def spy(self, *args, collect=None, **kwargs):
         seen.append(collect)
-        return run_chain(*args, collect=collect, **kwargs)
+        return run(self, *args, collect=collect, **kwargs)
 
-    monkeypatch.setattr(estimate, "run_chain", spy)
+    monkeypatch.setattr(Chain, "run", spy)
     return seen
 
 
@@ -593,7 +593,7 @@ class TestMcmleFit:
         # rejected before the first chain is bound
         def no_chain(*args, **kwargs):
             raise AssertionError("sampled")
-        monkeypatch.setattr(estimate, "make_proposal", no_chain)
+        monkeypatch.setattr(proposals, "make_proposal", no_chain)
         net = Network(10)
         with pytest.raises(DataError, match="finite"):
             mcmle_fit(net, bind("edges", net), g_obs=[g_obs], init=[0.0])
@@ -630,6 +630,22 @@ class TestMcmleFit:
         assert fit.converged
         assert fit.iterations >= 2
         assert len(calls) == fit.iterations
+
+    def test_one_chain_binds_once(self, monkeypatch):
+        # every iteration continues one chain: its proposal is bound once
+        binds = []
+        bind_tnt = proposals.TntProposal.bind
+
+        def spy(self, *args):
+            binds.append(args)
+            return bind_tnt(self, *args)
+        monkeypatch.setattr(proposals.TntProposal, "bind", spy)
+        net = Network(10)
+        fit = mcmle_fit(net, bind("edges", net), g_obs=[30.0], init=[0.0],
+                        control=McmleControl(samplesize=512, interval=20,
+                                             maxit=3, termination="hummel"))
+        assert fit.iterations >= 2
+        assert len(binds) == 1
 
     def test_offsets_respected_in_fit(self):
         net = Network(12)

@@ -10,7 +10,7 @@ import pytest
 
 from helpers import all_networks, exact_log_normalizer, random_dyad
 from ergmkit.errors import ConstraintError, DataError
-from ergmkit import loglik
+from ergmkit import proposals
 from ergmkit.formula import parse_constraint_formula
 from ergmkit.loglik import (BridgePlan, bridge_loglik,
                             dyad_independent_loglik,
@@ -222,7 +222,7 @@ class TestAdaptive:
         # every pass continues one chain: one network copy and one
         # proposal serve every point, however many passes run
         built, copied = [], []
-        original_build, original_copy = loglik.make_proposal, Network.copy
+        original_build, original_copy = proposals.make_proposal, Network.copy
 
         def counting_build(*args, **kwargs):
             built.append(args)
@@ -232,7 +232,7 @@ class TestAdaptive:
             copied.append(self)
             return original_copy(self)
 
-        monkeypatch.setattr(loglik, "make_proposal", counting_build)
+        monkeypatch.setattr(proposals, "make_proposal", counting_build)
         monkeypatch.setattr(Network, "copy", counting_copy)
         net = five_node_net(29)
         model = bind("edges + triangle", net)
@@ -248,6 +248,22 @@ class TestAdaptive:
             assert len(res.points) == 8 * passes
             assert len(built) == 1
             assert len(copied) == 1
+
+    def test_one_chain_binds_once(self, monkeypatch):
+        # the J points continue one chain: its proposal is bound once
+        binds = []
+        bind_tnt = proposals.TntProposal.bind
+
+        def spy(self, *args):
+            binds.append(args)
+            return bind_tnt(self, *args)
+        monkeypatch.setattr(proposals.TntProposal, "bind", spy)
+        net = five_node_net(29)
+        res = bridge_loglik(net, bind("edges + triangle", net),
+                            np.array([-0.4, 0.25]), np.array([0.1, 0.0]),
+                            BridgePlan(J=8, K=50, interval=5, seed=30))
+        assert len(res.points) == 8
+        assert len(binds) == 1
 
     @pytest.mark.parametrize("field, value", [("J", 0), ("K", 0),
                                               ("max_passes", 0),

@@ -308,6 +308,23 @@ class TestBDStratDynamics:
         assert state.snapshot() == fresh.snapshot()
         assert brute_force_eligible(net, state) == state.strat_D
 
+    def test_rebuild_with_an_edge_in_a_zero_weight_cell(self):
+        # a start edge across groups sits in a cell that is never
+        # proposed, but its endpoints' saturation still moves its count
+        net = Network(12)
+        attrs = alternating_sex(12)
+        net.toggle(0, 1)                  # grp X - grp Y
+        spec = parse_constraint_formula('bd(maxout=2) + strat(attr="grp")')
+        spec.strat_pmat = [[1.0, 0.0], [0.0, 1.0]]
+        state = BDStratTNT(net, spec, attrs)
+        rng = random.Random(11)
+        draw, commit = state.bind(net, rng)
+        for _ in range(300):
+            i, j, _ = draw()
+            if rng.random() < 0.5:
+                commit(i, j, net.toggle(i, j))
+            assert state.snapshot() == BDStratTNT(net, spec, attrs).snapshot()
+
     def test_rebuild_no_caps(self):
         net = Network(15)
         attrs = alternating_sex(15)

@@ -14,9 +14,8 @@ from ergmkit.formula import parse_constraint_formula
 from ergmkit.network import Network, VertexAttributes
 from ergmkit.proposals import (BDStratTNT, ConstraintChecker, TntProposal,
                                UniformProposal, make_proposal)
-from ergmkit.sampler import (SamplerConfig, adaptive_run, run_chain,
-                             sample_chains, _log_tilt, _mh_stepper,
-                             _offset_shift)
+from ergmkit.sampler import (Chain, SamplerConfig, adaptive_run, run_chain,
+                             sample_chains, _log_tilt, _offset_shift)
 from ergmkit.terms import bind
 
 
@@ -32,8 +31,8 @@ class TestMhStep:
     def test_zero_coefs_always_accept(self):
         net = Network(6)
         model = bind("edges", net)
-        step = _mh_stepper(net, model, [0.0], UniformProposal(), None,
-                           random.Random(0))
+        step = Chain(net, model, UniformProposal(), None,
+                     random.Random(0)).kernel([0.0])
         stats = [0.0]
         for _ in range(200):
             new = step(stats)
@@ -67,8 +66,8 @@ class TestMhStep:
 
                 return recorded, commit
 
-        step = _mh_stepper(net, model, [math.log(2)], Recording(), None,
-                           random.Random(2))
+        step = Chain(net, model, Recording(), None,
+                     random.Random(2)).kernel([math.log(2)])
         stats, adds = [0.0], 0
         for _ in range(300):
             new = step(stats)
@@ -83,8 +82,8 @@ class TestMhStep:
     def test_stats_updated_incrementally(self):
         net = Network(8)
         model = bind("edges + triangle", net)
-        step = _mh_stepper(net, model, [0.1, 0.05], TntProposal(), None,
-                           random.Random(3))
+        step = Chain(net, model, TntProposal(), None,
+                     random.Random(3)).kernel([0.1, 0.05])
         stats = model.summary(net)
         for _ in range(2000):
             stats = step(stats)
@@ -250,8 +249,8 @@ class TestBoundStep:
                 net.toggle(0, 1)
             real_exp, math.exp = math.exp, exp
             try:
-                step = _mh_stepper(net, Model(), coefs, Fixed(), None,
-                                   random.Random(0))
+                step = Chain(net, Model(), Fixed(), None,
+                             random.Random(0)).kernel(coefs)
             finally:
                 math.exp = real_exp
             seen.clear()
@@ -281,8 +280,8 @@ class TestBoundStep:
             net = Network(12)
             proposal, checker = make_proposal(net, spec, attrs)
             rng = random.Random(5)
-            advance = _mh_stepper(net, model, [-0.5, 0.3, 0.2], proposal,
-                                  checker, rng)
+            advance = Chain(net, model, proposal, checker,
+                            rng).kernel([-0.5, 0.3, 0.2])
 
             def state():
                 return (rng.getstate(), list(net.edges),
@@ -314,8 +313,8 @@ class TestBoundStep:
             run_chain(net, model, [0.1, math.nan], TntProposal(),
                       SamplerConfig(samplesize=3))
         with pytest.raises(DataError, match="coefficients"):
-            _mh_stepper(net, model, [0.1], TntProposal(), None,
-                        random.Random(0))
+            Chain(net, model, TntProposal(), None,
+                  random.Random(0)).kernel([0.1])
 
 
 def bdstrat_chain_digest(net, proposal, draws, rng):
@@ -562,7 +561,9 @@ class TestAdaptive:
         net = Network(10)
         model = bind("edges", net)
         cfg = SamplerConfig(samplesize=256, interval=8, seed=31, target_ess=100)
-        sm, diag = adaptive_run(net, model, [0.0], TntProposal(), cfg)
+        sm, diag = adaptive_run(
+            Chain(net, model, TntProposal(), None, random.Random(cfg.seed)),
+            [0.0], cfg)
         assert diag.converged
         assert diag.ess >= 100
         assert sm.S <= 2 * 256 + 256
@@ -574,7 +575,9 @@ class TestAdaptive:
         model = bind("edges", net)
         cfg = SamplerConfig(samplesize=128, interval=1, seed=32, target_ess=120,
                             max_rounds=30)
-        sm, diag = adaptive_run(net, model, [0.3], TntProposal(), cfg)
+        sm, diag = adaptive_run(
+            Chain(net, model, TntProposal(), None, random.Random(cfg.seed)),
+            [0.3], cfg)
         assert diag.thinning_events >= 1
         assert sm.S <= 2 * 128
 
@@ -582,7 +585,9 @@ class TestAdaptive:
         net = Network(10)
         model = bind("edges + triangle", net)
         cfg = SamplerConfig(samplesize=128, interval=4, seed=33, target_ess=64)
-        sm, diag = adaptive_run(net, model, [math.log(2), 0.0], TntProposal(), cfg)
+        sm, diag = adaptive_run(
+            Chain(net, model, TntProposal(), None, random.Random(cfg.seed)),
+            [math.log(2), 0.0], cfg)
         assert diag.converged and diag.ess >= 64
 
     @pytest.mark.parametrize("samplesize, max_rounds", [(10, 40), (40, 12)])
@@ -593,7 +598,9 @@ class TestAdaptive:
         model = bind("edges", net)
         cfg = SamplerConfig(samplesize=samplesize, interval=10, burnin=60,
                             seed=4, target_ess=50, max_rounds=max_rounds)
-        sm, diag = adaptive_run(net, model, [-1.5], TntProposal(), cfg)
+        sm, diag = adaptive_run(
+            Chain(net, model, TntProposal(), None, random.Random(cfg.seed)),
+            [-1.5], cfg)
         assert diag.converged and diag.ess >= 50
         assert sm.S >= 80
 
@@ -602,6 +609,8 @@ class TestAdaptive:
         model = bind("edges", net)
         cfg = SamplerConfig(samplesize=64, interval=1, seed=34,
                             target_ess=1e7, max_rounds=3)
-        sm, diag = adaptive_run(net, model, [0.0], TntProposal(), cfg)
+        sm, diag = adaptive_run(
+            Chain(net, model, TntProposal(), None, random.Random(cfg.seed)),
+            [0.0], cfg)
         assert not diag.converged
         assert diag.rounds == 3

@@ -19,7 +19,7 @@ from ergmkit.formula import parse_constraint_formula
 from ergmkit.network import Network, VertexAttributes
 from ergmkit.proposals import (BDStratTNT, TntProposal, UniformProposal,
                                make_proposal)
-from ergmkit.sampler import _mh_stepper, mh_step
+from ergmkit.sampler import Chain, mh_step
 from ergmkit.terms import bind
 
 N = 14
@@ -84,7 +84,7 @@ def mh_step_run(constraints, per_call):
     coefs = [-0.6, 0.3, -0.4, 0.2]
     stats = model.summary(net)
     if not per_call:
-        step = _mh_stepper(net, model, coefs, proposal, checker, rng)
+        step = Chain(net, model, proposal, checker, rng).kernel(coefs)
     seq = []
     for _ in range(1500):
         if per_call:
