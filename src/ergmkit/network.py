@@ -5,9 +5,12 @@ list of dyads with a dyad->slot map, so that toggling an edge and
 drawing a uniformly random edge are both constant-time (deletion uses
 swap-remove).  Free dyads are numbered row-major (upper triangle when
 undirected) and an index decodes to its dyad in closed form, so drawing
-a uniformly random dyad is constant-time too.  Full-dyad sweeps read
-the dyads as numpy index arrays, a block of whole rows at a time.
-Vertex ids are 0-based internally and 1-based in files.
+a uniformly random dyad is constant-time too.  ``toggle`` is the
+validated flip; ``sampler.Chain`` writes the same fields in the same
+order itself, and decodes through ``decoder()``, bound per network
+kind.  Full-dyad sweeps read the dyads as numpy index arrays, a block
+of whole rows at a time.  Vertex ids are 0-based internally and
+1-based in files.
 """
 
 import csv
@@ -131,8 +134,35 @@ class Network:
 
     # -- sampling helpers ----------------------------------------------
 
+    def decoder(self):
+        """decode(k) -> the canonical free dyad of index k in
+        [0, dyad_count), a closure with this network's kind and size
+        bound in, so a chain decodes with one call and no kind test."""
+        n, b = self.n, self.bipartite
+        if b:
+            cols = n - b
+
+            def decode(k):
+                i, c = divmod(k, cols)
+                return (i, b + c)
+        elif self.directed:
+            cols = n - 1
+
+            def decode(k):
+                i, j = divmod(k, cols)
+                return (i, j if j < i else j + 1)
+        else:                   # dyad_at's closed form, constants hoisted
+            last, rows, span = n * (n - 1) // 2 - 1, n - 2, 2 * n - 3
+            isqrt = math.isqrt
+
+            def decode(k):
+                i = rows - (isqrt(8 * (last - k) + 1) - 1) // 2
+                return (i, k - i * (span - i) // 2 + 1)
+        return decode
+
     def dyad_at(self, k):
-        """Decode index k in [0, dyad_count) to a canonical free dyad."""
+        """Decode index k in [0, dyad_count) to a canonical free dyad,
+        as ``decoder()(k)`` does, without building a closure per call."""
         n = self.n
         if self.bipartite:
             b = self.bipartite

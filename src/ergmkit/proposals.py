@@ -25,12 +25,16 @@ once per chain: ``draw()`` returns ``(i, j, log_q_ratio)`` and writes
 nothing, to the network or to the proposal, and ``commit(i, j, added)``
 updates the proposal's state after the chain toggles the dyad.
 ``commit`` is None for the uniform and TNT proposals, which keep no
-state in the proposal; a bound TNT draw memoises its log q-ratio per
-edge count, one float per edge count the chain visits.
-``propose(net, rng)`` and ``commit(net, i, j, added)`` apply the same
-closures once.  Binding to a network with no free dyad is a data error.
-Integer draws go through ``_below``, which consumes the RNG stream
-exactly as ``Random.randrange`` does.
+state in the proposal; a bound TNT draw memoises its log q-ratio
+(``_tnt_log_q_ratio``) per edge count, one float per edge count the
+chain visits.  A ``sampler.Chain`` binds every proposal once but draws
+uniform and TNT dyads in its own loop, with the same RNG calls, the
+same dyads (``Network.decoder`` decodes as ``dyad_at``) and the same
+q-ratio, so their bound draws serve ``propose`` and the tests'
+reference step.  ``propose(net, rng)`` and ``commit(net, i, j,
+added)`` apply the same closures once.  Binding to a network with no
+free dyad is a data error.  Integer draws go through ``_below``, which
+consumes the RNG stream exactly as ``Random.randrange`` does.
 """
 
 import math
@@ -84,6 +88,20 @@ def _free_dyads(net):
     return N
 
 
+def _tnt_log_q_ratio(N, E, is_edge):
+    """TNT's log q-ratio, log q(reverse) / q(forward), for a toggle of a
+    dyad that is (is_edge) or is not an edge of a network with E edges
+    and N free dyads."""
+    if is_edge:
+        q_fwd = 0.5 / E + 0.5 / N
+        q_rev = 0.5 / N if E > 1 else 1.0 / N
+    else:
+        # with no edges the dyad branch is forced
+        q_fwd = 0.5 / N if E else 1.0 / N
+        q_rev = 0.5 / (E + 1) + 0.5 / N
+    return math.log(q_rev / q_fwd)
+
+
 class UniformProposal:
     """Uniformly random free dyad; symmetric."""
 
@@ -123,20 +141,10 @@ class TntProposal:
         one of two dicts keyed by E.  The memo holds one float per edge
         count the chain visits, which is less than the network's own
         storage per edge."""
-        random, below, log = rng.random, _below(rng), math.log
+        random, below = rng.random, _below(rng)
         edges, adj, dyad_at = net.edges, net.adj, net.dyad_at
         N = _free_dyads(net)
         edge_memo, gap_memo = {}, {}
-
-        def log_q_ratio(E, is_edge):
-            if is_edge:
-                q_fwd = 0.5 / E + 0.5 / N
-                q_rev = 0.5 / N if E > 1 else 1.0 / N
-            else:
-                # with no edges the dyad branch is forced
-                q_fwd = 0.5 / N if E else 1.0 / N
-                q_rev = 0.5 / (E + 1) + 0.5 / N
-            return log(q_rev / q_fwd)
 
         def draw():
             E = len(edges)
@@ -149,7 +157,7 @@ class TntProposal:
             known = edge_memo if is_edge else gap_memo
             log_q = known.get(E)
             if log_q is None:
-                log_q = known[E] = log_q_ratio(E, is_edge)
+                log_q = known[E] = _tnt_log_q_ratio(N, E, is_edge)
             return i, j, log_q
 
         return draw, None

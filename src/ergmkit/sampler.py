@@ -3,7 +3,11 @@
 A ``Chain`` binds its network, proposal, checker and RNG once
 (``Chain.start`` starts one on a copy of a network), and its kernel is
 advanced in whole intervals: ``advance(stats, steps)`` runs a burn-in
-or the steps between two retained draws in one call.  On it sit single
+or the steps between two retained draws in one call.  That one loop
+draws TNT and uniform proposals itself (any other proposal through its
+bound ``draw`` and ``commit``) and flips every accepted dyad in the
+network's edge list, position map, adjacency sets and degrees itself,
+with ``Network.toggle``'s writes in its order.  On it sit single
 steps, fixed-schedule runs, and the adaptive loop that targets a
 multivariate effective sample size: extend, halve-and-double the
 interval once the retained sample exceeds twice the nominal size (or
@@ -140,10 +144,22 @@ class Chain:
 
     def __init__(self, net, model, proposal, checker, rng):
         self.net, self.model = net, model
-        self._bound = (*proposal.bind(net, rng),
-                       checker.allowed if checker is not None else None,
-                       model.change_functions(net), net, net.adj, net.toggle,
-                       rng.random, math.exp)
+        draw, commit = proposal.bind(net, rng)
+        # the loop draws TNT and uniform dyads itself (see kernel)
+        kind = type(proposal)
+        if kind is proposals.TntProposal or kind is proposals.UniformProposal:
+            draw = None
+        N = net.dyad_count()
+        # one flip serves every kind: undirected in-neighbours and
+        # in-degrees are the out-neighbours and degrees
+        ins = (net.in_adj, net.in_deg) if net.directed else (net.adj, net.deg)
+        self._bound = (
+            draw, commit, checker.allowed if checker is not None else None,
+            model.change_functions(net), net, net.adj, net.deg, *ins,
+            net.edges, net._edge_pos, net.decoder(), N, N.bit_length(),
+            kind is proposals.TntProposal, proposals._tnt_log_q_ratio, {}, {},
+            net.directed, net.n, net.bipartite, net.validate_dyad,
+            rng.getrandbits, rng.random, math.exp)
 
     @classmethod
     def start(cls, net, model, constraints, attrs, rng):
@@ -164,14 +180,28 @@ class Chain:
         how plain proposals honor bd/blocks constraints.
 
         Everything a step looks up is held in advance's locals: the
-        proposal's draw and commit (from its bind; commit is None when
-        it keeps no state), the checker, each term's change closure
-        (``BoundModel.change_functions``, called with the dyad's state
-        the step has already read), the RNG and ``net.toggle``.  When
-        every coefficient is finite the step sums the tilt itself, c * d
-        over the nonzero d in _log_tilt's order, and negates the sum on
-        a removal.  That is bit-identical to _log_tilt's sum of c * -d
-        because IEEE negation is exact and rounding to nearest is
+        checker, each term's change closure (``BoundModel.change_functions``,
+        called with the dyad's state the step has already read), the RNG
+        and the network's edge list, position map, adjacency sets and
+        degrees.  The step draws TNT and uniform proposals itself, with
+        the random and getrandbits calls of their bound draws: the edge
+        branch picks from ``net.edges`` as ``proposals._below`` would,
+        and the dyad branch decodes the same draw below the free-dyad
+        count with ``Network.decoder``'s closure.  TNT's log q-ratio is
+        ``proposals._tnt_log_q_ratio``, memoised per edge count and
+        branch.  Any other proposal draws through its bound ``draw`` and
+        updates its state through ``commit``.
+
+        The step flips an accepted dyad itself, with ``Network.toggle``'s
+        writes in its order, so the edge list, the position map and the
+        adjacency sets iterate alike.  A dyad from a bound ``draw`` is
+        first validated (``toggle``'s ValueError) and canonicalised; an
+        inline draw is canonical by construction.
+
+        When every coefficient is finite the step sums the tilt itself,
+        c * d over the nonzero d in _log_tilt's order, and negates the
+        sum on a removal.  That is bit-identical to _log_tilt's sum of
+        c * -d because IEEE negation is exact and rounding to nearest is
         sign-symmetric; at most the sign of an exact zero differs, which
         the acceptance test reads alike.  The loop is explicit because
         builtin sum() of floats is compensated from Python 3.12 on.
@@ -188,31 +218,80 @@ class Chain:
 
         def advance(stats, steps=1):
             # fast locals for the loop, unpacked once per call
-            (draw, commit, allowed, changes, net, adj, toggle, random, exp,
+            (draw, commit, allowed, changes, net, adj, deg, in_adj, in_deg,
+             edges, pos, decode, N, N_bits, tnt, tnt_log_q, edge_q, gap_q,
+             directed, n, bip, validate, getrandbits, random, exp,
              finite, coefs) = bound
             for _ in range(steps):
-                i, j, log_q = draw()
+                if draw is None:
+                    E = len(edges)
+                    if tnt and E and random() < 0.5:
+                        k = E.bit_length()
+                        r = getrandbits(k)
+                        while r >= E:
+                            r = getrandbits(k)
+                        d = edges[r]
+                        i, j = d
+                        present = True
+                    else:
+                        r = getrandbits(N_bits)
+                        while r >= N:
+                            r = getrandbits(N_bits)
+                        d = decode(r)
+                        i, j = d
+                        present = j in adj[i]
+                    if tnt:
+                        memo = edge_q if present else gap_q
+                        log_q = memo.get(E)
+                        if log_q is None:
+                            log_q = memo[E] = tnt_log_q(N, E, present)
+                    else:
+                        log_q = 0.0
+                else:
+                    i, j, log_q = draw()
+                    present = j in adj[i]
                 if allowed is not None and not allowed(net, i, j):
                     continue
-                present = j in adj[i]
                 delta = []
                 for f in changes:
                     delta += f(i, j, present)
                 if finite:
                     tilt = 0.0
-                    for c, d in zip(coefs, delta):
-                        if d:
-                            tilt += c * d
+                    for c, x in zip(coefs, delta):
+                        if x:
+                            tilt += c * x
                     if present:
                         tilt = -tilt
                     log_ar = tilt + log_q
                 else:
                     log_ar = _log_tilt(coefs, delta, -1 if present else 1) + log_q
                 if log_ar >= 0.0 or (log_ar > -_INF and random() < exp(log_ar)):
-                    toggle(i, j)
+                    if draw is not None:
+                        if i == j or not (0 <= i < n and 0 <= j < n) or \
+                                (bip and (i < bip) == (j < bip)):
+                            validate(i, j)      # raises with the reason
+                        d = (i, j) if directed or i < j else (j, i)
+                    if present:
+                        slot = pos.pop(d)
+                        last = edges.pop()
+                        if last != d:
+                            edges[slot] = last
+                            pos[last] = slot
+                        adj[i].discard(j)
+                        deg[i] -= 1
+                        in_adj[j].discard(i)
+                        in_deg[j] -= 1
+                        stats = list(map(sub, stats, delta))
+                    else:
+                        pos[d] = len(edges)
+                        edges.append(d)
+                        adj[i].add(j)
+                        deg[i] += 1
+                        in_adj[j].add(i)
+                        in_deg[j] += 1
+                        stats = list(map(add, stats, delta))
                     if commit is not None:
                         commit(i, j, not present)
-                    stats = list(map(sub if present else add, stats, delta))
             return stats
 
         return advance

@@ -82,6 +82,29 @@ class TestDyadDecode:
             k = rng.randrange(net.dyad_count())
             assert net.dyad_at(k) == row_walk_dyad(n, k)
 
+    def test_decoder_equals_dyad_at_every_index(self):
+        for n in range(2, 13):
+            for net in (Network(n), Network(n, directed=True),
+                        Network(n, bipartite=n // 2)):
+                decode, N = net.decoder(), net.dyad_count()
+                assert [decode(k) for k in range(N)] == \
+                    [net.dyad_at(k) for k in range(N)] == list(net.dyads())
+
+    def test_decoder_at_row_bounds(self):
+        # isqrt's row boundaries: the first and last index of every row
+        n = 2000
+        for net in (Network(n), Network(n, directed=True),
+                    Network(n, bipartite=n // 2)):
+            decode, first = net.decoder(), 0
+            for i, r1 in net.row_blocks(1):     # one row each
+                assert r1 == i + 1
+                last = first + len(net.dyad_rows(i, r1)[0]) - 1
+                assert decode(first) == net.dyad_at(first)
+                assert decode(last) == net.dyad_at(last)
+                assert decode(first)[0] == decode(last)[0] == i
+                first = last + 1
+            assert first == net.dyad_count()
+
     def test_dyads_in_index_order(self):
         for net in (Network(9), Network(6, directed=True), Network(8, bipartite=3),
                     Network(2), Network(2, directed=True), Network(2, bipartite=1)):

@@ -204,8 +204,12 @@ class TestBoundStep:
                                         samplesize, interval, rng, checker)
             snapshot = proposal.snapshot() if hasattr(proposal, "snapshot") \
                 else None
+            # every field the chain's flip writes, in iteration order
+            in_adj = net.in_adj and [list(a) for a in net.in_adj]
             runs.append((draws.view(np.uint64).tolist(), list(net.edges),
-                         [list(a) for a in net.adj], snapshot,
+                         list(net._edge_pos.items()),
+                         [list(a) for a in net.adj], in_adj, list(net.deg),
+                         net.in_deg and list(net.in_deg), snapshot,
                          rng.getstate()))
         assert runs[0] == runs[1]
 
@@ -305,6 +309,69 @@ class TestBoundStep:
         assert runs[0] == runs[1]
         assert stats == [x - y for x, y in zip(model.summary(net),
                                                 model.summary(Network(12)))]
+
+    @pytest.mark.parametrize("kind", ["undirected", "directed", "bipartite"])
+    @pytest.mark.parametrize("proposal", [TntProposal, UniformProposal])
+    def test_plain_proposals_draw_and_flip_inline(self, monkeypatch, kind,
+                                                  proposal):
+        """TNT and uniform chains draw and flip in the step itself: they
+        make no call to Network.toggle, Network.dyad_at or the
+        proposal's bound draw."""
+        def refuse(*args):
+            raise AssertionError("per-call path taken")
+
+        bind_plain = proposal.bind
+
+        def bind_refusing(self, net, rng):
+            return refuse, bind_plain(self, net, rng)[1]
+
+        monkeypatch.setattr(Network, "toggle", refuse)
+        monkeypatch.setattr(Network, "dyad_at", refuse)
+        monkeypatch.setattr(proposal, "bind", bind_refusing)
+        net = Network(9, directed=kind == "directed",
+                      bipartite=4 if kind == "bipartite" else 0)
+        model = bind("edges", net)
+        stats = Chain(net, model, proposal(), None,
+                      random.Random(8)).kernel([0.0])([0.0], 300)
+        assert 0 < net.edge_count == stats[0]
+        net.check_consistency()
+
+    @pytest.mark.parametrize("dyad, kind, reason", [
+        ((2, 2), "undirected", "self-loop"),
+        ((0, 5), "undirected", "out of range"),
+        ((-1, 3), "undirected", "out of range"),
+        ((0, 1), "bipartite", "same-mode"),
+        ((3, 4), "bipartite", "same-mode")])
+    def test_flip_validates_bound_draws(self, dyad, kind, reason):
+        """An accepted dyad from a bound draw raises Network.toggle's
+        ValueError when it is no free dyad."""
+        class Fixed:
+            def bind(self, net, rng):
+                return (lambda: (*dyad, 0.0)), None
+
+        net = Network(5, bipartite=2 if kind == "bipartite" else 0)
+        step = Chain(net, bind("edges", net), Fixed(), None,
+                     random.Random(0)).kernel([0.0])
+        with pytest.raises(ValueError, match=reason):
+            step([0.0])
+        assert net.edges == []
+
+    def test_flip_canonicalises_reversed_dyads(self):
+        """A bound draw's reversed undirected dyad is flipped as its
+        canonical form, on and off."""
+        class Reversed:
+            def bind(self, net, rng):
+                return (lambda: (3, 1, 0.0)), None
+
+        net = Network(5)
+        step = Chain(net, bind("edges", net), Reversed(), None,
+                     random.Random(0)).kernel([0.0])
+        assert step([0.0]) == [1.0]
+        assert net.edges == [(1, 3)] and net._edge_pos == {(1, 3): 0}
+        assert net.adj[1] == {3} and net.adj[3] == {1}
+        assert step([1.0]) == [0.0]
+        assert net.edges == [] and net.deg == [0] * 5
+        net.check_consistency()
 
     def test_nan_coefficient_rejected(self):
         net = Network(5)
