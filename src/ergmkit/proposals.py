@@ -22,19 +22,23 @@ their dyads' edge states, like blocks.
 
 Every proposal's ``bind(net, rng)`` returns ``(draw, commit)``, built
 once per chain: ``draw()`` returns ``(i, j, log_q_ratio)`` and writes
-nothing, to the network or to the proposal, and ``commit(i, j, added)``
-updates the proposal's state after the chain toggles the dyad.
+nothing to the network or to the sampling state, and ``commit(i, j,
+added)`` updates the proposal's state after the chain toggles the dyad.
 ``commit`` is None for the uniform and TNT proposals, which keep no
 state in the proposal; a bound TNT draw memoises its log q-ratio
 (``_tnt_log_q_ratio``) per edge count, one float per edge count the
-chain visits.  A ``sampler.Chain`` binds every proposal once but draws
-uniform and TNT dyads in its own loop, with the same RNG calls, the
-same dyads (``Network.decoder`` decodes as ``dyad_at``) and the same
-q-ratio, so their bound draws serve ``propose`` and the tests'
-reference step.  ``propose(net, rng)`` and ``commit(net, i, j,
-added)`` apply the same closures once.  Binding to a network with no
-free dyad is a data error.  Integer draws go through ``_below``, which
-consumes the RNG stream exactly as ``Random.randrange`` does.
+chain visits.  A bound BDStratTNT draw memoises one thing, in one slot:
+the drawn dyad's post-toggle active weight, cell and stratum, which its
+commit reuses only for that very dyad with no commit in between (see
+``BDStratTNT._bound``).  A ``sampler.Chain`` binds every proposal once
+but draws uniform and TNT dyads in its own loop, with the same RNG
+calls, the same dyads (``Network.decoder`` decodes as ``dyad_at``) and
+the same q-ratio, so their bound draws serve ``propose`` and the tests'
+reference step.  ``propose(net, rng)`` and ``commit(net, i, j, added)``
+apply the same closures once.  Binding to a network with no free dyad
+is a data error.  Every integer draw is ``_below``'s, which consumes
+the RNG stream exactly as ``Random.randrange`` does; BDStratTNT's draw
+and the chain loop make its getrandbits calls inline.
 """
 
 import math
@@ -57,6 +61,8 @@ class Proposal(NamedTuple):
 
 
 _ZERO = 0.0
+# BDStratTNT's empty memo: no drawn dyad matches it
+_NO_DRAW = (-1, -1, None, None, None, None)
 
 
 def _below(rng):
@@ -175,7 +181,10 @@ class ConstraintChecker:
     The one reader of a spec's caps and blocks: plain proposals use it
     to reject constraint-violating toggles (the target assigns them
     zero probability), BDStratTNT reads its caps and blocked level pairs
-    from it, and tests wrap BDStratTNT in it.
+    from it, and tests wrap BDStratTNT in it.  A ``sampler.Chain`` binds
+    its ``block_level``, ``forbid``, ``caps_out`` and ``caps_in`` once
+    and applies ``allowed``'s rule inline; SAN and the tests call
+    ``allowed``.
     """
 
     def __init__(self, net, constraints, attrs=None):
@@ -275,9 +284,10 @@ class BDStratTNT:
     ``(draw, commit)``.  ``commit`` updates the counts through one
     saturation routine that moves a vertex reaching its cap out of its
     class's unsaturated set, or one dropping below it back in.  ``draw``
-    writes nothing: it reads the post-toggle counts of the q-ratio off
-    the current state.  ``propose`` and ``commit`` apply the same
-    closures once.
+    writes no sampling state: it reads the post-toggle counts of the
+    q-ratio off the current state, and its one write is the memo
+    ``_drawn`` that lets ``commit`` skip the active-weight sum for the
+    drawn dyad.  ``propose`` and ``commit`` apply the same closures once.
 
     Undirected unipartite networks only.
     """
@@ -383,6 +393,7 @@ class BDStratTNT:
                 self.cell_edges[k].append((i, j))
                 self.strat_E[self.cell_stratum[k]] += 1
         self.active_weight = self._counters()[1](list(map(len, self.unsat)))
+        self._drawn = _NO_DRAW
 
     # -- construction helpers -------------------------------------------
 
@@ -501,20 +512,43 @@ class BDStratTNT:
         stratum's edge count moves, so the active weight can change only
         when a moved vertex's class keeps at most one other unsaturated
         vertex (a pair takes two in one class, or one in each of two).
-        Only then do commit and reverse_counts call weigh.
+        Only then does reverse_counts call weigh, and commit too unless
+        the memo serves it.
+
+        draw counts each drawn-stratum cell's eligible dyads once
+        (``_counters``' eligible, inlined) and finds the cell of its draw
+        from those counts.
+
+        The memo: draw's only write is ``self._drawn``, one slot holding
+        (i, j, added, W_r, cell, stratum) for the dyad it returns, with
+        reverse_counts' post-toggle weight W_r.  commit
+        takes W_r, cell and stratum from the slot only when it commits
+        that (i, j, added); it clears the slot on every call, so a
+        commit of any other toggle in between, through any binding,
+        voids it.  On a miss commit derives them as it always has: the
+        per-call ``commit``, SAN and manual toggles need no draw.  Both
+        paths set the same active weight, bit for bit: reverse_counts
+        and commit make the same moves and call weigh with the same
+        sizes.
         """
         deg, adj, log = net.deg, net.adj, math.log
-        if rng is not None:
-            random, below = rng.random, _below(rng)
         caps, class_of, partners = self.caps, self.class_of, self.partners
         cell_of_pair, cell_stratum = self.cell_of_pair, self.cell_stratum
-        cell_c1, cell_c2, strat_cells = self.cell_c1, self.cell_c2, self.strat_cells
         unsat, unsat_pos = self.unsat, self.unsat_pos
         cell_edges, cell_edge_pos = self.cell_edges, self.cell_edge_pos
         cell_unsat = self.cell_unsat_edges
         E, weights, cum = self.strat_E, self.weights, self._cum_weights
         S, total = len(cum), cum[-1]
-        eligible, weigh = self._counters()
+        weigh = self._counters()[1]
+        if rng is not None:
+            random, getrandbits = rng.random, rng.getrandbits
+            # per stratum, its cells as (cell, the unsaturated lists of its
+            # two classes, one class?, edge list): the live lists commit
+            # edits
+            c1, c2 = self.cell_c1, self.cell_c2
+            strat_rows = [[(k, unsat[c1[k]], unsat[c2[k]], c1[k] == c2[k],
+                            cell_edges[k]) for k in cells]
+                          for cells in self.strat_cells]
 
         def reverse_counts(s, i, j, added, D_s):
             pre, step = (1, -1) if added else (0, 1)   # add: degrees after it
@@ -540,7 +574,9 @@ class BDStratTNT:
                     if o == c and added:
                         u -= 1
                     dS += step * u
-                few = few or len(unsat[c]) + (step if c == first else 0) - added < 2
+                # (a set of four or more keeps two whatever the moves)
+                if not few and len(unsat[c]) < 4:
+                    few = len(unsat[c]) + (step if c == first else 0) - added < 2
                 # v's edges after the toggle to unsaturated partners leave
                 # (join) the unsaturated-edge counts.  The toggled dyad is
                 # one of them on an add, with a partner unsaturated before
@@ -572,18 +608,28 @@ class BDStratTNT:
             while True:
                 s = bisect_right(cum, random() * total)
                 if s < S and weights[s] > 0.0:
-                    D_s = 0
-                    for k in strat_cells[s]:
-                        D_s += eligible(k)
+                    # each cell's eligible count, once: edges plus
+                    # unsaturated pairs that are not edges
+                    rows, counts, D_s = strat_rows[s], [], 0
+                    for k, u1, u2, same, edges in rows:
+                        u = len(u1)
+                        m = (u * (u - 1) // 2 if same else u * len(u2)) \
+                            - cell_unsat[k] + len(edges)
+                        counts.append(m)
+                        D_s += m
                     if D_s > 0:
                         break
             E_s = E[s]
             # a uniform stratum edge, or a uniform eligible dyad: an edge,
-            # or an unsaturated non-edge found by rejecting current edges
+            # or an unsaturated non-edge found by rejecting current edges.
+            # Each integer draw is below(n) inlined: getrandbits of n's
+            # bit length until one is below n
             if E_s and random() < 0.5:
-                r = below(E_s)
-                for k in strat_cells[s]:
-                    edges = cell_edges[k]
+                bits = E_s.bit_length()
+                r = getrandbits(bits)
+                while r >= E_s:
+                    r = getrandbits(bits)
+                for k, u1, u2, same, edges in rows:
                     if r < len(edges):
                         break
                     r -= len(edges)
@@ -591,26 +637,33 @@ class BDStratTNT:
                     raise AssertionError("stratum edge count diverged")
                 is_edge = True
             else:
+                bits = D_s.bit_length()
+                r = getrandbits(bits)
+                while r >= D_s:
+                    r = getrandbits(bits)
                 # D_s sums the cells' counts, so some cell takes r
-                r = below(D_s)
-                for k in strat_cells[s]:
-                    m = eligible(k)
+                for row, m in zip(rows, counts):
                     if r < m:
                         break
                     r -= m
-                edges = cell_edges[k]
+                k, u1, u2, same, edges = row
                 is_edge = r < len(edges)
             if is_edge:
                 i, j = edges[r]
                 q_fwd = 0.5 / E_s + 0.5 / D_s
             else:
-                c1, c2 = cell_c1[k], cell_c2[k]
-                u1, u2, pos = unsat[c1], unsat[c2], cell_edge_pos[k]
+                pos = cell_edge_pos[k]
                 m1 = len(u1)
-                m2 = m1 - 1 if c1 == c2 else len(u2)
+                m2 = m1 - 1 if same else len(u2)
+                bits1, bits2 = m1.bit_length(), m2.bit_length()
                 while True:
-                    a, b = below(m1), below(m2)
-                    if c1 == c2 and b >= a:
+                    a = getrandbits(bits1)
+                    while a >= m1:
+                        a = getrandbits(bits1)
+                    b = getrandbits(bits2)
+                    while b >= m2:
+                        b = getrandbits(bits2)
+                    if same and b >= a:
                         b += 1
                     i, j = u1[a], u2[b]
                     if j < i:
@@ -620,6 +673,8 @@ class BDStratTNT:
                 q_fwd = (0.5 / D_s) if E_s else (1.0 / D_s)
 
             E_r, D_r, W_r = reverse_counts(s, i, j, not is_edge, D_s)
+            # the one-slot memo commit reads; no sampling state is written
+            self._drawn = (i, j, not is_edge, W_r, k, s)
             if is_edge:
                 q_rev = (0.5 / D_r) if E_r else (1.0 / D_r)
             else:
@@ -627,20 +682,33 @@ class BDStratTNT:
             return i, j, log((q_rev * W) / (q_fwd * W_r))
 
         def commit(i, j, added):
-            k = cell_of_pair[class_of[i]][class_of[j]]
-            s = cell_stratum[k]
+            # the drawn dyad's post-toggle active weight, cell and stratum
+            # if this toggle is the last one drawn; any commit clears them
+            di, dj, d_added, W_r, k, s = self._drawn
+            self._drawn = _NO_DRAW
+            if di != i or dj != j or d_added != added:
+                W_r = None
+                k = cell_of_pair[class_of[i]][class_of[j]]
+                s = cell_stratum[k]
             d = (i, j) if i < j else (j, i)
+            edges, pos = cell_edges[k], cell_edge_pos[k]
             if added:
                 # the new edge joins the cell's lists; both endpoints were
                 # unsaturated before a legal add, so it counts as an
                 # unsaturated edge until the saturation pass below corrects
                 # for endpoints that just reached their cap
-                _append(cell_edges[k], cell_edge_pos[k], d)
+                pos[d] = len(edges)
+                edges.append(d)
                 E[s] += 1
                 cell_unsat[k] += 1
                 step, pre = -1, 0
             else:
-                _swap_remove(cell_edges[k], cell_edge_pos[k], d)
+                # O(1) delete: the last edge takes d's slot
+                slot = pos.pop(d)
+                last = edges.pop()
+                if last != d:
+                    edges[slot] = last
+                    pos[last] = slot
                 E[s] -= 1
                 # endpoints that were at cap re-enter the unsat sets
                 if deg[i] + 1 != caps[i] and deg[j] + 1 != caps[j]:
@@ -656,17 +724,26 @@ class BDStratTNT:
                 if deg[v] + pre != caps[v]:
                     continue
                 c = class_of[v]
+                members, where = unsat[c], unsat_pos[c]
                 if added:
-                    _swap_remove(unsat[c], unsat_pos[c], v)
-                few = few or len(unsat[c]) < 2     # the set without v
+                    slot = where.pop(v)
+                    last = members.pop()
+                    if last != v:
+                        members[slot] = last
+                        where[last] = slot
+                if W_r is None and len(members) < 2:    # the set without v
+                    few = True
                 if not added:
-                    _append(unsat[c], unsat_pos[c], v)
+                    where[v] = len(members)
+                    members.append(v)
                 row = cell_of_pair[c]
                 for w in adj[v]:
                     cw = class_of[w]
                     if w in unsat_pos[cw]:
                         cell_unsat[row[cw]] += step
-            if few:
+            if W_r is not None:
+                self.active_weight = W_r
+            elif few:
                 self.active_weight = weigh(list(map(len, unsat)), s)
 
         return draw, commit, reverse_counts
@@ -683,21 +760,6 @@ class BDStratTNT:
             "strat_D": self.strat_D,
             "active_weight": self.active_weight,
         }
-
-
-def _swap_remove(lst, pos, x):
-    """Delete x from a list kept with an item->slot map, in O(1): the
-    last item takes x's slot."""
-    slot = pos.pop(x)
-    last = lst.pop()
-    if last != x:
-        lst[slot] = last
-        pos[last] = slot
-
-
-def _append(lst, pos, x):
-    pos[x] = len(lst)
-    lst.append(x)
 
 
 def make_proposal(net, constraints=None, attrs=None):

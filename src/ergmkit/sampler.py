@@ -153,9 +153,17 @@ class Chain:
         # one flip serves every kind: undirected in-neighbours and
         # in-degrees are the out-neighbours and degrees
         ins = (net.in_adj, net.in_deg) if net.directed else (net.adj, net.deg)
+        # the checker's rule, bound once: blocked level pairs, and the out
+        # and in caps (undirected in-caps are the out-caps)
+        if checker is None:
+            rule = (False, None, None, None, None)
+        else:
+            level, forbid = checker.blocked or (None, None)
+            caps = checker.caps_out
+            rule = (True, level, forbid, caps, checker.caps_in or caps)
         self._bound = (
-            draw, commit, checker.allowed if checker is not None else None,
-            model.change_functions(net), net, net.adj, net.deg, *ins,
+            draw, commit, *rule,
+            model.change_functions(net), net.adj, net.deg, *ins,
             net.edges, net._edge_pos, net.decoder(), N, N.bit_length(),
             kind is proposals.TntProposal, proposals._tnt_log_q_ratio, {}, {},
             net.directed, net.n, net.bipartite, net.validate_dyad,
@@ -179,18 +187,29 @@ class Chain:
         constraint-violating proposals into certain rejections, which is
         how plain proposals honor bd/blocks constraints.
 
+        The checker is bound once, in ``Chain.__init__``: its blocks
+        levels and forbid matrix and its out- and in-caps.  The step
+        applies ``ConstraintChecker.allowed``'s rule inline with the
+        dyad's state it has already read: a blocked dyad is rejected,
+        and so is an add whose tail is at its out-cap or whose head is at
+        its in-cap.  On undirected networks the in-degrees and in-caps
+        are the degrees and out-caps, as in the flip.  A rejection by the
+        rule consumes no random number.  ``allowed`` itself serves SAN
+        and the tests.
+
         Everything a step looks up is held in advance's locals: the
-        checker, each term's change closure (``BoundModel.change_functions``,
-        called with the dyad's state the step has already read), the RNG
-        and the network's edge list, position map, adjacency sets and
-        degrees.  The step draws TNT and uniform proposals itself, with
-        the random and getrandbits calls of their bound draws: the edge
-        branch picks from ``net.edges`` as ``proposals._below`` would,
-        and the dyad branch decodes the same draw below the free-dyad
-        count with ``Network.decoder``'s closure.  TNT's log q-ratio is
-        ``proposals._tnt_log_q_ratio``, memoised per edge count and
-        branch.  Any other proposal draws through its bound ``draw`` and
-        updates its state through ``commit``.
+        bound rule, each term's change closure
+        (``BoundModel.change_functions``, called with the dyad's state
+        the step has already read), the RNG and the network's edge list,
+        position map, adjacency sets and degrees.  The step draws TNT and
+        uniform proposals itself, with the random and getrandbits calls
+        of their bound draws: the edge branch picks from ``net.edges`` as
+        ``proposals._below`` would, and the dyad branch decodes the same
+        draw below the free-dyad count with ``Network.decoder``'s
+        closure.  TNT's log q-ratio is ``proposals._tnt_log_q_ratio``,
+        memoised per edge count and branch.  Any other proposal draws
+        through its bound ``draw`` and updates its state through
+        ``commit``.
 
         The step flips an accepted dyad itself, with ``Network.toggle``'s
         writes in its order, so the edge list, the position map and the
@@ -218,10 +237,10 @@ class Chain:
 
         def advance(stats, steps=1):
             # fast locals for the loop, unpacked once per call
-            (draw, commit, allowed, changes, net, adj, deg, in_adj, in_deg,
-             edges, pos, decode, N, N_bits, tnt, tnt_log_q, edge_q, gap_q,
-             directed, n, bip, validate, getrandbits, random, exp,
-             finite, coefs) = bound
+            (draw, commit, checked, level, forbid, caps, in_caps, changes,
+             adj, deg, in_adj, in_deg, edges, pos, decode, N, N_bits, tnt,
+             tnt_log_q, edge_q, gap_q, directed, n, bip, validate,
+             getrandbits, random, exp, finite, coefs) = bound
             for _ in range(steps):
                 if draw is None:
                     E = len(edges)
@@ -250,8 +269,14 @@ class Chain:
                 else:
                     i, j, log_q = draw()
                     present = j in adj[i]
-                if allowed is not None and not allowed(net, i, j):
-                    continue
+                if checked:
+                    # ConstraintChecker.allowed: a blocked dyad is frozen,
+                    # and an add needs both endpoints below their caps
+                    if forbid is not None and forbid[level[i]][level[j]]:
+                        continue
+                    if not present and (deg[i] >= caps[i] or
+                                        in_deg[j] >= in_caps[j]):
+                        continue
                 delta = []
                 for f in changes:
                     delta += f(i, j, present)

@@ -23,12 +23,13 @@ for a single dyad, and the block sweep of the shared-partner terms calls
 them on its support.  A closure may return one shared constant list,
 because its callers only copy the elements out
 (``delta += f(i, j, present)``) and never keep or mutate the list:
-edges and nodematch without diff always do; gwesp and undirected
-triangle return a shared ``[0.0]`` on a dyad without a shared partner
-(most dyads of a sparse network), and concurrent and degree pick their
-integer score, -2 to 2, from a table of shared lists.  Binding does no
-O(n) work: the power table of the geometrically weighted terms is built
-on their first bind or block sweep and reused by every later one.
+edges and nodematch always do (with diff, from a table of one-hot rows,
+one per level, or one zero row); gwesp and undirected triangle return
+a shared ``[0.0]`` on a dyad without a shared partner (most dyads of a
+sparse network), and concurrent and degree pick their integer score,
+-2 to 2, from a table of shared lists.  Binding does no O(n) work: the
+power table of the geometrically weighted terms is built on their
+first bind or block sweep and reused by every later one.
 
 Each term also scores a block of dyads at once (``changes``), for the
 full-dyad sweeps of the pseudo-likelihood.  Closures and block rows are
@@ -214,15 +215,10 @@ class _Nodematch(_DyadIndependent):
         if not self.diff:
             match, other = [1.0], [0.0]
             return lambda i, j, present: match if lev[i] == lev[j] else other
-        dim = self.dim
-
-        def change(i, j, present):
-            out = [0.0] * dim
-            if lev[i] == lev[j]:
-                out[lev[i]] = 1.0
-            return out
-
-        return change
+        # one shared one-hot row per level, and one shared zero row
+        rows = [[float(k == l) for k in range(self.dim)] for l in range(self.dim)]
+        zero = [0.0] * self.dim
+        return lambda i, j, present: rows[lev[i]] if lev[i] == lev[j] else zero
 
     def changes(self, net, tails, heads, present):
         if self._lev is None:

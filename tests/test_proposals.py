@@ -395,6 +395,108 @@ class TestBDStratDynamics:
             assert abs(logq - want) < 1e-12
             # leave the network wherever the toggle put it
 
+    # The draw memo: commit reuses the drawn dyad's post-toggle active
+    # weight, cell and stratum only when it commits that very dyad with
+    # no commit in between.  The settings are small, with zero-weight
+    # strata, so that most toggles move the active weight.
+
+    @staticmethod
+    def memo_setting(n, seed):
+        attrs = alternating_sex(n)
+        spec = parse_constraint_formula(
+            'bd(maxout=1) + blocks(attr="sex", levels2=diag) + strat(attr="grp")')
+        spec.strat_pmat = [[1.0, 0.6], [0.6, 0.0]] if seed % 2 else \
+            [[0.0, 0.7], [0.7, 1.0]]
+        net = Network(n)
+        return net, attrs, spec, BDStratTNT(net, spec, attrs)
+
+    @staticmethod
+    def assert_rebuilt(state, net, spec, attrs):
+        fresh = BDStratTNT(net, spec, attrs)
+        assert state.snapshot() == fresh.snapshot()
+        assert repr(state.active_weight) == repr(fresh.active_weight)
+
+    @pytest.mark.parametrize("n, seed", [(6, 1), (6, 2), (8, 3), (8, 4)])
+    def test_commit_of_a_dyad_not_drawn_last(self, n, seed):
+        net, attrs, spec, state = self.memo_setting(n, seed)
+        rng = random.Random(seed)
+        draw, commit = state.bind(net, rng)
+        for _ in range(300):
+            drawn = draw()[:2]
+            others = [d for d in proposable_dyads(net, state) if d != drawn]
+            if not others:
+                continue
+            i, j = rng.choice(others)
+            commit(i, j, net.toggle(i, j))
+            self.assert_rebuilt(state, net, spec, attrs)
+
+    @pytest.mark.parametrize("n, seed", [(6, 5), (6, 6), (8, 7), (8, 8)])
+    def test_rejected_draw_then_manual_toggle(self, n, seed):
+        # the manual toggle is the rejected dyad about one time in
+        # (proposable dyads), any other the rest of the time
+        net, attrs, spec, state = self.memo_setting(n, seed)
+        rng = random.Random(seed)
+        draw, commit = state.bind(net, rng)
+        for _ in range(300):
+            draw()                               # rejected: no toggle
+            i, j = rng.choice(proposable_dyads(net, state))
+            commit(i, j, net.toggle(i, j))
+            self.assert_rebuilt(state, net, spec, attrs)
+
+    @pytest.mark.parametrize("n, seed", [(6, 10), (6, 15), (8, 11), (8, 12)])
+    def test_draw_then_other_commit_then_drawn_commit(self, n, seed):
+        # the other commit clears the memo, so the drawn dyad's commit
+        # recomputes its weight from the state the other toggle left
+        net, attrs, spec, state = self.memo_setting(n, seed)
+        rng = random.Random(seed)
+        draw, commit = state.bind(net, rng)
+        both = 0
+        for _ in range(300):
+            drawn = draw()[:2]
+            others = [d for d in proposable_dyads(net, state) if d != drawn]
+            if not others:
+                continue
+            i, j = rng.choice(others)
+            commit(i, j, net.toggle(i, j))
+            self.assert_rebuilt(state, net, spec, attrs)
+            if drawn in proposable_dyads(net, state):
+                both += 1
+                commit(*drawn, net.toggle(*drawn))
+                self.assert_rebuilt(state, net, spec, attrs)
+        assert both > 50
+
+    def test_committed_draw_does_not_weigh_again(self):
+        # a spy on weigh: committing the drawn dyad adds no weigh call to
+        # the draw's, while a commit of another dyad weighs as before
+        net, attrs, spec, state = self.memo_setting(6, 1)
+        eligible, weigh = state._counters()
+        calls = [0]
+
+        def spy(size, s=None):
+            calls[0] += 1
+            return weigh(size, s)
+
+        state._counters = lambda: (eligible, spy)
+        rng = random.Random(13)
+        draw, commit = state.bind(net, rng)
+        in_draws = in_misses = 0
+        for _ in range(600):
+            before = calls[0]
+            i, j, _ = draw()
+            in_draw = calls[0] - before
+            if rng.random() < 0.7:
+                before = calls[0]
+                commit(i, j, net.toggle(i, j))
+                assert calls[0] - before == 0 <= in_draw
+                in_draws += in_draw
+            else:
+                k, l = rng.choice(proposable_dyads(net, state))
+                before = calls[0]
+                commit(k, l, net.toggle(k, l))
+                in_misses += calls[0] - before
+            self.assert_rebuilt(state, net, spec, attrs)
+        assert in_draws > 100 and in_misses > 20
+
     def test_frozen_state(self):
         # two vertices, saturated by the single edge, same stratum
         net = Network(2)

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -115,7 +116,8 @@ class TestOffsetArithmetic:
 
 
 # terms valid on every network kind, and those for undirected ones only
-ANY_TERMS = ["edges", "triangle", 'nodematch("sex")', 'nodefactor("grp")',
+ANY_TERMS = ["edges", "triangle", 'nodematch("sex")',
+             'nodematch("grp", diff=true)', 'nodefactor("grp")',
              'nodecov("age")', 'absdiff("age")']
 UNDIRECTED_TERMS = ["concurrent", "degree(1)", "gwdegree(decay=0.5, fixed=true)",
                     "gwesp(decay=0.5, fixed=true)"]
@@ -143,9 +145,13 @@ def chain_cases(draw):
             'bd(maxout=1) + blocks(attr="sex", levels2=diag)',
             'bd(maxout=2) + strat(attr="grp")']))
     else:
+        # degree caps on every kind: the chain's inline rule reads
+        # in-degrees and in-caps on directed networks
+        caps = {"undirected": "bd(maxout=2)", "bipartite": "bd(maxout=2)",
+                "directed": "bd(maxout=2, maxin=1)"}[kind]
         constraints = draw(st.sampled_from(
-            [None, 'blocks(attr="sex", levels2=diag)']
-            + (["bd(maxout=2)"] if kind == "undirected" else [])))
+            [None, 'blocks(attr="sex", levels2=diag)', caps,
+             f'{caps} + blocks(attr="sex", levels2=diag)']))
         atom = "dense" if proposal == "uniform" else "tnt"
         constraints = atom if constraints is None else f"{atom} + {constraints}"
     edges = draw(st.lists(st.integers(0, 10 ** 6), max_size=12))
@@ -212,6 +218,58 @@ class TestBoundStep:
                          net.in_deg and list(net.in_deg), snapshot,
                          rng.getstate()))
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("kind, text", [
+        ("directed", 'bd(maxout=2, maxin=1) + blocks(attr="sex", levels2=diag)'),
+        ("directed", "bd(maxin=1)"),
+        ("bipartite", "bd(maxout=2)"),
+        ("undirected", 'bd(maxout=2) + blocks(attr="sex", levels2=diag)')])
+    def test_inline_rule_is_checker_allowed(self, kind, text):
+        """The step's bound constraint rule moves exactly the dyads that
+        ConstraintChecker.allowed admits, from every state it meets, and
+        a rejection by the rule consumes no random number.  At a zero
+        coefficient every admitted toggle is accepted outright."""
+        n = 7
+        net = Network(n, directed=kind == "directed",
+                      bipartite=3 if kind == "bipartite" else 0)
+        spec = parse_constraint_formula(text)
+        checker = ConstraintChecker(net, spec, grp_attrs(n))
+        script = random.Random(0)
+        dyads = [net.dyad_at(k) for k in range(net.dyad_count())]
+        proposed = []
+
+        class Scripted:
+            """Random dyads, each recorded with allowed's verdict."""
+
+            def bind(self, net, rng):
+                def draw():
+                    i, j = script.choice(dyads)
+                    proposed.append((i, j, checker.allowed(net, i, j)))
+                    return i, j, 0.0
+                return draw, None
+
+        def blocked(i, j):
+            if checker.blocked is None:
+                return False
+            level = checker.block_level
+            return checker.forbid[level[i]][level[j]]
+
+        rng = random.Random(1)
+        state = rng.getstate()
+        step = Chain(net, bind("edges", net), Scripted(), checker,
+                     rng).kernel([0.0])
+        stats, refused = [0.0], Counter()
+        for _ in range(3000):
+            new = step(stats)
+            i, j, admitted = proposed[-1]
+            assert (new is not stats) == admitted
+            if new is stats:
+                refused["block" if blocked(i, j) else "cap"] += 1
+            stats = new
+        assert rng.getstate() == state
+        assert refused["cap"] > 100
+        if checker.blocked is not None:
+            assert refused["block"] > 100
 
     @given(coefs=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=5),
            delta=st.lists(st.one_of(st.just(0.0), st.floats(-50.0, 50.0)),

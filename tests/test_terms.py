@@ -266,6 +266,34 @@ class TestBlockChanges:
         assert seen[2] == {0.0, 1.0, 2.0}
         assert seen[4] == {-2.0, -1.0, 0.0, 1.0, 2.0}
 
+    def test_nodematch_diff_shared_rows(self):
+        """nodematch(diff=true) returns one shared one-hot row per level
+        and one shared zero row, equal to the block rows bit for bit and
+        to the brute-force summary difference."""
+        net = random_net(9, density=0.3, seed=7)
+        attrs = make_attrs(9, 3)
+        model = bind('nodematch("grp", diff=true)', net, attrs)
+        f, = model.change_functions(net)
+        _, lev = attrs.categorical("grp")
+        rows_by_level, zeros = {}, set()
+        tails, heads = net.dyad_rows(0, net.n - 1)
+        for k in range(net.dyad_count()):
+            i, j = net.dyad_at(k)
+            for _ in range(2):      # the dyad in both states
+                rows = model.changes(net, tails, heads,
+                                     net.edge_mask(tails, heads)).tolist()
+                got = f(i, j, net.has_edge(i, j))
+                assert [x.hex() for x in got] == [x.hex() for x in rows[k]]
+                assert got == brute_force_change(net, model, i, j)
+                if lev[i] == lev[j]:
+                    assert rows_by_level.setdefault(lev[i], got) is got
+                else:
+                    zeros.add(id(got))
+                net.toggle(i, j)
+        assert len(rows_by_level) == 3 and len(zeros) == 1
+        for level, row in rows_by_level.items():
+            assert row == [float(x == level) for x in range(3)]
+
     def test_nodematch_diff_and_nodefactor_levels(self):
         net = random_net(9, density=0.3, seed=5)
         model = bind('nodematch("grp", diff=true) + nodefactor("grp", levels=[1, 3])',
