@@ -5,12 +5,13 @@ list of dyads with a dyad->slot map, so that toggling an edge and
 drawing a uniformly random edge are both constant-time (deletion uses
 swap-remove).  Free dyads are numbered row-major (upper triangle when
 undirected) and an index decodes to its dyad in closed form, so drawing
-a uniformly random dyad is constant-time too.  ``toggle`` is the
-validated flip; ``sampler.Chain`` writes the same fields in the same
-order itself, and decodes through ``decoder()``, bound per network
-kind.  Full-dyad sweeps read the dyads as numpy index arrays, a block
-of whole rows at a time.  Vertex ids are 0-based internally and
-1-based in files.
+a uniformly random dyad is constant-time too.  Undirected networks
+alias ``in_adj``/``in_deg`` to ``adj``/``deg``, so one flip writes the
+same four fields for every kind.  ``toggle`` is the validated flip;
+``sampler.Chain`` writes the same fields in the same order itself, and
+decodes through ``decoder()``, bound per network kind.  Full-dyad
+sweeps read the dyads as numpy index arrays, a block of whole rows at
+a time.  Vertex ids are 0-based internally and 1-based in files.
 """
 
 import csv
@@ -36,6 +37,9 @@ class Network:
     bipartite : int
         Count of first-mode vertices; 0 means unipartite.  Every edge
         of a bipartite network must join the two modes.
+
+    Unless directed, ``in_adj`` and ``in_deg`` are the very lists ``adj``
+    and ``deg``, in every copy and after unpickling.
     """
 
     __slots__ = ("n", "directed", "bipartite", "adj", "in_adj",
@@ -52,11 +56,11 @@ class Network:
         self.directed = directed
         self.bipartite = bipartite
         self.adj = [set() for _ in range(n)]       # out-neighbors if directed
-        self.in_adj = [set() for _ in range(n)] if directed else None
+        self.in_adj = [set() for _ in range(n)] if directed else self.adj
         self.edges = []                            # list of canonical dyads
         self._edge_pos = {}                        # dyad -> slot in `edges`
         self.deg = [0] * n                         # out-degree if directed
-        self.in_deg = [0] * n if directed else None
+        self.in_deg = [0] * n if directed else self.deg
 
     # -- basic queries -------------------------------------------------
 
@@ -113,23 +117,15 @@ class Network:
                 pos[last] = slot
             self.adj[i].discard(j)
             self.deg[i] -= 1
-            if self.directed:
-                self.in_adj[j].discard(i)
-                self.in_deg[j] -= 1
-            else:
-                self.adj[j].discard(i)
-                self.deg[j] -= 1
+            self.in_adj[j].discard(i)
+            self.in_deg[j] -= 1
             return False
         pos[d] = len(self.edges)
         self.edges.append(d)
         self.adj[i].add(j)
         self.deg[i] += 1
-        if self.directed:
-            self.in_adj[j].add(i)
-            self.in_deg[j] += 1
-        else:
-            self.adj[j].add(i)
-            self.deg[j] += 1
+        self.in_adj[j].add(i)
+        self.in_deg[j] += 1
         return True
 
     # -- sampling helpers ----------------------------------------------
@@ -288,11 +284,11 @@ class Network:
         net.directed = self.directed
         net.bipartite = self.bipartite
         net.adj = [set(s) for s in self.adj]
-        net.in_adj = [set(s) for s in self.in_adj] if self.directed else None
+        net.in_adj = [set(s) for s in self.in_adj] if self.directed else net.adj
         net.edges = list(self.edges)
         net._edge_pos = dict(self._edge_pos)
         net.deg = list(self.deg)
-        net.in_deg = list(self.in_deg) if self.directed else None
+        net.in_deg = list(self.in_deg) if self.directed else net.deg
         return net
 
     def edge_set(self):
@@ -301,11 +297,8 @@ class Network:
     def check_consistency(self):
         """Verify counters against adjacency; used by tests."""
         assert [len(s) for s in self.adj] == self.deg, "degree counters diverged"
-        if self.directed:
-            assert [len(s) for s in self.in_adj] == self.in_deg
-            assert sum(self.deg) == len(self.edges)
-        else:
-            assert sum(self.deg) == 2 * len(self.edges)
+        assert [len(s) for s in self.in_adj] == self.in_deg
+        assert sum(self.deg) == (1 if self.directed else 2) * len(self.edges)
         assert len(self._edge_pos) == len(self.edges)
         for d, slot in self._edge_pos.items():
             assert self.edges[slot] == d

@@ -24,6 +24,9 @@ Every proposal's ``bind(net, rng)`` returns ``(draw, commit)``, built
 once per chain: ``draw()`` returns ``(i, j, log_q_ratio)`` and writes
 nothing to the network or to the sampling state, and ``commit(i, j,
 added)`` updates the proposal's state after the chain toggles the dyad.
+The contract: a drawn ``(i, j)`` is a canonical free dyad (in range,
+no self-loop, across the modes if bipartite, ``i < j`` if undirected),
+and ``sampler.Chain`` flips it as drawn, unvalidated.
 ``commit`` is None for the uniform and TNT proposals, which keep no
 state in the proposal; a bound TNT draw memoises its log q-ratio
 (``_tnt_log_q_ratio``) per edge count, one float per edge count the
@@ -184,7 +187,8 @@ class ConstraintChecker:
     from it, and tests wrap BDStratTNT in it.  A ``sampler.Chain`` binds
     its ``block_level``, ``forbid``, ``caps_out`` and ``caps_in`` once
     and applies ``allowed``'s rule inline; SAN and the tests call
-    ``allowed``.
+    ``allowed``.  Undirected, ``caps_in`` is ``caps_out`` (as the
+    network's ``in_deg`` is its ``deg``).
     """
 
     def __init__(self, net, constraints, attrs=None):
@@ -192,23 +196,19 @@ class ConstraintChecker:
         self.caps_out = _resolve_caps(constraints.bd_maxout, n)
         if net.directed:
             self.caps_in = _resolve_caps(constraints.bd_maxin, n)
+        elif constraints.bd_maxin is not None:
+            raise DataError("maxin applies to directed networks only")
         else:
-            if constraints.bd_maxin is not None:
-                raise DataError("maxin applies to directed networks only")
-            self.caps_in = None
+            self.caps_in = self.caps_out
         self.blocked = blocks_rule(net, constraints, attrs)
         if self.blocked is not None:
             self.block_level, self.forbid = self.blocked
 
     def allowed(self, net, i, j):
-        """May dyad (i, j) be toggled from the current state?"""
-        if self.blocked is not None and self.forbid[self.block_level[i]][self.block_level[j]]:
-            return False
-        if j in net.adj[i]:
-            return True  # removals never violate caps
-        if self.caps_in is None:
-            return net.deg[i] < self.caps_out[i] and net.deg[j] < self.caps_out[j]
-        return net.deg[i] < self.caps_out[i] and net.in_deg[j] < self.caps_in[j]
+        """May dyad (i, j) be toggled from the current state?  Removals
+        never violate caps."""
+        return not (self.blocked and self.forbid[self.block_level[i]][self.block_level[j]]) \
+            and (j in net.adj[i] or net.deg[i] < self.caps_out[i] and net.in_deg[j] < self.caps_in[j])
 
     def validate_network(self, net):
         if self.blocked is not None:
@@ -216,14 +216,10 @@ class ConstraintChecker:
             for i, j in net.edges:
                 if forbid[lev[i]][lev[j]]:
                     raise ConstraintError(f"edge ({i + 1}, {j + 1}) violates blocks")
-        if self.caps_in is None:
-            for v, d in enumerate(net.deg):
-                if d > self.caps_out[v]:
-                    raise ConstraintError(f"vertex {v + 1} exceeds its degree cap")
-        else:
-            for v in range(net.n):
-                if net.deg[v] > self.caps_out[v] or net.in_deg[v] > self.caps_in[v]:
-                    raise ConstraintError(f"vertex {v + 1} exceeds its degree cap")
+        for v, d, cap, d_in, cap_in in zip(range(net.n), net.deg, self.caps_out,
+                                           net.in_deg, self.caps_in):
+            if d > cap or d_in > cap_in:
+                raise ConstraintError(f"vertex {v + 1} exceeds its degree cap")
 
 
 def _resolve_caps(spec_cap, n):

@@ -7,7 +7,8 @@ or the steps between two retained draws in one call.  That one loop
 draws TNT and uniform proposals itself (any other proposal through its
 bound ``draw`` and ``commit``) and flips every accepted dyad in the
 network's edge list, position map, adjacency sets and degrees itself,
-with ``Network.toggle``'s writes in its order.  On it sit single
+with ``Network.toggle``'s writes in its order, as drawn: every draw is
+a canonical free dyad (the ``proposals`` contract).  On it sit single
 steps, fixed-schedule runs, and the adaptive loop that targets a
 multivariate effective sample size: extend, halve-and-double the
 interval once the retained sample exceeds twice the nominal size (or
@@ -150,24 +151,19 @@ class Chain:
         if kind is proposals.TntProposal or kind is proposals.UniformProposal:
             draw = None
         N = net.dyad_count()
-        # one flip serves every kind: undirected in-neighbours and
-        # in-degrees are the out-neighbours and degrees
-        ins = (net.in_adj, net.in_deg) if net.directed else (net.adj, net.deg)
         # the checker's rule, bound once: blocked level pairs, and the out
-        # and in caps (undirected in-caps are the out-caps)
+        # and in caps
         if checker is None:
             rule = (False, None, None, None, None)
         else:
             level, forbid = checker.blocked or (None, None)
-            caps = checker.caps_out
-            rule = (True, level, forbid, caps, checker.caps_in or caps)
+            rule = (True, level, forbid, checker.caps_out, checker.caps_in)
         self._bound = (
-            draw, commit, *rule,
-            model.change_functions(net), net.adj, net.deg, *ins,
-            net.edges, net._edge_pos, net.decoder(), N, N.bit_length(),
-            kind is proposals.TntProposal, proposals._tnt_log_q_ratio, {}, {},
-            net.directed, net.n, net.bipartite, net.validate_dyad,
-            rng.getrandbits, rng.random, math.exp)
+            draw, commit, *rule, model.change_functions(net), net.adj,
+            net.deg, net.in_adj, net.in_deg, net.edges, net._edge_pos,
+            net.decoder(), N, N.bit_length(), kind is proposals.TntProposal,
+            proposals._tnt_log_q_ratio, {}, {}, rng.getrandbits, rng.random,
+            math.exp)
 
     @classmethod
     def start(cls, net, model, constraints, attrs, rng):
@@ -193,7 +189,7 @@ class Chain:
         dyad's state it has already read: a blocked dyad is rejected,
         and so is an add whose tail is at its out-cap or whose head is at
         its in-cap.  On undirected networks the in-degrees and in-caps
-        are the degrees and out-caps, as in the flip.  A rejection by the
+        are the degrees and out-caps, the same lists.  A rejection by the
         rule consumes no random number.  ``allowed`` itself serves SAN
         and the tests.
 
@@ -213,9 +209,9 @@ class Chain:
 
         The step flips an accepted dyad itself, with ``Network.toggle``'s
         writes in its order, so the edge list, the position map and the
-        adjacency sets iterate alike.  A dyad from a bound ``draw`` is
-        first validated (``toggle``'s ValueError) and canonicalised; an
-        inline draw is canonical by construction.
+        adjacency sets iterate alike.  It trusts the dyad: an inline
+        draw is canonical by construction, and a bound ``draw`` by the
+        ``proposals`` contract.
 
         When every coefficient is finite the step sums the tilt itself,
         c * d over the nonzero d in _log_tilt's order, and negates the
@@ -239,8 +235,8 @@ class Chain:
             # fast locals for the loop, unpacked once per call
             (draw, commit, checked, level, forbid, caps, in_caps, changes,
              adj, deg, in_adj, in_deg, edges, pos, decode, N, N_bits, tnt,
-             tnt_log_q, edge_q, gap_q, directed, n, bip, validate,
-             getrandbits, random, exp, finite, coefs) = bound
+             tnt_log_q, edge_q, gap_q, getrandbits, random, exp, finite,
+             coefs) = bound
             for _ in range(steps):
                 if draw is None:
                     E = len(edges)
@@ -268,6 +264,7 @@ class Chain:
                         log_q = 0.0
                 else:
                     i, j, log_q = draw()
+                    d = (i, j)
                     present = j in adj[i]
                 if checked:
                     # ConstraintChecker.allowed: a blocked dyad is frozen,
@@ -291,11 +288,6 @@ class Chain:
                 else:
                     log_ar = _log_tilt(coefs, delta, -1 if present else 1) + log_q
                 if log_ar >= 0.0 or (log_ar > -_INF and random() < exp(log_ar)):
-                    if draw is not None:
-                        if i == j or not (0 <= i < n and 0 <= j < n) or \
-                                (bip and (i < bip) == (j < bip)):
-                            validate(i, j)      # raises with the reason
-                        d = (i, j) if directed or i < j else (j, i)
                     if present:
                         slot = pos.pop(d)
                         last = edges.pop()

@@ -16,7 +16,7 @@ geometrically weighted terms support fixed decay only.
 For the MH chain and SAN, each term binds its change score to one
 network once per chain (``change_function``): a closure
 ``f(i, j, present) -> list`` over the network's live ``adj``, ``in_adj``
-and ``deg`` and the term's constants.  ``present`` is the dyad's state
+(``adj`` itself unless directed) and ``deg`` and the term's constants.  ``present`` is the dyad's state
 before the toggle, which the step already knows.  The closure is each
 term's one scalar change score: ``BoundModel.change`` binds the closures
 for a single dyad, and the block sweep of the shared-partner terms calls
@@ -70,15 +70,15 @@ def _require_undirected(net, name):
 def _support_mask(net, tails, heads):
     """Dyads of the block that have a shared partner: a superset of
     those where a shared-partner count (triangle, gwesp) is nonzero."""
-    adj, inn = net.adj, net.in_adj
+    adj, inn, directed = net.adj, net.in_adj, net.directed
     pair_tails, pair_heads = [], []
     for i in range(int(tails[0]), int(tails[-1]) + 1) if len(tails) else ():
         near = set()
         for k in adj[i]:
             near |= adj[k]
-            if inn is not None:
+            if directed:
                 near |= inn[k]
-        if inn is not None:
+        if directed:
             for k in inn[i]:
                 near |= adj[k]
         pair_tails += [i] * len(near)

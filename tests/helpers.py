@@ -99,18 +99,21 @@ class CheckedProposal:
     """`proposal` with every draw asserted legal under `checker`.
 
     ``bind(net, rng)`` returns the wrapped proposal's bound ``draw``,
-    which asserts ``checker.allowed`` on each dyad it proposes before
-    the step sees it, and its bound ``commit``."""
+    which asserts that each dyad it proposes is canonical and free on
+    an undirected unipartite network (``0 <= i < j < n``, the draw
+    contract the chain step trusts) and ``checker.allowed``, before the
+    step sees it, and its bound ``commit``."""
 
     def __init__(self, proposal, checker):
         self.proposal, self.checker = proposal, checker
 
     def bind(self, net, rng):
         draw, commit = self.proposal.bind(net, rng)
-        allowed = self.checker.allowed
+        allowed, n = self.checker.allowed, net.n
 
         def checked():
             i, j, log_q = draw()
+            assert 0 <= i < j < n, f"proposed dyad ({i}, {j}) is not canonical"
             assert allowed(net, i, j), f"proposed dyad ({i}, {j}) is illegal"
             return i, j, log_q
 

@@ -1,5 +1,6 @@
 """Network storage: toggling, sampling, degrees, file round-trips."""
 
+import pickle
 import random
 
 import numpy as np
@@ -334,3 +335,45 @@ class TestCopy:
         assert net.has_edge(*d) != clone.has_edge(*d)
         clone.toggle(*d)
         assert net == clone
+
+
+def fields(net):
+    """Every field a flip writes, as plain values."""
+    return ([sorted(a) for a in net.adj], [sorted(a) for a in net.in_adj],
+            list(net.deg), list(net.in_deg), list(net.edges),
+            dict(net._edge_pos))
+
+
+class TestInAliases:
+    """Undirected and bipartite networks alias in_adj/in_deg to adj/deg."""
+
+    @pytest.mark.parametrize("bipartite", [0, 3])
+    def test_aliases_survive_copy_file_and_pickle(self, tmp_path, bipartite):
+        net = random_net(7, bipartite=bipartite, density=0.4, seed=2)
+        path = tmp_path / "net.txt"
+        write_network(net, path)
+        for other in (Network(7, bipartite=bipartite), net, net.copy(),
+                      read_network(path), pickle.loads(pickle.dumps(net))):
+            assert other.in_adj is other.adj and other.in_deg is other.deg
+            other.check_consistency()
+
+    def test_directed_in_fields_are_their_own(self):
+        net = random_net(6, directed=True, density=0.4, seed=3)
+        for other in (net, net.copy(), pickle.loads(pickle.dumps(net))):
+            assert other.in_adj is not other.adj
+            assert other.in_deg is not other.deg
+            assert fields(other) == fields(net)
+
+    @pytest.mark.parametrize("directed, bipartite",
+                             [(False, 0), (True, 0), (False, 3)])
+    def test_toggling_a_copy_leaves_the_original(self, directed, bipartite):
+        net = random_net(7, directed=directed, bipartite=bipartite,
+                         density=0.4, seed=4)
+        before = fields(net)
+        clone = net.copy()
+        for k in range(clone.dyad_count()):
+            clone.toggle(*clone.dyad_at(k))
+        assert fields(net) == before
+        assert clone.edge_count == net.dyad_count() - net.edge_count
+        net.check_consistency()
+        clone.check_consistency()
