@@ -7,8 +7,9 @@ swap-remove).  Free dyads are numbered row-major (upper triangle when
 undirected) and an index decodes to its dyad in closed form, so drawing
 a uniformly random dyad is constant-time too.  Undirected networks
 alias ``in_adj``/``in_deg`` to ``adj``/``deg``, so one flip writes the
-same four fields for every kind.  ``toggle`` is the validated flip;
-``sampler.Chain`` writes the same fields in the same order itself, and
+same four fields for every kind.  ``toggle`` is the validated flip of
+file I/O and the tests; ``sampler.Chain``, which both MCMC and SAN
+step through, writes the same fields in the same order itself, and
 decodes through ``decoder()``, bound per network kind.  Full-dyad
 sweeps read the dyads as numpy index arrays, a block of whole rows at
 a time.  Vertex ids are 0-based internally and 1-based in files.

@@ -186,8 +186,8 @@ class ConstraintChecker:
     zero probability), BDStratTNT reads its caps and blocked level pairs
     from it, and tests wrap BDStratTNT in it.  A ``sampler.Chain`` binds
     its ``block_level``, ``forbid``, ``caps_out`` and ``caps_in`` once
-    and applies ``allowed``'s rule inline; SAN and the tests call
-    ``allowed``.  Undirected, ``caps_in`` is ``caps_out`` (as the
+    and applies ``allowed``'s rule inline, for MCMC and SAN alike; the
+    tests call ``allowed``.  Undirected, ``caps_in`` is ``caps_out`` (as the
     network's ``in_deg`` is its ``deg``).
     """
 
@@ -522,7 +522,7 @@ class BDStratTNT:
         that (i, j, added); it clears the slot on every call, so a
         commit of any other toggle in between, through any binding,
         voids it.  On a miss commit derives them as it always has: the
-        per-call ``commit``, SAN and manual toggles need no draw.  Both
+        per-call ``commit`` and manual toggles need no draw.  Both
         paths set the same active weight, bit for bit: reverse_counts
         and commit make the same moves and call weigh with the same
         sizes.

@@ -15,7 +15,8 @@ interval once the retained sample exceeds twice the nominal size (or
 twice the two-window test's minimum, if larger), estimate burn-in from
 the geometric-decay fit, test convergence with the two-window
 diagnostic, then either return (ESS at target) or extrapolate the
-additional steps from the ESS-per-draw ratio.
+additional steps from the ESS-per-draw ratio.  SAN anneals through the
+same loop, with its own acceptance (``kernel``'s ``anneal``).
 
 Statistic values are tracked as offsets from the statistics of the
 network a run starts from and re-based on output, which avoids
@@ -173,7 +174,7 @@ class Chain:
         return cls(net, model, *proposals.make_proposal(net, constraints, attrs),
                    rng)
 
-    def kernel(self, coefs):
+    def kernel(self, coefs, anneal=None):
         """The Metropolis-Hastings kernel at `coefs`.
 
         Returns advance(stats, steps=1) -> stats, which makes `steps`
@@ -190,8 +191,8 @@ class Chain:
         and so is an add whose tail is at its out-cap or whose head is at
         its in-cap.  On undirected networks the in-degrees and in-caps
         are the degrees and out-caps, the same lists.  A rejection by the
-        rule consumes no random number.  ``allowed`` itself serves SAN
-        and the tests.
+        rule consumes no random number.  ``allowed`` itself serves the
+        tests.
 
         Everything a step looks up is held in advance's locals: the
         bound rule, each term's change closure
@@ -222,6 +223,12 @@ class Chain:
         builtin sum() of floats is compensated from Python 3.12 on.
         With an infinite coefficient the tilt goes through _log_tilt,
         the one 0 * inf rule.
+
+        ``anneal``, when given, replaces the tilt and the q-ratio: it is
+        called as anneal(delta, present) on every proposal the rule lets
+        through and returns the log acceptance, which the step tests as
+        it tests the tilt.  That is how ``san.san_run`` anneals through
+        this loop; `coefs` are then only validated.
         """
         model = self.model
         if len(coefs) != model.p:
@@ -229,14 +236,16 @@ class Chain:
         coefs = [float(c) for c in coefs]
         if any(math.isnan(c) for c in coefs):
             raise DataError("coefficients must not be NaN")
-        bound = (*self._bound, all(map(math.isfinite, coefs)), coefs)
+        bound = (*self._bound,
+                 anneal is None and all(map(math.isfinite, coefs)), coefs,
+                 anneal)
 
         def advance(stats, steps=1):
             # fast locals for the loop, unpacked once per call
             (draw, commit, checked, level, forbid, caps, in_caps, changes,
              adj, deg, in_adj, in_deg, edges, pos, decode, N, N_bits, tnt,
              tnt_log_q, edge_q, gap_q, getrandbits, random, exp, finite,
-             coefs) = bound
+             coefs, anneal) = bound
             for _ in range(steps):
                 if draw is None:
                     E = len(edges)
@@ -285,8 +294,10 @@ class Chain:
                     if present:
                         tilt = -tilt
                     log_ar = tilt + log_q
-                else:
+                elif anneal is None:
                     log_ar = _log_tilt(coefs, delta, -1 if present else 1) + log_q
+                else:
+                    log_ar = anneal(delta, present)
                 if log_ar >= 0.0 or (log_ar > -_INF and random() < exp(log_ar)):
                     if present:
                         slot = pos.pop(d)

@@ -9,22 +9,29 @@ decays linearly to zero at the last run, where energy-increasing moves
 are rejected outright and ties are decided by the offset bias alone.
 After every run the weight matrix is recomputed as the normalized
 Moore-Penrose pseudoinverse of the covariance of the proposed
-statistic differences stored during the run, accepted or not.
+statistic differences stored during the run, accepted or not (a run
+that stored fewer than two, or fewer than the energy statistics, keeps
+its weights).  The search steps through the Metropolis-Hastings
+chain's one loop, ``sampler.Chain.kernel``, with this acceptance as
+its ``anneal``.
 """
 
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError
 from .proposals import make_proposal
-from .sampler import _log_tilt
+from .sampler import Chain, _log_tilt
 
 __all__ = ["SanConfig", "SanTrace", "energy", "san_weight_update", "san_run"]
 
 _INF = math.inf
+# the most negative float: exp() of it is 0.0, so the uniform is drawn
+_LOWEST = -sys.float_info.max
 # the reservoir of proposed statistic differences behind the weight update
 _MAX_STORED_DIFFS = 100_000
 
@@ -83,15 +90,16 @@ def san_run(net, model, config, constraints=None, attrs=None, rng=None):
     """Anneal `net` in place toward the configured targets.
 
     The proposal is chosen from the constraint spec exactly as for
-    MCMC; proposals a checker disallows are consumed and rejected.
-    Returns (net, SanTrace); the trace records statistic rows every
-    trace_interval proposals and the acceptance counts.
+    MCMC, and the search steps through one ``sampler.Chain`` on `net`:
+    its kernel draws, applies the checker's rule (a disallowed proposal
+    is consumed and rejected) and flips, and the annealing acceptance
+    enters it as ``kernel``'s ``anneal``.  Returns (net, SanTrace); the
+    trace records statistic rows every trace_interval proposals and the
+    acceptance counts.
     """
     if rng is None:
         rng = random.Random(config.seed)
-    proposal, checker = make_proposal(net, constraints, attrs)
-    draw, commit = proposal.bind(net, rng)
-    changes = model.change_functions(net)
+    chain = Chain(net, model, *make_proposal(net, constraints, attrs), rng)
 
     free = model.free_index
     offs = model.offset_index
@@ -113,18 +121,54 @@ def san_run(net, model, config, constraints=None, attrs=None, rng=None):
         W = np.eye(p) / max(p, 1)
     tau0 = config.tau0 if config.tau0 is not None else float(max(p, 1))
     steps_per_run = config.steps_per_run or max(4096, 8 * net.dyad_count())
-    # the offset bias <eta, dg> counts only infinite offset coefficients
+    # the offset bias <eta, dg> counts only infinite offset coefficients;
+    # with none it is exactly 0.0 and is not computed
     eta = [0.0] * model.p
     for k, c in zip(offs, config.offset_coefs):
         if math.isinf(c):
             eta[k] = c
+    biased = any(eta)
 
     stats = model.summary(net)
     dev = np.array([stats[k] for k in free]) - targets
     e = float(dev @ W @ dev)    # the current energy, kept with dev and W
     trace = SanTrace()
     runs = config.runs
+    new_dev = new_e = None
 
+    def anneal(delta, present):
+        """The log acceptance of toggling a dyad in state `present` with
+        change score `delta`; stores the proposed difference and leaves
+        the move's deviation and energy in new_dev and new_e."""
+        nonlocal seen, new_dev, new_e
+        dfree = np.array([delta[k] for k in free]) * (-1.0 if present else 1.0)
+
+        # reservoir subsample of the proposed differences
+        seen += 1
+        if len(stored) < _MAX_STORED_DIFFS:
+            stored.append(dfree)
+        else:
+            slot = rng.randrange(seen)
+            if slot < _MAX_STORED_DIFFS:
+                stored[slot] = dfree
+
+        new_dev = dev + dfree
+        new_e = float(new_dev @ W @ new_dev)
+        dE = new_e - e
+        bias = _log_tilt(eta, delta, -1 if present else 1) if biased else 0.0
+        if bias == -_INF:
+            return -_INF
+        if T == 0.0:
+            if dE > 0.0:
+                return -_INF
+            return bias if dE == 0.0 else _INF
+        if bias == _INF:
+            return _INF
+        log_alpha = -dE / T + bias
+        # a -inf or NaN score still draws its uniform before rejecting
+        return log_alpha if log_alpha > -_INF else _LOWEST
+
+    advance = chain.kernel(eta, anneal)
     for r in range(runs):
         if runs > 1:
             T = tau0 * (1.0 - r / (runs - 1.0))
@@ -138,51 +182,16 @@ def san_run(net, model, config, constraints=None, attrs=None, rng=None):
                 trace.final_energy = 0.0
                 trace.runs_completed = r
                 return net, trace
-            i, j, _logq = draw()
             trace.proposals += 1
             if trace.proposals % config.trace_interval == 0:
                 trace.rows.append((trace.proposals, list(stats), e))
-            if checker is not None and not checker.allowed(net, i, j):
-                continue
-            present = net.has_edge(i, j)
-            adding = not present
-            sign = 1.0 if adding else -1.0
-            delta = []
-            for f in changes:
-                delta += f(i, j, present)
-            dfree = np.array([delta[k] for k in free]) * sign
-
-            # reservoir subsample of the proposed differences
-            seen += 1
-            if len(stored) < _MAX_STORED_DIFFS:
-                stored.append(dfree)
-            else:
-                slot = rng.randrange(seen)
-                if slot < _MAX_STORED_DIFFS:
-                    stored[slot] = dfree
-
-            new_dev = dev + dfree
-            new_e = float(new_dev @ W @ new_dev)
-            dE = new_e - e
-            bias = _log_tilt(eta, delta, 1 if adding else -1)
-            if bias == -_INF:
-                continue
-            if T == 0.0:
-                if dE > 0.0:
-                    continue
-                log_alpha = bias if dE == 0.0 else _INF
-            else:
-                log_alpha = _INF if bias == _INF else (-dE / T + bias)
-            if log_alpha >= 0.0 or rng.random() < math.exp(log_alpha):
-                net.toggle(i, j)
-                if commit is not None:
-                    commit(i, j, adding)
-                for k in range(model.p):
-                    stats[k] += sign * delta[k]
-                dev, e = new_dev, new_e
+            moved = advance(stats, 1)
+            if moved is not stats:
+                stats, dev, e = moved, new_dev, new_e
                 trace.accepted += 1
         trace.runs_completed = r + 1
-        if config.invcov_override is None and len(stored) >= p:
+        # one stored difference has no covariance
+        if config.invcov_override is None and len(stored) >= max(p, 2):
             W = san_weight_update(np.asarray(stored))
             e = float(dev @ W @ dev)
     trace.final_energy = e

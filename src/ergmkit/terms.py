@@ -13,8 +13,8 @@ levels); nodecov(attr); absdiff(attr); concurrent; degree(d);
 gwdegree(decay, fixed=true); gwesp(decay, fixed=true).  The
 geometrically weighted terms support fixed decay only.
 
-For the MH chain and SAN, each term binds its change score to one
-network once per chain (``change_function``): a closure
+For the MH chain, which SAN anneals through, each term binds its
+change score to one network once per chain (``change_function``): a closure
 ``f(i, j, present) -> list`` over the network's live ``adj``, ``in_adj``
 (``adj`` itself unless directed) and ``deg`` and the term's constants.  ``present`` is the dyad's state
 before the toggle, which the step already knows.  The closure is each
@@ -541,7 +541,7 @@ class BoundModel:
         """Each term's change score bound to `net`, in order: closures
         f(i, j, present) -> list whose results, concatenated, are the
         change score of dyad (i, j) when `present` is its state.  The
-        MH step and SAN bind these once per chain; they are not kept on
+        chain binds these once, for MCMC and SAN; they are not kept on
         the model, which multi-process chains pickle."""
         return [t.change_function(net) for t in self._terms]
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import numpy as np
 
@@ -161,3 +162,120 @@ def reference_chain(net, model, coefs, proposal, burnin, samplesize,
                                        checker)
         out[s] = rel
     return out + np.asarray(base)
+
+
+def reference_san(net, model, config, constraints=None, attrs=None, rng=None):
+    """A frozen copy of the annealing loop that ``san.san_run`` replaced
+    with a ``sampler.Chain``: it draws through the proposal's bound
+    ``draw``, checks with ``ConstraintChecker.allowed``, reads the dyad
+    with ``Network.has_edge``, flips with ``Network.toggle`` and scores
+    the offset bias through _log_tilt on every proposal.  The weight
+    update needs two stored differences, as in san_run.  Returns (net,
+    SanTrace) like san_run."""
+    from ergmkit.errors import DataError
+    from ergmkit.proposals import make_proposal
+    from ergmkit.sampler import _log_tilt
+    from ergmkit.san import _MAX_STORED_DIFFS, SanTrace, san_weight_update
+    _INF = math.inf
+
+    if rng is None:
+        rng = random.Random(config.seed)
+    proposal, checker = make_proposal(net, constraints, attrs)
+    draw, commit = proposal.bind(net, rng)
+    changes = model.change_functions(net)
+
+    free = model.free_index
+    offs = model.offset_index
+    targets = np.asarray(config.targets, dtype=float)
+    if targets.shape != (len(free),):
+        raise DataError(f"need {len(free)} target values (non-offset statistics)")
+    if not np.isfinite(targets).all():
+        raise DataError("target values must be finite")
+    if len(config.offset_coefs) != len(offs):
+        raise DataError(f"need {len(offs)} offset coefficients")
+    if any(map(math.isnan, config.offset_coefs)):
+        raise DataError("offset coefficients must not be NaN")
+    p = len(free)
+    if config.invcov_override is not None:
+        W = np.asarray(config.invcov_override, dtype=float)
+        if W.shape != (p, p):
+            raise DataError("invcov_override dimension mismatch")
+    else:
+        W = np.eye(p) / max(p, 1)
+    tau0 = config.tau0 if config.tau0 is not None else float(max(p, 1))
+    steps_per_run = config.steps_per_run or max(4096, 8 * net.dyad_count())
+    # the offset bias <eta, dg> counts only infinite offset coefficients
+    eta = [0.0] * model.p
+    for k, c in zip(offs, config.offset_coefs):
+        if math.isinf(c):
+            eta[k] = c
+
+    stats = model.summary(net)
+    dev = np.array([stats[k] for k in free]) - targets
+    e = float(dev @ W @ dev)    # the current energy, kept with dev and W
+    trace = SanTrace()
+    runs = config.runs
+
+    for r in range(runs):
+        if runs > 1:
+            T = tau0 * (1.0 - r / (runs - 1.0))
+        else:
+            T = tau0
+        stored = []
+        seen = 0
+        for _ in range(steps_per_run):
+            if not dev.any():
+                trace.exited_early = True
+                trace.final_energy = 0.0
+                trace.runs_completed = r
+                return net, trace
+            i, j, _logq = draw()
+            trace.proposals += 1
+            if trace.proposals % config.trace_interval == 0:
+                trace.rows.append((trace.proposals, list(stats), e))
+            if checker is not None and not checker.allowed(net, i, j):
+                continue
+            present = net.has_edge(i, j)
+            adding = not present
+            sign = 1.0 if adding else -1.0
+            delta = []
+            for f in changes:
+                delta += f(i, j, present)
+            dfree = np.array([delta[k] for k in free]) * sign
+
+            # reservoir subsample of the proposed differences
+            seen += 1
+            if len(stored) < _MAX_STORED_DIFFS:
+                stored.append(dfree)
+            else:
+                slot = rng.randrange(seen)
+                if slot < _MAX_STORED_DIFFS:
+                    stored[slot] = dfree
+
+            new_dev = dev + dfree
+            new_e = float(new_dev @ W @ new_dev)
+            dE = new_e - e
+            bias = _log_tilt(eta, delta, 1 if adding else -1)
+            if bias == -_INF:
+                continue
+            if T == 0.0:
+                if dE > 0.0:
+                    continue
+                log_alpha = bias if dE == 0.0 else _INF
+            else:
+                log_alpha = _INF if bias == _INF else (-dE / T + bias)
+            if log_alpha >= 0.0 or rng.random() < math.exp(log_alpha):
+                net.toggle(i, j)
+                if commit is not None:
+                    commit(i, j, adding)
+                for k in range(model.p):
+                    stats[k] += sign * delta[k]
+                dev, e = new_dev, new_e
+                trace.accepted += 1
+        trace.runs_completed = r + 1
+        if config.invcov_override is None and len(stored) >= max(p, 2):
+            W = san_weight_update(np.asarray(stored))
+            e = float(dev @ W @ dev)
+    trace.final_energy = e
+    trace.exited_early = not dev.any()
+    return net, trace

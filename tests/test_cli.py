@@ -205,6 +205,19 @@ class TestSan:
         assert code == 5
         assert "nonconvergence" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["san", "--n", "10", "--formula", "edges", "--targets", "5",
+         "--runs", "3", "--steps", "1", "--allow-inexact"],
+        ["fit", "--n", "10", "--formula", "edges", "--target-stats", "5",
+         "--san-steps", "1", "--allow-inexact-targets"],
+    ], ids=["san", "fit"])
+    def test_one_proposal_runs_keep_their_weights(self, argv):
+        # a one-proposal run stores one difference, which has no
+        # covariance to reweight from
+        proc = run_process(*argv)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestMple:
     def test_edges_closed_form(self, capsys, observed_net):

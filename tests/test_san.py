@@ -6,10 +6,12 @@ import random
 import numpy as np
 import pytest
 
-from helpers import random_dyad
+from helpers import random_dyad, reference_san
+from ergmkit import san
 from ergmkit.errors import DataError
 from ergmkit.formula import parse_constraint_formula
 from ergmkit.network import Network, VertexAttributes
+from ergmkit.proposals import ConstraintChecker, TntProposal, UniformProposal
 from ergmkit.san import SanConfig, energy, san_run, san_weight_update
 from ergmkit.terms import bind
 
@@ -17,7 +19,68 @@ from ergmkit.terms import bind
 def sex_attrs(n):
     attrs = VertexAttributes(n)
     attrs.add("sex", ["M" if v % 2 == 0 else "F" for v in range(n)])
+    attrs.add("grp", ["X" if v % 3 == 0 else "Y" for v in range(n)])
     return attrs
+
+
+def seeded_network(net, edges, seed):
+    """`net` with `edges` random dyads toggled on, drawn from `seed`."""
+    rng = random.Random(seed)
+    while net.edge_count < edges:
+        i, j = random_dyad(net, rng)
+        if not net.has_edge(i, j):
+            net.toggle(i, j)
+    return net
+
+
+# (network, formula, constraints, SanConfig options): one per proposal
+# kind and per branch of the annealing acceptance
+SAN_CASES = {
+    "tnt": (lambda: Network(30), "edges + triangle", None,
+            dict(targets=[40.0, 20.0], runs=2, steps_per_run=3000)),
+    "dense": (lambda: Network(25), "edges + concurrent", "dense",
+              dict(targets=[30.0, 10.0], runs=2, steps_per_run=2000)),
+    "bd-blocks": (lambda: Network(30), "edges + concurrent",
+                  'bd(maxout=2) + blocks(attr="sex", levels2=diag)',
+                  dict(targets=[25.0, 12.0], runs=2, steps_per_run=3000)),
+    "strat": (lambda: Network(30), "edges + triangle", 'strat(attr="grp")',
+              dict(targets=[35.0, 15.0], runs=2, steps_per_run=3000)),
+    "directed-bd": (lambda: Network(20, directed=True), "edges + triangle",
+                    "bd(maxout=2, maxin=2)",
+                    dict(targets=[30.0, 3.0], runs=2, steps_per_run=3000)),
+    "bipartite-bd": (lambda: Network(20, bipartite=8), "edges + concurrent",
+                     "bd(maxout=2)",
+                     dict(targets=[20.0, 9.0], runs=2, steps_per_run=3000)),
+    "minus-inf-offset": (lambda: Network(30),
+                         'edges + offset(nodematch("sex")) + triangle', None,
+                         dict(targets=[20.0, 2.0], runs=2, steps_per_run=3000,
+                              offset_coefs=(-math.inf,))),
+    "plus-inf-offset": (lambda: seeded_network(Network(20), 12, 4),
+                        'edges + offset(nodematch("sex")) + concurrent', None,
+                        dict(targets=[16.0, 12.0], runs=2, steps_per_run=3000,
+                             offset_coefs=(math.inf,))),
+    "finite-offset": (lambda: Network(20),
+                      "edges + offset(concurrent) + triangle", None,
+                      dict(targets=[15.0, 6.0], runs=2, steps_per_run=2000,
+                           offset_coefs=(-0.5,))),
+    "t0-invcov": (lambda: seeded_network(Network(30), 40, 5),
+                  "edges + concurrent", None,
+                  dict(targets=[25.0, 8.0], runs=1, tau0=0.0,
+                       invcov_override=np.diag([0.9, 0.1]),
+                       steps_per_run=4000)),
+    # -dE / T overflows to -inf at a subnormal temperature
+    "tiny-temperature": (lambda: Network(20), "edges + triangle", None,
+                         dict(targets=[30.0, 5.0], runs=1, tau0=1e-320,
+                              steps_per_run=2000)),
+    "exits-early": (lambda: Network(40),
+                    'edges + offset(nodematch("sex")) + offset(concurrent)',
+                    None, dict(targets=[10.0], steps_per_run=5000,
+                               offset_coefs=(-math.inf, -math.inf))),
+    "weight-updates": (lambda: seeded_network(Network(25), 20, 6),
+                       "edges + triangle + concurrent", None,
+                       dict(targets=[45.0, 9.0, 14.0], runs=4,
+                            steps_per_run=1500)),
+}
 
 
 class TestEnergy:
@@ -170,6 +233,16 @@ class TestSanRun:
         final = bind("edges + concurrent", out).summary(out)
         assert energy(final, targets, invcov) <= 1e-12
 
+    def test_one_stored_difference_skips_the_weight_update(self):
+        # a run of one proposal stores one difference, which has no
+        # covariance; the weights stay as they were
+        net = Network(10)
+        model = bind("edges", net)
+        config = SanConfig(targets=[5.0], runs=3, steps_per_run=1, seed=0)
+        out, trace = san_run(net, model, config)
+        assert trace.proposals == 3 and trace.runs_completed == 3
+        assert out.edge_count == trace.accepted
+
     def test_wrong_target_length(self):
         net = Network(6)
         model = bind("edges + triangle", net)
@@ -196,3 +269,68 @@ class TestSanRun:
             SanConfig(targets=[1.0], tau0=tau0)
         # zero stays legal: san_benchmark anneals at temperature zero
         assert SanConfig(targets=[1.0], tau0=0.0).tau0 == 0.0
+
+
+def san_case(case):
+    """(net, model, constraint spec, attrs, SanConfig options) of a
+    SAN_CASES entry, on a fresh network."""
+    make, formula, constraints, options = SAN_CASES[case]
+    net = make()
+    attrs = sex_attrs(net.n)
+    spec = (parse_constraint_formula(constraints)
+            if constraints is not None else None)
+    return net, bind(formula, net, attrs), spec, attrs, options
+
+
+class TestOneLoop:
+    """san_run anneals through the chain's kernel and keeps every byte
+    of the loop it replaced (helpers.reference_san)."""
+
+    @staticmethod
+    def anneal(runner, case, seed, interval=37):
+        net, model, spec, attrs, options = san_case(case)
+        rng = random.Random(seed)
+        config = SanConfig(trace_interval=interval, seed=seed, **options)
+        out, trace = runner(net, model, config, constraints=spec, attrs=attrs,
+                            rng=rng)
+        out.check_consistency()
+        return (list(out.edges), list(out._edge_pos.items()),
+                repr(trace.rows), trace.proposals, trace.accepted,
+                trace.runs_completed, trace.exited_early,
+                repr(trace.final_energy), rng.getstate())
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    @pytest.mark.parametrize("case", sorted(SAN_CASES))
+    def test_san_run_matches_reference_loop(self, case, seed):
+        assert (self.anneal(san_run, case, seed)
+                == self.anneal(reference_san, case, seed))
+
+    def test_full_reservoir_matches_reference_loop(self, monkeypatch):
+        # a small reservoir, so that replacements draw from the rng
+        monkeypatch.setattr(san, "_MAX_STORED_DIFFS", 50)
+        for case in ("tnt", "weight-updates"):
+            assert (self.anneal(san_run, case, 2)
+                    == self.anneal(reference_san, case, 2))
+
+    @pytest.mark.parametrize("case", ["tnt", "dense", "directed-bd",
+                                      "bipartite-bd", "bd-blocks"])
+    def test_no_per_call_draw_check_or_flip(self, monkeypatch, case):
+        """SAN steps through the chain's loop: it makes no call to
+        Network.toggle, Network.has_edge, ConstraintChecker.allowed or a
+        TNT/uniform bound draw."""
+        def refuse(*args):
+            raise AssertionError("per-call path taken")
+
+        net, model, spec, attrs, options = san_case(case)
+        for proposal in (TntProposal, UniformProposal):
+            def bind_refusing(self, net, rng, bind_plain=proposal.bind):
+                return refuse, bind_plain(self, net, rng)[1]
+
+            monkeypatch.setattr(proposal, "bind", bind_refusing)
+        monkeypatch.setattr(Network, "toggle", refuse)
+        monkeypatch.setattr(Network, "has_edge", refuse)
+        monkeypatch.setattr(ConstraintChecker, "allowed", refuse)
+        out, trace = san_run(net, model, SanConfig(seed=1, **options),
+                             constraints=spec, attrs=attrs)
+        assert trace.accepted > 0
+        out.check_consistency()
