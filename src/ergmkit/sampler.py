@@ -53,8 +53,10 @@ class SamplerConfig:
     max_rounds: int = 100
 
     def __post_init__(self):
-        if self.samplesize < 1 or self.interval < 1 or self.chains < 1:
-            raise DataError("samplesize, interval and chains must be positive")
+        if (self.samplesize < 1 or self.interval < 1 or self.chains < 1
+                or self.max_rounds < 1):
+            raise DataError("samplesize, interval, chains and max_rounds must "
+                            "be positive")
         if self.burnin < 0:
             raise DataError("burnin must be nonnegative")
         if self.target_ess is not None and self.target_ess <= 0:
@@ -113,6 +115,17 @@ def _log_tilt(coefs, delta, sign):
     return total
 
 
+def _run_tilt(coefs, row):
+    """0.0 + c * x over the nonzero x of `row`, in order, with the first
+    len(row) coefficients: the step's finite tilt over the columns `row`
+    covers."""
+    tilt = 0.0
+    for c, x in zip(coefs, row):
+        if x:
+            tilt += c * x
+    return tilt
+
+
 def _offset_shift(offsets, offset_coefs):
     """Row-wise _log_tilt(offset_coefs, row, 1) over a change-score matrix.
 
@@ -141,7 +154,8 @@ def _offset_shift(offsets, offset_coefs):
 
 class Chain:
     """One Metropolis-Hastings chain on `net`, which it mutates: the
-    proposal, checker, change closures and RNG are bound once, and
+    proposal, checker, class table, change closures and RNG are bound
+    once (a model builds its class table for its first chain only), and
     ``kernel``/``run`` re-bind only the coefficients."""
 
     def __init__(self, net, model, proposal, checker, rng):
@@ -159,12 +173,15 @@ class Chain:
         else:
             level, forbid = checker.blocked or (None, None)
             rule = (True, level, forbid, checker.caps_out, checker.caps_in)
+        # the leading tabular terms are read from their class table, and
+        # the rest score through their closures
+        k, self._width, classes, self._rows = model.class_table(net)
         self._bound = (
-            draw, commit, *rule, model.change_functions(net), net.adj,
-            net.deg, net.in_adj, net.in_deg, net.edges, net._edge_pos,
-            net.decoder(), N, N.bit_length(), kind is proposals.TntProposal,
-            proposals._tnt_log_q_ratio, {}, {}, rng.getrandbits, rng.random,
-            math.exp)
+            draw, commit, *rule, model.change_functions(net, k), classes,
+            self._rows, net.adj, net.deg, net.in_adj, net.in_deg, net.edges,
+            net._edge_pos, net.decoder(), N, N.bit_length(),
+            kind is proposals.TntProposal, proposals._tnt_log_q_ratio, {}, {},
+            rng.getrandbits, rng.random, math.exp)
 
     @classmethod
     def start(cls, net, model, constraints, attrs, rng):
@@ -195,7 +212,9 @@ class Chain:
         tests.
 
         Everything a step looks up is held in advance's locals: the
-        bound rule, each term's change closure
+        bound rule, the model's class table (``BoundModel.class_table``:
+        each vertex's class, and the leading tabular terms' change score
+        per pair of classes), the other terms' change closures
         (``BoundModel.change_functions``, called with the dyad's state
         the step has already read), the RNG and the network's edge list,
         position map, adjacency sets and degrees.  The step draws TNT and
@@ -221,8 +240,20 @@ class Chain:
         sign-symmetric; at most the sign of an exact zero differs, which
         the acceptance test reads alike.  The loop is explicit because
         builtin sum() of floats is compensated from Python 3.12 on.
-        With an infinite coefficient the tilt goes through _log_tilt,
-        the one 0 * inf rule.
+        The sum over the table's columns does not change within a
+        kernel, so the kernel keeps it per pair of classes: the first
+        step to draw a dyad of a class pair sums it (``_run_tilt``), and
+        every later one reads it.  A kernel thus sums at most as many
+        tilts as it runs steps, and binding one allocates C empty slots
+        per class for C classes.  The step starts from that partial sum
+        and adds the other terms' c * d in order: the same float
+        operations in the same order.  With an infinite
+        coefficient the tilt goes through _log_tilt, the one 0 * inf
+        rule.  The step joins the table's row and the closures' scores
+        into the full change score only where it is read: on
+        acceptance, and on the non-finite and ``anneal`` paths.  A model
+        whose run is empty goes through the same step, with one class
+        and one empty row.
 
         ``anneal``, when given, replaces the tilt and the q-ratio: it is
         called as anneal(delta, present) on every proposal the rule lets
@@ -236,16 +267,21 @@ class Chain:
         coefs = [float(c) for c in coefs]
         if any(math.isnan(c) for c in coefs):
             raise DataError("coefficients must not be NaN")
-        bound = (*self._bound,
-                 anneal is None and all(map(math.isfinite, coefs)), coefs,
+        finite = anneal is None and all(map(math.isfinite, coefs))
+        tilts = None
+        if finite:
+            # each class pair's tilt over the table's columns, summed on
+            # the first step that reads it
+            tilts = [[None] * len(self._rows) for _ in self._rows]
+        bound = (*self._bound, finite, coefs, coefs[self._width:], tilts,
                  anneal)
 
         def advance(stats, steps=1):
             # fast locals for the loop, unpacked once per call
             (draw, commit, checked, level, forbid, caps, in_caps, changes,
-             adj, deg, in_adj, in_deg, edges, pos, decode, N, N_bits, tnt,
-             tnt_log_q, edge_q, gap_q, getrandbits, random, exp, finite,
-             coefs, anneal) = bound
+             classes, rows, adj, deg, in_adj, in_deg, edges, pos, decode, N,
+             N_bits, tnt, tnt_log_q, edge_q, gap_q, getrandbits, random, exp,
+             finite, coefs, rest, tilts, anneal) = bound
             for _ in range(steps):
                 if draw is None:
                     E = len(edges)
@@ -287,18 +323,26 @@ class Chain:
                 for f in changes:
                     delta += f(i, j, present)
                 if finite:
-                    tilt = 0.0
-                    for c, x in zip(coefs, delta):
+                    tilt = tilts[classes[i]][classes[j]]
+                    if tilt is None:
+                        tilt = tilts[classes[i]][classes[j]] = _run_tilt(
+                            coefs, rows[classes[i]][classes[j]])
+                    for c, x in zip(rest, delta):
                         if x:
                             tilt += c * x
                     if present:
                         tilt = -tilt
                     log_ar = tilt + log_q
-                elif anneal is None:
-                    log_ar = _log_tilt(coefs, delta, -1 if present else 1) + log_q
                 else:
-                    log_ar = anneal(delta, present)
+                    delta = rows[classes[i]][classes[j]] + delta
+                    if anneal is None:
+                        log_ar = (_log_tilt(coefs, delta, -1 if present else 1)
+                                  + log_q)
+                    else:
+                        log_ar = anneal(delta, present)
                 if log_ar >= 0.0 or (log_ar > -_INF and random() < exp(log_ar)):
+                    if finite:
+                        delta = rows[classes[i]][classes[j]] + delta
                     if present:
                         slot = pos.pop(d)
                         last = edges.pop()

@@ -86,6 +86,21 @@ def san_weight_update(diffs):
     return pinv / tr
 
 
+def _check_weights(W):
+    """A fixed weight matrix must be finite, symmetric and positive
+    semi-definite: with a NaN energy every T = 0 move reads as an
+    improvement, and a negative direction anneals away from the
+    targets.  Symmetry and the eigenvalues are judged to a rounding
+    tolerance relative to W's largest entry."""
+    if not np.isfinite(W).all():
+        raise DataError("invcov_override must be finite")
+    tol = 1e-12 * np.abs(W).max(initial=0.0) * max(len(W), 1)
+    if np.abs(W - W.T).max(initial=0.0) > tol:
+        raise DataError("invcov_override must be symmetric")
+    if W.size and np.linalg.eigvalsh(W).min() < -tol:
+        raise DataError("invcov_override must be positive semi-definite")
+
+
 def san_run(net, model, config, constraints=None, attrs=None, rng=None):
     """Anneal `net` in place toward the configured targets.
 
@@ -117,6 +132,7 @@ def san_run(net, model, config, constraints=None, attrs=None, rng=None):
         W = np.asarray(config.invcov_override, dtype=float)
         if W.shape != (p, p):
             raise DataError("invcov_override dimension mismatch")
+        _check_weights(W)
     else:
         W = np.eye(p) / max(p, 1)
     tau0 = config.tau0 if config.tau0 is not None else float(max(p, 1))

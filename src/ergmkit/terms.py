@@ -32,13 +32,19 @@ power table of the geometrically weighted terms is built on their
 first bind or block sweep and reused by every later one.
 
 Each term also scores a block of dyads at once (``changes``), for the
-full-dyad sweeps of the pseudo-likelihood.  Closures and block rows are
-the two paths, and they agree bit for bit: the attribute and degree
-terms do in numpy the float operations their closures do, elementwise,
-and the shared-partner terms are exactly 0.0 off the dyads with a
-shared partner and call their closure on them.  The arrays that
-``changes`` reads are built on its first call, so binding a model for
-the MH chain alone does not pay for them.
+full-dyad sweeps of the pseudo-likelihood, and the leading run of
+tabular terms is also one class table (``BoundModel.class_table``), for
+the MH step.  Closures, block rows and the class table are the three
+consumers, and they agree bit for bit: the attribute and degree terms
+do in numpy the float operations their closures do, elementwise; the
+shared-partner terms are exactly 0.0 off the dyads with a shared
+partner and call their closure on them; and the class table holds the
+closures' own lists, from one call per pair of vertex classes.  A term
+is tabular when its change score is a function of per-vertex
+categorical levels alone (edges, nodematch, nodefactor), so one vertex
+pair stands for every pair of its classes.  The arrays that
+``changes`` reads are built on its first call, and the class table on
+the first chain's, so binding a model does not pay for either.
 
 A dyad-independent term's change score does not depend on the rest of
 the network, so its summary is the sum of its block change scores over
@@ -136,6 +142,9 @@ class _DyadIndependent:
     """A term whose g(y) sums its change scores over y's edges."""
 
     dyad_independent = True
+    # a tabular term's change score is a function of its per-vertex
+    # categorical levels ``lev`` (None: of no vertex attribute)
+    tabular = False
 
     def summary(self, net):
         edges = np.array(net.edges, dtype=np.intp).reshape(-1, 2)
@@ -145,6 +154,9 @@ class _DyadIndependent:
 
 
 class _Edges(_DyadIndependent):
+    tabular = True
+    lev = None      # one class of vertices
+
     def __init__(self, term, net, attrs):
         self.names = ["edges"]
         self.dim = 1
@@ -194,6 +206,8 @@ class _Triangle:
 
 
 class _Nodematch(_DyadIndependent):
+    tabular = True
+
     def __init__(self, term, net, attrs):
         attr = term.arg("attr")
         if not isinstance(attr, str):
@@ -233,6 +247,8 @@ class _Nodematch(_DyadIndependent):
 
 
 class _Nodefactor(_DyadIndependent):
+    tabular = True
+
     def __init__(self, term, net, attrs):
         attr = term.arg("attr")
         if not isinstance(attr, str):
@@ -456,6 +472,13 @@ class _Gwesp(_GeometricallyWeighted):
         return _changes_on_support(self, net, tails, heads, present)
 
 
+# the most vertex classes a class table covers; with more, its run is
+# empty.  At 16 classes binding a kernel's slot lists costs about one MH
+# step, and the table's one-time build about half a Chain.start at
+# n = 2000; at 32, one and a half steps and a whole Chain.start
+_MAX_CLASSES = 16
+
+
 _TERM_CLASSES = {
     "edges": _Edges,
     "triangle": _Triangle,
@@ -474,7 +497,8 @@ class BoundModel:
     """A ModelSpec resolved against a network's shape and attributes.
 
     A bound model is immutable and may be shared across cloned networks
-    of the same shape; all evaluation methods are read-only.
+    of the same shape; all evaluation methods are read-only (the class
+    table is derived from the vertex levels, once, on first use).
     """
 
     def __init__(self, spec, net, attrs=None):
@@ -514,6 +538,7 @@ class BoundModel:
             self.offset_mask.extend(mask)
             self.dyad_independent_mask.extend([impl.dyad_independent] * impl.dim)
         self.p = len(self.names)
+        self._class_table = None
         self.free_index = [k for k in range(self.p) if not self.offset_mask[k]]
         self.offset_index = [k for k in range(self.p) if self.offset_mask[k]]
 
@@ -537,13 +562,56 @@ class BoundModel:
             out += t.change_function(net)(i, j, present)
         return out
 
-    def change_functions(self, net):
-        """Each term's change score bound to `net`, in order: closures
-        f(i, j, present) -> list whose results, concatenated, are the
-        change score of dyad (i, j) when `present` is its state.  The
-        chain binds these once, for MCMC and SAN; they are not kept on
-        the model, which multi-process chains pickle."""
-        return [t.change_function(net) for t in self._terms]
+    def change_functions(self, net, first=0):
+        """Each term's change score bound to `net`, in order, from term
+        `first` on: closures f(i, j, present) -> list whose results,
+        concatenated, are the change score of dyad (i, j) when `present`
+        is its state.  The chain binds the terms after its class table's
+        run once, for MCMC and SAN; they are not kept on the model,
+        which multi-process chains pickle."""
+        return [t.change_function(net) for t in self._terms[first:]]
+
+    def class_table(self, net):
+        """The leading run of tabular terms as one table, built on the
+        first call and kept: (k, width, classes, rows).
+
+        The run is the first k terms up to the first one that is not
+        tabular (edges, nodematch, nodefactor), and width is the number
+        of its statistics.  classes[v] numbers vertex v's class, its
+        tuple of the run's levels, and rows[a][b] is the run's change
+        score of any dyad from a class-a to a class-b vertex: the run's
+        closures' lists concatenated, from one call each on one vertex
+        pair of those classes, so they are the closures' floats.  With
+        more than _MAX_CLASSES classes the run is empty (k = width = 0):
+        one class, and one empty row.  The vertices' levels are fixed at
+        bind, so the table serves every network of the model's shape.
+        """
+        if self._class_table is None:
+            self._class_table = self._tabulate(net)
+        return self._class_table
+
+    def _tabulate(self, net):
+        run = []
+        for t in self._terms:
+            if not getattr(t, "tabular", False):
+                break
+            run.append(t)
+        levs = [t.lev for t in run if t.lev is not None]
+        classes, reps = [0] * self.n, [0]
+        if levs:
+            ids, classes, reps = {}, [], []
+            for v, key in enumerate(zip(*levs)):
+                c = ids.get(key)
+                if c is None:
+                    c = ids[key] = len(reps)
+                    reps.append(v)
+                classes.append(c)
+            if len(reps) > _MAX_CLASSES:
+                run, classes, reps = [], [0] * self.n, [0]
+        fs = [t.change_function(net) for t in run]
+        rows = [[[x for f in fs for x in f(a, b, False)] for b in reps]
+                for a in reps]
+        return len(run), sum(t.dim for t in run), classes, rows
 
     def changes(self, net, tails, heads, present):
         """Change scores of a block of dyads as a (len(tails), p) array.

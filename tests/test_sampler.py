@@ -28,6 +28,65 @@ def grp_attrs(n):
     return attrs
 
 
+def _check_step_tilt(coefs, delta, log_q, infinite, width):
+    """One step on dyad (0, 1) with change score `delta`, from a stub
+    model whose class table covers its first `width` columns (none when
+    width is 0): the log acceptance ratio the step tests is _log_tilt's
+    plus log_q, bit for bit, adding and removing."""
+    delta = delta[:len(coefs)]
+    if infinite is not None:
+        k, c = infinite
+        coefs[k % len(coefs)] = c
+
+    class Model:
+        p = len(coefs)
+
+        def class_table(self, net):
+            if not width:
+                return 0, 0, [0] * net.n, [[[]]]
+            return 1, width, [0] * net.n, [[delta[:width]]]
+
+        def change_functions(self, net, first=0):
+            if not width:
+                return [lambda i, j, present: delta][first:]
+            return [lambda i, j, present: delta[:width],
+                    lambda i, j, present: delta[width:]][first:]
+
+    class Fixed:
+        def bind(self, net, rng):
+            return (lambda: (0, 1, log_q)), None
+
+    seen = []
+
+    def exp(x):
+        seen.append(x)
+        return 0.0      # reject: the network keeps its state
+
+    for present in (False, True):
+        net = Network(3)
+        if present:
+            net.toggle(0, 1)
+        real_exp, math.exp = math.exp, exp
+        try:
+            step = Chain(net, Model(), Fixed(), None,
+                         random.Random(0)).kernel(coefs)
+        finally:
+            math.exp = real_exp
+        seen.clear()
+        stats = [0.0] * len(coefs)
+        result = step(stats)
+        want = _log_tilt(coefs, delta, -1 if present else 1) + log_q
+        if want >= 0.0:
+            assert result is not stats and not seen
+            # the full change score: the table's row, then the closures'
+            assert result == [-x if present else x for x in delta]
+        elif want == -math.inf:
+            assert result is stats and not seen
+        else:
+            assert result is stats
+            assert [x.hex() for x in seen] == [want.hex()]
+
+
 class TestMhStep:
     def test_zero_coefs_always_accept(self):
         net = Network(6)
@@ -218,6 +277,89 @@ class TestBoundStep:
                          list(net.in_deg), snapshot, rng.getstate()))
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("formula", [
+        'nodematch("id") + edges + triangle',
+        'edges + nodefactor("id") + nodematch("sex", diff=true) + triangle'])
+    def test_over_the_class_bound_matches_reference_loop(self, formula):
+        """A run with more vertex classes than the table's bound is
+        empty: every term scores through its closure, in the same
+        loop, and the chain still makes the reference loop's moves."""
+        from ergmkit.terms import _MAX_CLASSES
+        n = _MAX_CLASSES + 3
+        attrs = grp_attrs(n)
+        attrs.add("id", [f"v{v:02d}" for v in range(n)])
+        start = Network(n)
+        model = bind(formula, start, attrs)
+        assert model.class_table(start)[:2] == (0, 0)
+        coefs = [0.1 * (k % 7) - 0.3 for k in range(model.p)]
+        coefs[0] = -1.1
+        runs = []
+        for bound in (True, False):
+            net = start.copy()
+            rng = random.Random(5)
+            if bound:
+                draws = run_chain(net, model, coefs, TntProposal(),
+                                  SamplerConfig(samplesize=60, interval=7),
+                                  rng=rng).values
+            else:
+                draws = reference_chain(net, model, coefs, TntProposal(), 0,
+                                        60, 7, rng)
+            runs.append((draws.view(np.uint64).tolist(), list(net.edges),
+                         rng.getstate()))
+        assert runs[0] == runs[1]
+
+    def test_class_table_built_once_per_model(self, monkeypatch):
+        """Binding a model builds no class table; the first Chain builds
+        it and every later Chain and kernel reuses it."""
+        from ergmkit.terms import BoundModel
+        built = []
+        tabulate = BoundModel._tabulate
+
+        def spy(self, net):
+            built.append(net)
+            return tabulate(self, net)
+
+        monkeypatch.setattr(BoundModel, "_tabulate", spy)
+        net = Network(12)
+        model = bind('edges + nodematch("grp", diff=true) + triangle', net,
+                     grp_attrs(12))
+        assert built == []
+        for seed in (1, 2):
+            chain = Chain(net.copy(), model, TntProposal(), None,
+                          random.Random(seed))
+            chain.kernel([-0.5, 0.2, 0.3, 0.1])([0.0] * 4, 50)
+        assert len(built) == 1
+
+    def test_class_pair_tilt_summed_on_first_use(self, monkeypatch):
+        """A kernel sums a class pair's tilt on the first step that
+        draws a dyad of that pair, not at bind: binding sums none, one
+        step sums one, and a long run at most one per pair."""
+        from ergmkit import sampler
+        from ergmkit.terms import _MAX_CLASSES
+        summed = []
+        run_tilt = sampler._run_tilt
+
+        def spy(coefs, row):
+            summed.append(row)
+            return run_tilt(coefs, row)
+
+        monkeypatch.setattr(sampler, "_run_tilt", spy)
+        n = 40
+        attrs = grp_attrs(n)
+        attrs.add("id", [f"v{v % _MAX_CLASSES:02d}" for v in range(n)])
+        net = Network(n)
+        model = bind('edges + nodefactor("id") + triangle', net, attrs)
+        C = len(model.class_table(net)[3])
+        assert C == _MAX_CLASSES
+        coefs = [-1.0] + [0.05 * k for k in range(model.p - 1)]
+        step = Chain(net, model, TntProposal(), None,
+                     random.Random(4)).kernel(coefs)
+        assert summed == []
+        stats = step([0.0] * model.p)
+        assert len(summed) == 1
+        step(stats, 3000)
+        assert C < len(summed) <= C * C
+
     @pytest.mark.parametrize("kind, text", [
         ("directed", 'bd(maxout=2, maxin=1) + blocks(attr="sex", levels2=diag)'),
         ("directed", "bd(maxin=1)"),
@@ -283,48 +425,24 @@ class TestBoundStep:
         every coefficient is finite, by _log_tilt when one is infinite.
         The step's exp sees it whenever the move is neither accepted
         outright nor certainly rejected."""
-        delta = delta[:len(coefs)]
-        if infinite is not None:
-            k, c = infinite
-            coefs[k % len(coefs)] = c
+        _check_step_tilt(coefs, delta, log_q, infinite, width=0)
 
-        class Model:
-            p = len(coefs)
-
-            def change_functions(self, net):
-                return [lambda i, j, present: delta]
-
-        class Fixed:
-            def bind(self, net, rng):
-                return (lambda: (0, 1, log_q)), None
-
-        seen = []
-
-        def exp(x):
-            seen.append(x)
-            return 0.0      # reject: the network keeps its state
-
-        for present in (False, True):
-            net = Network(3)
-            if present:
-                net.toggle(0, 1)
-            real_exp, math.exp = math.exp, exp
-            try:
-                step = Chain(net, Model(), Fixed(), None,
-                             random.Random(0)).kernel(coefs)
-            finally:
-                math.exp = real_exp
-            seen.clear()
-            stats = [0.0] * len(coefs)
-            result = step(stats)
-            want = _log_tilt(coefs, delta, -1 if present else 1) + log_q
-            if want >= 0.0:
-                assert result is not stats and not seen
-            elif want == -math.inf:
-                assert result is stats and not seen
-            else:
-                assert result is stats
-                assert [x.hex() for x in seen] == [want.hex()]
+    @given(coefs=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=5),
+           delta=st.lists(st.one_of(st.just(0.0), st.floats(-50.0, 50.0)),
+                          min_size=5, max_size=5),
+           log_q=st.sampled_from([0.0, -0.25, 0.7]),
+           infinite=st.one_of(st.none(), st.tuples(
+               st.integers(0, 4), st.sampled_from([math.inf, -math.inf]))),
+           width=st.integers(1, 5))
+    @settings(max_examples=300, deadline=None)
+    def test_prefix_tilt_is_log_tilt(self, coefs, delta, log_q, infinite,
+                                     width):
+        """As above, with the first `width` columns read from a class
+        table: its tilt, continued over the remaining columns, is still
+        _log_tilt's bit for bit, and so is the non-finite path's tilt of
+        the table's row joined to the remaining closures' scores."""
+        _check_step_tilt(coefs, delta, log_q, infinite,
+                         width=min(width, len(coefs)))
 
     @pytest.mark.parametrize("constraints", [
         "tnt + bd(maxout=2)", 'bd(maxout=2) + blocks(attr="sex", levels2=diag)'],
@@ -701,3 +819,10 @@ class TestAdaptive:
             [0.0], cfg)
         assert not diag.converged
         assert diag.rounds == 3
+
+    @pytest.mark.parametrize("max_rounds", [0, -1])
+    def test_max_rounds_must_be_positive(self, max_rounds):
+        # with no round adaptive_run returned a (0, 1) sample for a p=2
+        # model, without an error
+        with pytest.raises(DataError, match="max_rounds"):
+            SamplerConfig(samplesize=64, target_ess=50, max_rounds=max_rounds)

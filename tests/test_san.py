@@ -233,6 +233,32 @@ class TestSanRun:
         final = bind("edges + concurrent", out).summary(out)
         assert energy(final, targets, invcov) <= 1e-12
 
+    @pytest.mark.parametrize("invcov, why", [
+        ([[math.nan]], "finite"), ([[math.inf]], "finite"),
+        ([[-1.0]], "positive semi-definite"),
+        ([[1.0, 0.5], [0.0, 1.0]], "symmetric")])
+    def test_invcov_override_must_be_a_weight_matrix(self, invcov, why):
+        # a NaN energy reads as an improvement at T = 0, so every move
+        # was accepted; a negative weight annealed away from the target
+        net = Network(20)
+        model = bind("edges + triangle" if len(invcov) == 2 else "edges", net)
+        config = SanConfig(targets=[10.0] * len(invcov), tau0=0.0,
+                           invcov_override=invcov, steps_per_run=100)
+        with pytest.raises(DataError, match=why):
+            san_run(net, model, config)
+        assert net.edge_count == 0
+
+    def test_singular_invcov_override_is_allowed(self):
+        # positive semi-definite is enough: a zero weight ignores a
+        # statistic
+        net = Network(20)
+        model = bind("edges + triangle", net)
+        config = SanConfig(targets=[10.0, 0.0], tau0=0.0,
+                           invcov_override=[[1.0, 0.0], [0.0, 0.0]],
+                           steps_per_run=2000, seed=2)
+        out, trace = san_run(net, model, config)
+        assert out.edge_count == 10
+
     def test_one_stored_difference_skips_the_weight_update(self):
         # a run of one proposal stores one difference, which has no
         # covariance; the weights stay as they were

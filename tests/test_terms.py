@@ -304,6 +304,74 @@ class TestBlockChanges:
         assert block.tolist() == [change(i, j) for i, j in net.dyads()]
 
 
+class TestClassTable:
+    """The leading run of tabular terms read from one class table:
+    every dyad's row is its run closures' scores, bit for bit."""
+
+    # formula, network kinds, terms in the leading run
+    CASES = [
+        ('edges + nodematch("grp") + nodematch("grp", diff=true)'
+         ' + nodefactor("grp") + nodefactor("sex", levels=[1])', "any", 5),
+        ('nodefactor("grp", levels=[-2]) + nodematch("sex", diff=true)'
+         ' + triangle + edges', "any", 2),
+        ('edges + nodematch("sex") + nodecov("age") + nodefactor("grp")',
+         "any", 2),
+        ('nodematch("grp", diff=true) + absdiff("age") + edges', "any", 1),
+        ('nodefactor("grp") + edges + gwesp(0.25, fixed=true)',
+         "undirected", 2),
+        ('triangle + edges + nodematch("grp")', "any", 0),
+    ]
+
+    @given(case=st.integers(0, len(CASES) - 1),
+           kind=st.sampled_from(["undirected", "directed", "bipartite"]),
+           n=st.integers(3, 12), density=st.floats(0.0, 0.8),
+           seed=st.integers(0, 10**6))
+    @settings(max_examples=80, deadline=None)
+    def test_rows_are_the_run_closures(self, case, kind, n, density, seed):
+        formula, kinds, run = self.CASES[case]
+        if kinds == "undirected" and kind != "undirected":
+            kind = "undirected"
+        net = random_net(n, directed=kind == "directed", density=density,
+                         seed=seed,
+                         bipartite=seed % (n - 1) + 1 if kind == "bipartite" else 0)
+        attrs = make_attrs(n, seed)
+        # every grp level present, so that nodefactor keeps one
+        attrs.add("grp", random.Random(seed).sample(
+            ["ABC"[v % 3] for v in range(n)], n))
+        model = bind(formula, net, attrs)
+        k, width, classes, rows = model.class_table(net)
+        assert k == run
+        assert width == sum(t.dim for t in model._terms[:run])
+        assert len(classes) == n and len(rows) == max(classes) + 1
+        bound = model.change_functions(net)[:k]
+        for d in range(net.dyad_count()):
+            i, j = net.dyad_at(d)
+            want = []
+            for f in bound:
+                want += f(i, j, net.has_edge(i, j))
+            assert [x.hex() for x in rows[classes[i]][classes[j]]] == \
+                [x.hex() for x in want]
+        # one table per model, whatever network it is asked on
+        assert model.class_table(net.copy()) is model.class_table(net)
+
+    def test_class_bound(self):
+        """Up to the bound the run is tabulated; above it the run is
+        empty: one class and one empty row."""
+        from ergmkit.terms import _MAX_CLASSES
+        for levels, run in ((_MAX_CLASSES, 2), (_MAX_CLASSES + 1, 0)):
+            n = 2 * levels
+            net = Network(n)
+            attrs = VertexAttributes(n)
+            attrs.add("id", [f"v{v % levels:02d}" for v in range(n)])
+            model = bind('edges + nodematch("id") + triangle', net, attrs)
+            k, width, classes, rows = model.class_table(net)
+            assert (k, width) == (run, run)
+            if run:
+                assert len(rows) == levels
+            else:
+                assert classes == [0] * n and rows == [[[]]]
+
+
 class TestIncremental:
     def test_replay_long_run(self):
         # Random toggles with incremental updates stay exact for integer
