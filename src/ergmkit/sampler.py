@@ -20,9 +20,10 @@ same loop, with its own acceptance (``kernel``'s ``anneal``).
 
 Statistic values are tracked as offsets from the statistics of the
 network a run starts from and re-based on output, which avoids
-large-magnitude cancellation on big networks; infinite offset
-coefficients follow the convention that their product with a zero
-change is zero.
+large-magnitude cancellation on big networks.  Infinite offset
+coefficients follow one rule, IEEE arithmetic with zero changes
+skipped: a product with a zero change adds nothing, and a NaN sum comes
+from opposite infinities and means forbidden (-inf).
 """
 
 import math
@@ -88,37 +89,11 @@ class SampleMatrix:
         return self.values.mean(axis=0)
 
 
-def _log_tilt(coefs, delta, sign):
-    """sign * <coefs, delta> with 0 * inf = 0 and -inf dominating."""
-    total = 0.0
-    has_pos = has_neg = False
-    for c, d in zip(coefs, delta):
-        if d == 0.0:
-            continue
-        x = d if sign > 0 else -d
-        if c == _INF:
-            if x > 0.0:
-                has_pos = True
-            else:
-                has_neg = True
-        elif c == -_INF:
-            if x > 0.0:
-                has_neg = True
-            else:
-                has_pos = True
-        else:
-            total += c * x
-    if has_neg:
-        return -_INF
-    if has_pos:
-        return _INF
-    return total
-
-
 def _run_tilt(coefs, row):
     """0.0 + c * x over the nonzero x of `row`, in order, with the first
-    len(row) coefficients: the step's finite tilt over the columns `row`
-    covers."""
+    len(row) coefficients: the step's tilt over the columns `row`
+    covers.  A zero x adds nothing, so 0 * inf is skipped; opposite
+    infinities sum to NaN, which callers read as -inf."""
     tilt = 0.0
     for c, x in zip(coefs, row):
         if x:
@@ -127,28 +102,16 @@ def _run_tilt(coefs, row):
 
 
 def _offset_shift(offsets, offset_coefs):
-    """Row-wise _log_tilt(offset_coefs, row, 1) over a change-score matrix.
-
-    Per-row shift from fixed coefficients, with 0 * inf = 0; when
-    conflicting infinities meet on one row, -inf wins (the dyad stays
-    forbidden).
-    """
-    n = len(offsets)
-    finite = np.zeros(n)
-    pos_inf = np.zeros(n, dtype=bool)
-    neg_inf = np.zeros(n, dtype=bool)
-    for c, coef in enumerate(offset_coefs):
-        col = offsets[:, c]
-        if math.isinf(coef):
-            up = col > 0 if coef > 0 else col < 0
-            dn = col < 0 if coef > 0 else col > 0
-            pos_inf |= up
-            neg_inf |= dn
-        else:
-            finite += coef * col
-    shift = finite
-    shift[pos_inf] = _INF
-    shift[neg_inf] = -_INF
+    """Row-wise _run_tilt(offset_coefs, row) over a change-score matrix,
+    with NaN read as -inf: when opposite infinities meet on one row the
+    dyad stays forbidden."""
+    shift = np.zeros(len(offsets))
+    with np.errstate(invalid="ignore"):
+        for c, coef in enumerate(offset_coefs):
+            col = offsets[:, c]
+            shift += np.multiply(coef, col, out=np.zeros(len(col)),
+                                 where=col != 0)
+    shift[np.isnan(shift)] = -_INF
     return shift
 
 
@@ -233,27 +196,31 @@ class Chain:
         draw is canonical by construction, and a bound ``draw`` by the
         ``proposals`` contract.
 
-        When every coefficient is finite the step sums the tilt itself,
-        c * d over the nonzero d in _log_tilt's order, and negates the
-        sum on a removal.  That is bit-identical to _log_tilt's sum of
-        c * -d because IEEE negation is exact and rounding to nearest is
-        sign-symmetric; at most the sign of an exact zero differs, which
-        the acceptance test reads alike.  The loop is explicit because
-        builtin sum() of floats is compensated from Python 3.12 on.
-        The sum over the table's columns does not change within a
-        kernel, so the kernel keeps it per pair of classes: the first
-        step to draw a dyad of a class pair sums it (``_run_tilt``), and
-        every later one reads it.  A kernel thus sums at most as many
-        tilts as it runs steps, and binding one allocates C empty slots
-        per class for C classes.  The step starts from that partial sum
-        and adds the other terms' c * d in order: the same float
-        operations in the same order.  With an infinite
-        coefficient the tilt goes through _log_tilt, the one 0 * inf
-        rule.  The step joins the table's row and the closures' scores
-        into the full change score only where it is read: on
-        acceptance, and on the non-finite and ``anneal`` paths.  A model
+        The step sums the tilt itself, c * d over the nonzero d in
+        column order, and negates the sum on a removal.  That is the sum
+        of c * -d bit for bit, because IEEE negation is exact and
+        rounding to nearest is sign-symmetric; at most the sign of an
+        exact zero differs, which the acceptance test reads alike.  The
+        loop is explicit because builtin sum() of floats is compensated
+        from Python 3.12 on.  The sum over the table's columns does not
+        change within a kernel, so the kernel keeps it per pair of
+        classes: the first step to draw a dyad of a class pair sums it
+        (``_run_tilt``), and every later one reads it.  A kernel thus
+        sums at most as many tilts as it runs steps, and binding one
+        allocates C empty slots per class for C classes.  The step
+        starts from that partial sum and adds the other terms' c * d in
+        order: the same float operations in the same order.  A model
         whose run is empty goes through the same step, with one class
-        and one empty row.
+        and one empty row.  The step joins the table's row and the
+        closures' scores into the full change score only where it is
+        read: on acceptance, and on the ``anneal`` path.
+
+        Infinite offset coefficients take the same sum, and IEEE
+        arithmetic is the one 0 * inf rule: a zero d is skipped, an
+        infinite product makes the tilt infinite, and opposite
+        infinities sum to NaN.  A NaN or -inf log ratio fails both
+        halves of the acceptance test, so the move is rejected without
+        drawing a uniform: NaN means forbidden.
 
         ``anneal``, when given, replaces the tilt and the q-ratio: it is
         called as anneal(delta, present) on every proposal the rule lets
@@ -267,13 +234,11 @@ class Chain:
         coefs = [float(c) for c in coefs]
         if any(math.isnan(c) for c in coefs):
             raise DataError("coefficients must not be NaN")
-        finite = anneal is None and all(map(math.isfinite, coefs))
-        tilts = None
-        if finite:
-            # each class pair's tilt over the table's columns, summed on
-            # the first step that reads it
-            tilts = [[None] * len(self._rows) for _ in self._rows]
-        bound = (*self._bound, finite, coefs, coefs[self._width:], tilts,
+        scored = anneal is None
+        # each class pair's tilt over the table's columns, summed on the
+        # first step that reads it
+        tilts = [[None] * len(self._rows) for _ in self._rows]
+        bound = (*self._bound, scored, coefs, coefs[self._width:], tilts,
                  anneal)
 
         def advance(stats, steps=1):
@@ -281,7 +246,7 @@ class Chain:
             (draw, commit, checked, level, forbid, caps, in_caps, changes,
              classes, rows, adj, deg, in_adj, in_deg, edges, pos, decode, N,
              N_bits, tnt, tnt_log_q, edge_q, gap_q, getrandbits, random, exp,
-             finite, coefs, rest, tilts, anneal) = bound
+             scored, coefs, rest, tilts, anneal) = bound
             for _ in range(steps):
                 if draw is None:
                     E = len(edges)
@@ -322,7 +287,7 @@ class Chain:
                 delta = []
                 for f in changes:
                     delta += f(i, j, present)
-                if finite:
+                if scored:
                     tilt = tilts[classes[i]][classes[j]]
                     if tilt is None:
                         tilt = tilts[classes[i]][classes[j]] = _run_tilt(
@@ -335,13 +300,9 @@ class Chain:
                     log_ar = tilt + log_q
                 else:
                     delta = rows[classes[i]][classes[j]] + delta
-                    if anneal is None:
-                        log_ar = (_log_tilt(coefs, delta, -1 if present else 1)
-                                  + log_q)
-                    else:
-                        log_ar = anneal(delta, present)
+                    log_ar = anneal(delta, present)
                 if log_ar >= 0.0 or (log_ar > -_INF and random() < exp(log_ar)):
-                    if finite:
+                    if scored:
                         delta = rows[classes[i]][classes[j]] + delta
                     if present:
                         slot = pos.pop(d)

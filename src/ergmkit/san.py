@@ -3,8 +3,9 @@
 The search minimizes the quadratic energy (g(y) - targets)' W
 (g(y) - targets) over the non-offset statistics, with an acceptance
 probability exp(-dE/T + <eta, dg>) where eta holds the infinite offset
-coefficients (finite entries are ignored) and the product of an
-infinite coefficient with a zero change is zero.  The temperature
+coefficients (finite entries are ignored), summed by the chain's one
+0 * inf rule: a zero change adds nothing, and a NaN bias (opposite
+infinities) forbids the move like -inf.  The temperature
 decays linearly to zero at the last run, where energy-increasing moves
 are rejected outright and ties are decided by the offset bias alone.
 After every run the weight matrix is recomputed as the normalized
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import DataError
 from .proposals import make_proposal
-from .sampler import Chain, _log_tilt
+from .sampler import Chain, _run_tilt
 
 __all__ = ["SanConfig", "SanTrace", "energy", "san_weight_update", "san_run"]
 
@@ -137,8 +138,9 @@ def san_run(net, model, config, constraints=None, attrs=None, rng=None):
         W = np.eye(p) / max(p, 1)
     tau0 = config.tau0 if config.tau0 is not None else float(max(p, 1))
     steps_per_run = config.steps_per_run or max(4096, 8 * net.dyad_count())
-    # the offset bias <eta, dg> counts only infinite offset coefficients;
-    # with none it is exactly 0.0 and is not computed
+    # the offset bias <eta, dg> counts only infinite offset coefficients,
+    # summed as the chain step sums its tilt; with none it is exactly 0.0
+    # and is not computed
     eta = [0.0] * model.p
     for k, c in zip(offs, config.offset_coefs):
         if math.isinf(c):
@@ -171,8 +173,11 @@ def san_run(net, model, config, constraints=None, attrs=None, rng=None):
         new_dev = dev + dfree
         new_e = float(new_dev @ W @ new_dev)
         dE = new_e - e
-        bias = _log_tilt(eta, delta, -1 if present else 1) if biased else 0.0
-        if bias == -_INF:
+        bias = _run_tilt(eta, delta) if biased else 0.0
+        if present:
+            bias = -bias
+        # opposite infinities sum to NaN: forbidden, like -inf
+        if not bias > -_INF:
             return -_INF
         if T == 0.0:
             if dE > 0.0:

@@ -9,6 +9,38 @@ import numpy as np
 from ergmkit.network import Network
 from ergmkit.terms import bind
 
+_INF = math.inf
+
+
+# the 0 * inf rule written out sign by sign: the oracle for the library's
+# IEEE tilt sums (sampler._run_tilt and _offset_shift), where a NaN sum
+# reads as this function's -inf
+def _log_tilt(coefs, delta, sign):
+    """sign * <coefs, delta> with 0 * inf = 0 and -inf dominating."""
+    total = 0.0
+    has_pos = has_neg = False
+    for c, d in zip(coefs, delta):
+        if d == 0.0:
+            continue
+        x = d if sign > 0 else -d
+        if c == _INF:
+            if x > 0.0:
+                has_pos = True
+            else:
+                has_neg = True
+        elif c == -_INF:
+            if x > 0.0:
+                has_neg = True
+            else:
+                has_pos = True
+        else:
+            total += c * x
+    if has_neg:
+        return -_INF
+    if has_pos:
+        return _INF
+    return total
+
 
 def all_networks(n, directed=False, bipartite=0):
     """Yield every binary network on n vertices (2^dyads of them)."""
@@ -127,7 +159,6 @@ def reference_mh_step(net, model, coefs, proposal, current_stats, rng,
     bound chain step replaced: it binds the proposal and the terms and
     looks everything up on every call, and tilts through _log_tilt.
     Returns (accepted, stats) like sampler.mh_step."""
-    from ergmkit.sampler import _log_tilt
     draw, commit = proposal.bind(net, rng)
     i, j, log_q = draw()
     if checker is not None and not checker.allowed(net, i, j):
@@ -174,9 +205,7 @@ def reference_san(net, model, config, constraints=None, attrs=None, rng=None):
     SanTrace) like san_run."""
     from ergmkit.errors import DataError
     from ergmkit.proposals import make_proposal
-    from ergmkit.sampler import _log_tilt
     from ergmkit.san import _MAX_STORED_DIFFS, SanTrace, san_weight_update
-    _INF = math.inf
 
     if rng is None:
         rng = random.Random(config.seed)

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import change_score, exact_moments, random_dyad
+from helpers import _log_tilt, change_score, exact_moments, random_dyad
 from ergmkit import estimate, proposals
 from ergmkit.errors import ConstraintError, DataError, SeparationError, \
     SingularityError
@@ -16,7 +16,7 @@ from ergmkit.estimate import (McmleControl, cd_fit, check_termination,
                               mple_rows, pseudo_loglik, _IterationRecord)
 from ergmkit.formula import parse_constraint_formula
 from ergmkit.network import Network, VertexAttributes
-from ergmkit.sampler import Chain, _log_tilt, _offset_shift
+from ergmkit.sampler import Chain, _offset_shift
 from ergmkit.terms import bind
 
 

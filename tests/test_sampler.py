@@ -3,20 +3,21 @@
 import hashlib
 import math
 import random
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import batch_means_se, exact_moments, reference_chain
+from helpers import _log_tilt, batch_means_se, exact_moments, reference_chain
 from ergmkit.errors import DataError
 from ergmkit.formula import parse_constraint_formula
 from ergmkit.network import Network, VertexAttributes
 from ergmkit.proposals import (BDStratTNT, ConstraintChecker, TntProposal,
                                UniformProposal, make_proposal)
 from ergmkit.sampler import (Chain, SamplerConfig, adaptive_run, run_chain,
-                             sample_chains, _log_tilt, _offset_shift)
+                             sample_chains, _offset_shift, _run_tilt)
 from ergmkit.terms import bind
 
 
@@ -32,7 +33,8 @@ def _check_step_tilt(coefs, delta, log_q, infinite, width):
     """One step on dyad (0, 1) with change score `delta`, from a stub
     model whose class table covers its first `width` columns (none when
     width is 0): the log acceptance ratio the step tests is _log_tilt's
-    plus log_q, bit for bit, adding and removing."""
+    plus log_q, bit for bit, adding and removing.  A NaN ratio (opposite
+    infinities) rejects like _log_tilt's -inf, unseen by exp."""
     delta = delta[:len(coefs)]
     if infinite is not None:
         k, c = infinite
@@ -154,15 +156,18 @@ COEF = st.one_of(st.sampled_from([math.inf, -math.inf]),
                  st.floats(-10.0, 10.0, allow_nan=False))
 CHANGE = st.one_of(st.integers(-3, 3).map(float),
                    st.floats(-5.0, 5.0, allow_nan=False))
+# k coefficients and one to five change-score rows of k columns
+COEF_ROWS = st.integers(0, 6).flatmap(lambda k: st.tuples(
+    st.lists(COEF, min_size=k, max_size=k),
+    st.lists(st.lists(CHANGE, min_size=k, max_size=k), min_size=1,
+             max_size=5)))
 
 
 class TestOffsetArithmetic:
-    """The scalar and the vectorized 0 * inf rule agree exactly."""
+    """The library's IEEE tilt sums keep the 0 * inf rule of the
+    oracle _log_tilt, with a NaN sum read as its -inf."""
 
-    @given(st.integers(0, 6).flatmap(lambda k: st.tuples(
-        st.lists(COEF, min_size=k, max_size=k),
-        st.lists(st.lists(CHANGE, min_size=k, max_size=k),
-                 min_size=1, max_size=5))))
+    @given(COEF_ROWS)
     @settings(max_examples=300, deadline=None)
     def test_scalar_matches_vectorized(self, case):
         coefs, rows = case
@@ -172,6 +177,60 @@ class TestOffsetArithmetic:
             assert _log_tilt(coefs, d, 1) == shift[r]
             flipped = [-x for x in d]
             assert _log_tilt(coefs, d, -1) == _log_tilt(coefs, flipped, 1)
+
+    @given(COEF_ROWS)
+    @settings(max_examples=300, deadline=None)
+    def test_ieee_sums_are_log_tilt(self, case):
+        """_run_tilt, with NaN read as -inf, is _log_tilt's sum, and
+        _offset_shift is it row by row without a warning."""
+        coefs, rows = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            shift = _offset_shift(
+                np.array(rows).reshape(len(rows), len(coefs)), coefs)
+        for r, d in enumerate(rows):
+            want = _log_tilt(coefs, d, 1)
+            tilt = _run_tilt(coefs, d)
+            assert (-math.inf if math.isnan(tilt) else tilt) == want
+            assert shift[r] == want
+
+    def test_overflow_against_infinity_rejects(self):
+        """The one move the IEEE rule decides unlike _log_tilt: finite
+        products summing past the float range meet an infinity of the
+        other sign.  _log_tilt reads the add as +inf and accepts it; the
+        sum is NaN, and the step rejects the add (and the removal, as
+        _log_tilt does) without drawing a uniform."""
+        coefs, delta = [-1e308, -1e308, math.inf], [1.0, 1.0, 1.0]
+        assert _log_tilt(coefs, delta, 1) == math.inf
+        assert _log_tilt(coefs, delta, -1) == -math.inf
+        assert math.isnan(_run_tilt(coefs, delta))
+        with np.errstate(over="ignore"):
+            assert _offset_shift(np.array([delta]), coefs)[0] == -math.inf
+
+        class Model:
+            p = 3
+
+            def class_table(self, net):
+                return 0, 0, [0] * net.n, [[[]]]
+
+            def change_functions(self, net, first=0):
+                return [lambda i, j, present: delta][first:]
+
+        class Fixed:
+            def bind(self, net, rng):
+                return (lambda: (0, 1, 0.0)), None
+
+        for present in (False, True):
+            net = Network(3)
+            if present:
+                net.toggle(0, 1)
+            rng = random.Random(0)
+            state = rng.getstate()
+            stats = [0.0] * 3
+            step = Chain(net, Model(), Fixed(), None, rng).kernel(coefs)
+            assert step(stats) is stats
+            assert rng.getstate() == state
+            assert net.has_edge(0, 1) == present
 
 
 # terms valid on every network kind, and those for undirected ones only
@@ -360,6 +419,53 @@ class TestBoundStep:
         step(stats, 3000)
         assert C < len(summed) <= C * C
 
+    def test_readme_offset_model_reads_class_table(self, monkeypatch):
+        """The README's san and mple model, edges with nodematch("sex")
+        and concurrent offsets at -inf, takes the one tilt path: under
+        TNT the kernel reads the infinite nodematch column from the
+        class-pair memo, summing at most C * C tilts over 2000 steps,
+        and the chain makes the reference loop's moves draw for draw."""
+        from ergmkit import sampler
+        summed = []
+        run_tilt = sampler._run_tilt
+
+        def spy(coefs, row):
+            summed.append(row)
+            return run_tilt(coefs, row)
+
+        monkeypatch.setattr(sampler, "_run_tilt", spy)
+        n = 30
+        attrs = grp_attrs(n)
+        start = Network(n)
+        script = random.Random(11)
+        for _ in range(25):
+            i, j = start.dyad_at(script.randrange(start.dyad_count()))
+            if not start.has_edge(i, j):
+                start.toggle(i, j)
+        model = bind('edges + offset(nodematch("sex")) + offset(concurrent)',
+                     start, attrs)
+        k, width, _, rows = model.class_table(start)
+        assert (k, width, len(rows)) == (2, 2, 2)
+        coefs = [-1.0, -math.inf, -math.inf]
+        runs = []
+        for bound in (True, False):
+            net = start.copy()
+            rng = random.Random(6)
+            if bound:
+                draws = run_chain(net, model, coefs, TntProposal(),
+                                  SamplerConfig(samplesize=100, interval=20),
+                                  rng=rng).values
+                assert 1 <= len(summed) <= len(rows) ** 2
+            else:
+                draws = reference_chain(net, model, coefs, TntProposal(), 0,
+                                        100, 20, rng)
+            runs.append((draws.view(np.uint64).tolist(), list(net.edges),
+                         rng.getstate()))
+        assert runs[0] == runs[1]
+        # -inf forbids every same-sex add
+        added = set(net.edges) - set(start.edges)
+        assert added and all(i % 2 != j % 2 for i, j in added)
+
     @pytest.mark.parametrize("kind, text", [
         ("directed", 'bd(maxout=2, maxin=1) + blocks(attr="sex", levels2=diag)'),
         ("directed", "bd(maxin=1)"),
@@ -421,10 +527,10 @@ class TestBoundStep:
     @settings(max_examples=300, deadline=None)
     def test_finite_tilt_is_log_tilt(self, coefs, delta, log_q, infinite):
         """The step's log acceptance ratio is _log_tilt's plus log_q, bit
-        for bit, adding and removing: summed by the step itself when
-        every coefficient is finite, by _log_tilt when one is infinite.
-        The step's exp sees it whenever the move is neither accepted
-        outright nor certainly rejected."""
+        for bit, adding and removing, summed by the step itself whether
+        or not a coefficient is infinite; a NaN sum meets the
+        assertions of _log_tilt's -inf.  The step's exp sees it whenever
+        the move is neither accepted outright nor certainly rejected."""
         _check_step_tilt(coefs, delta, log_q, infinite, width=0)
 
     @given(coefs=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=5),
@@ -439,8 +545,8 @@ class TestBoundStep:
                                      width):
         """As above, with the first `width` columns read from a class
         table: its tilt, continued over the remaining columns, is still
-        _log_tilt's bit for bit, and so is the non-finite path's tilt of
-        the table's row joined to the remaining closures' scores."""
+        _log_tilt's bit for bit, an infinite coefficient in the table's
+        columns or after them included."""
         _check_step_tilt(coefs, delta, log_q, infinite,
                          width=min(width, len(coefs)))
 
